@@ -30,13 +30,12 @@
 use std::error::Error;
 use std::fmt;
 
+use sdnav_core::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use sdnav_core::HostId;
 use sdnav_fmea::{dominant_modes, enumerate, Deployment, Element, FailureMode, PlaneImpact};
 use sdnav_json::{schema, Envelope, FromJson, Json, JsonError, ToJson};
 
-use crate::{
-    splitmix64, ChaosError, ChaosSpec, CrewSpec, InjectionKind, InjectionSpec, TargetRef,
-};
+use crate::{ChaosError, ChaosSpec, CrewSpec, InjectionKind, InjectionSpec, TargetRef};
 use sdnav_sim::CrewDiscipline;
 
 /// Knobs for [`generate`].
@@ -282,16 +281,6 @@ impl FromJson for GeneratedCampaign {
     }
 }
 
-/// FNV-1a over the campaign name: the identity half of the derived seed.
-fn fnv1a(text: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The CLI spelling of a scenario.
 fn scenario_str(scenario: sdnav_core::Scenario) -> &'static str {
     match scenario {
@@ -339,7 +328,8 @@ pub fn generate(
     );
     // The seed rides through JSON as an f64 number: keep it to 53 bits so
     // the document round-trips the exact value.
-    let mut builder = ChaosSpec::builder(&name).seed(splitmix64(fnv1a(&name)) >> 11);
+    let mut builder =
+        ChaosSpec::builder(&name).seed(splitmix64(fnv1a(FNV_OFFSET, name.as_bytes())) >> 11);
 
     let mut expectations = Vec::with_capacity(selected.len());
     for (index, mode) in selected.iter().enumerate() {

@@ -60,6 +60,7 @@ pub use verdict::{verdict, ModeOutcome, ModeVerdict, VerdictConfig, VerdictRepor
 use std::error::Error;
 use std::fmt;
 
+use sdnav_core::hash::splitmix64;
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 use sdnav_sim::{
     CrewPool, InjectAction, InjectTarget, InjectionPlan, PlannedEvent, SimResult, Simulation,
@@ -798,14 +799,6 @@ pub fn resolve_target(target: &TargetRef, sim: &Simulation<'_>) -> Result<Inject
                 .ok_or(())
         }
     }
-}
-
-/// SplitMix64 finalizer (same mixing as `sdnav-grid` seeding).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic Bernoulli draw for common-cause member `member` of

@@ -19,16 +19,17 @@
 //!
 //! Stale events are cancelled by generation counters (per node, and one
 //! for the election seat), exactly as the main simulator's epoch scheme
-//! works. All randomness flows from identity-seeded SplitMix64 streams:
-//! node `i` owns stream `seed ⊕ mix(i+1)`, racks and the election seat
-//! own tagged streams of their own, so no draw ever depends on event
-//! arrival order or thread scheduling.
+//! works, on the shared [`EventQueue`]. All randomness flows from
+//! identity-seeded SplitMix64 streams: node `i` owns stream
+//! `seed ⊕ mix64(i+1)`, racks and the election seat own tagged streams
+//! of their own, so no draw ever depends on event arrival order or
+//! thread scheduling.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
+use sdnav_core::des::EventQueue;
+use sdnav_core::hash::{mix64, GOLDEN_GAMMA};
 use sdnav_core::{ConsensusError, ConsensusSpec};
 
 use crate::ConsensusParams;
@@ -36,21 +37,11 @@ use crate::ConsensusParams;
 /// Milliseconds per hour.
 const MS_PER_HOUR: f64 = 3_600_000.0;
 
-/// SplitMix64 increment (the "golden gamma").
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Stream tag for the election seat.
 const ELECTION_TAG: u64 = 0xE1EC_7100_0000_0001;
 
 /// Stream tag base for racks.
 const RACK_TAG: u64 = 0x0AC0_0000_0000_0001;
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An identity-seeded SplitMix64 draw stream.
 #[derive(Debug, Clone, Copy)]
@@ -61,13 +52,13 @@ struct Stream {
 impl Stream {
     fn new(seed: u64, tag: u64) -> Self {
         Stream {
-            state: mix(seed ^ mix(tag)),
+            state: mix64(seed ^ mix64(tag)),
         }
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GAMMA);
-        mix(self.state)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     /// Uniform draw in `[0, 1)` from the top 53 bits.
@@ -196,39 +187,6 @@ enum EventKind {
     Injected(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    gen: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    // Reversed: BinaryHeap pops its maximum, we want the earliest time
-    // (ties broken by insertion order for full determinism).
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeState {
     Active,
@@ -253,8 +211,9 @@ pub struct ConsensusSim {
 }
 
 struct RunState {
-    heap: BinaryHeap<Event>,
-    seq: u64,
+    /// Events tagged with the generation of the node (or election seat)
+    /// they belong to; rack and injection events carry 0, never checked.
+    queue: EventQueue<EventKind>,
     node_state: Vec<NodeState>,
     node_gen: Vec<u64>,
     held_by_rack: Vec<bool>,
@@ -263,19 +222,6 @@ struct RunState {
     rack_streams: Vec<Stream>,
     phase: Phase,
     election_gen: u64,
-}
-
-impl RunState {
-    fn push(&mut self, time: f64, gen: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event {
-            time,
-            seq,
-            gen,
-            kind,
-        });
-    }
 }
 
 impl ConsensusSim {
@@ -377,8 +323,7 @@ impl ConsensusSim {
             .as_ref()
             .map_or(0, |r| r.placement.iter().max().map_or(0, |m| m + 1));
         let mut st = RunState {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::default(),
             node_state: vec![NodeState::Active; n],
             node_gen: vec![0; n],
             held_by_rack: vec![false; n],
@@ -395,16 +340,16 @@ impl ConsensusSim {
         // the injection plan (which fires regardless of generations).
         for i in 0..n {
             let t = st.node_streams[i].exp(lam);
-            st.push(t, st.node_gen[i], EventKind::NodeFail(i));
+            st.queue.push(t, st.node_gen[i], EventKind::NodeFail(i));
         }
         if let Some(racks) = &self.racks {
             for r in 0..rack_count {
                 let t = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                st.push(t, 0, EventKind::RackFail(r));
+                st.queue.push(t, 0, EventKind::RackFail(r));
             }
         }
         for (idx, inj) in injections.iter().enumerate() {
-            st.push(inj.at_hours, 0, EventKind::Injected(idx));
+            st.queue.push(inj.at_hours, 0, EventKind::Injected(idx));
         }
 
         // The run opens with an already-settled leader: the measurement
@@ -452,7 +397,8 @@ impl ConsensusSim {
                     .sample_ms(st.election_stream.next_f64())
                     + self.spec.heartbeat_interval_ms;
                 let gen = st.election_gen;
-                st.push($t + duration_ms / MS_PER_HOUR, gen, EventKind::ElectionDone);
+                st.queue
+                    .push($t + duration_ms / MS_PER_HOUR, gen, EventKind::ElectionDone);
                 st.phase = Phase::Electing;
             };
         }
@@ -501,7 +447,8 @@ impl ConsensusSim {
                 st.node_state[$i] = NodeState::Down;
                 if $schedule_repair {
                     let dt = st.node_streams[$i].exp(mu);
-                    st.push($t + dt, st.node_gen[$i], EventKind::NodeRepair($i));
+                    st.queue
+                        .push($t + dt, st.node_gen[$i], EventKind::NodeRepair($i));
                 }
             };
         }
@@ -512,40 +459,40 @@ impl ConsensusSim {
                 st.node_state[$i] = NodeState::CatchingUp;
                 st.held_by_rack[$i] = false;
                 let gen = st.node_gen[$i];
-                st.push($t + catch_up_h, gen, EventKind::CatchUp($i));
+                st.queue.push($t + catch_up_h, gen, EventKind::CatchUp($i));
                 let ttf = st.node_streams[$i].exp(lam);
-                st.push($t + ttf, gen, EventKind::NodeFail($i));
+                st.queue.push($t + ttf, gen, EventKind::NodeFail($i));
             };
         }
 
-        while let Some(ev) = st.heap.pop() {
+        while let Some(ev) = st.queue.pop() {
             if ev.time >= horizon {
                 break;
             }
             let t = ev.time;
             match ev.kind {
                 EventKind::NodeFail(i) => {
-                    if ev.gen != st.node_gen[i] || st.node_state[i] == NodeState::Down {
+                    if ev.epoch != st.node_gen[i] || st.node_state[i] == NodeState::Down {
                         continue;
                     }
                     kill_node!(t, i, true);
                     recheck!(t);
                 }
                 EventKind::NodeRepair(i) => {
-                    if ev.gen != st.node_gen[i] {
+                    if ev.epoch != st.node_gen[i] {
                         continue;
                     }
                     revive_node!(t, i);
                 }
                 EventKind::CatchUp(i) => {
-                    if ev.gen != st.node_gen[i] || st.node_state[i] != NodeState::CatchingUp {
+                    if ev.epoch != st.node_gen[i] || st.node_state[i] != NodeState::CatchingUp {
                         continue;
                     }
                     st.node_state[i] = NodeState::Active;
                     recheck!(t);
                 }
                 EventKind::ElectionDone => {
-                    if ev.gen != st.election_gen || st.phase != Phase::Electing {
+                    if ev.epoch != st.election_gen || st.phase != Phase::Electing {
                         continue;
                     }
                     let candidates: Vec<usize> = (0..n - byz)
@@ -563,7 +510,7 @@ impl ConsensusSim {
                 EventKind::RackFail(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let repair = st.rack_streams[r].exp(1.0 / racks.rack_mttr_hours);
-                    st.push(t + repair, 0, EventKind::RackRepair(r));
+                    st.queue.push(t + repair, 0, EventKind::RackRepair(r));
                     for i in 0..n {
                         if racks.placement[i] == r && st.node_state[i] != NodeState::Down {
                             kill_node!(t, i, false);
@@ -580,7 +527,7 @@ impl ConsensusSim {
                 EventKind::RackRepair(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let next = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                    st.push(t + next, 0, EventKind::RackFail(r));
+                    st.queue.push(t + next, 0, EventKind::RackFail(r));
                     for i in 0..n {
                         if racks.placement[i] == r && st.held_by_rack[i] {
                             revive_node!(t, i);

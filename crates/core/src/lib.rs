@@ -58,8 +58,10 @@
 
 pub mod approx;
 pub mod consensus;
+pub mod des;
 pub mod error;
 mod eval;
+pub mod hash;
 mod hw;
 pub mod paper;
 mod params;

@@ -20,21 +20,8 @@
 use sdnav_json::ToJson;
 
 use crate::error::SdnavError;
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::{ControllerSpec, HwParams, SwParams};
-
-/// FNV-1a offset basis (the same seed the checkpoint WAL fingerprint
-/// uses, so the two fingerprint families stay recognisably related).
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds `bytes` into an FNV-1a running state.
-#[must_use]
-pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
 
 /// Names every parameter [`ModelState::patch`] accepts, for error
 /// messages and discoverability.
@@ -222,6 +209,14 @@ mod tests {
         assert_eq!(s.hw_domain(), state().hw_domain());
         assert_eq!(s.sw_domain(), state().sw_domain());
         assert_ne!(s.hw_domain(), s.sw_domain());
+    }
+
+    #[test]
+    fn paper_fingerprints_are_pinned() {
+        // A drift here would cold-start every `sdnav serve` cache.
+        let s = state();
+        assert_eq!(s.hw_domain(), 0x5370_3d5c_9bf5_57d7);
+        assert_eq!(s.sw_domain(), 0x0cb9_b615_6eca_1721);
     }
 
     #[test]

@@ -513,7 +513,7 @@ impl<'a> Checker<'a> {
             "DL004",
             line,
             format!("`{name}` — per-process-seeded or release-dependent hashing makes keyed lookups and layouts irreproducible"),
-            "hash with the workspace's FNV-1a (`sdnav_core::state::fnv1a`) or another fixed-seed hasher",
+            "hash with the workspace's FNV-1a (`sdnav_core::hash::fnv1a`) or another fixed-seed hasher",
         );
     }
 

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sdnav_core::state::{fnv1a, FNV_OFFSET};
+use sdnav_core::hash::{fnv1a, FNV_OFFSET};
 
 /// Key of one memoizable sub-model evaluation within a domain.
 ///

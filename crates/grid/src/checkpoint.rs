@@ -28,6 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
+use sdnav_core::hash::{fnv1a, FNV_OFFSET};
 use sdnav_core::sweep::{Fig3Row, SwSweepRow};
 use sdnav_core::ControllerSpec;
 use sdnav_json::Json;
@@ -43,15 +44,6 @@ pub const CHECKPOINT_SCHEMA: &str = sdnav_json::schema::CHECKPOINT;
 /// bytes; the bound lets replay reject a garbage length field immediately
 /// instead of attempting a multi-gigabyte read.
 const MAX_RECORD_LEN: u32 = 1 << 20;
-
-/// FNV-1a over one byte slice, continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
 
 /// Fingerprint binding a checkpoint to one (spec, grid) identity.
 ///
@@ -98,7 +90,7 @@ pub fn fingerprint(spec: &ControllerSpec, grid: &GridSpec) -> u64 {
             ident.push_str(&format!("|mix={}:{}", mix.byzantine, mix.crash));
         }
     }
-    fnv1a(0xCBF2_9CE4_8422_2325, ident.as_bytes())
+    fnv1a(FNV_OFFSET, ident.as_bytes())
 }
 
 /// CRC-32 (IEEE, reflected) of one byte slice.
@@ -529,6 +521,16 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ))
+    }
+
+    #[test]
+    fn default_grid_fingerprint_is_pinned() {
+        // A drift here would make `--resume` refuse every existing WAL.
+        let fp = fingerprint(
+            &ControllerSpec::opencontrail_3x(),
+            &GridSpec::builder().build().unwrap(),
+        );
+        assert_eq!(fp, 0x0d22_2e12_8d60_dca0);
     }
 
     fn sample_output() -> ItemOutput {

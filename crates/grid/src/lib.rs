@@ -1107,20 +1107,55 @@ fn build_ctx<'a>(
 
 /// Folds one item output into the result tables (outputs must arrive in
 /// plan order).
-fn fold_output(results: &mut GridResults, sim_events: &mut u64, output: ItemOutput) {
+fn fold_output(results: &mut GridResults, output: ItemOutput) {
     match output {
         ItemOutput::Fig3(row) => results.fig3.push(row),
         ItemOutput::Sw(Figure::Fig4, row) => results.fig4.push(row),
         ItemOutput::Sw(_, row) => results.fig5.push(row),
-        ItemOutput::Sim(row) => {
-            *sim_events += row.events;
-            results.sim.push(row);
-        }
-        ItemOutput::Chaos(row) => {
-            *sim_events += row.events;
-            results.chaos.push(row);
-        }
+        ItemOutput::Sim(row) => results.sim.push(row),
+        ItemOutput::Chaos(row) => results.chaos.push(row),
         ItemOutput::Consensus(row) => results.consensus.push(row),
+    }
+}
+
+impl RunMetrics {
+    /// The metrics of one run, with the replication and event totals
+    /// summed over every DES row of `results` (simulated, chaos and
+    /// consensus cells). The supervision counters start at zero.
+    fn from_run(
+        results: &GridResults,
+        items: usize,
+        stages: StageTimings,
+        stats: pool::PoolStats,
+        (cache_hits, cache_misses): (u64, u64),
+    ) -> Self {
+        let sim = results.sim.iter().map(|r| (r.replications, r.events));
+        let chaos = results.chaos.iter().map(|r| (r.replications, r.events));
+        let consensus = results.consensus.iter().map(|r| (r.replications, 0));
+        let (sim_replications, sim_events) = sim
+            .chain(chaos)
+            .chain(consensus)
+            .fold((0u64, 0u64), |(reps, events), (r, e)| {
+                (reps + r as u64, events + e)
+            });
+        RunMetrics {
+            threads: stats.workers,
+            items,
+            stages,
+            items_per_sec: if stages.execute_ms > 0.0 {
+                items as f64 / (stages.execute_ms / 1e3)
+            } else {
+                0.0
+            },
+            cache_hits,
+            cache_misses,
+            steals: stats.steals,
+            sim_replications,
+            sim_events,
+            retries: 0,
+            quarantined: 0,
+            restored: 0,
+        }
     }
 }
 
@@ -1181,44 +1216,22 @@ pub fn evaluate_incremental(
 
     let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let mut results = GridResults::default();
-    let mut sim_events = 0u64;
     for output in outputs {
-        fold_output(&mut results, &mut sim_events, output?);
+        fold_output(&mut results, output?);
     }
     let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
 
-    let metrics = RunMetrics {
-        threads: stats.workers,
-        items: items.len(),
-        stages: StageTimings {
+    let metrics = RunMetrics::from_run(
+        &results,
+        items.len(),
+        StageTimings {
             plan_ms,
             execute_ms,
             aggregate_ms,
         },
-        items_per_sec: if execute_ms > 0.0 {
-            items.len() as f64 / (execute_ms / 1e3)
-        } else {
-            0.0
-        },
-        cache_hits: graph.hits() - hits0,
-        cache_misses: graph.misses() - misses0,
-        steals: stats.steals,
-        sim_replications: (results.sim.len() * grid.replications) as u64
-            + results
-                .chaos
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>()
-            + results
-                .consensus
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>(),
-        sim_events,
-        retries: 0,
-        quarantined: 0,
-        restored: 0,
-    };
+        stats,
+        (graph.hits() - hits0, graph.misses() - misses0),
+    );
     Ok(GridOutcome { results, metrics })
 }
 

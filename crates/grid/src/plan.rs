@@ -1,6 +1,7 @@
 //! Grid expansion: turning a [`crate::GridSpec`] into independent work
 //! items with deterministic, identity-derived seeds.
 
+use sdnav_core::hash::splitmix64;
 use sdnav_core::sweep::linspace;
 use sdnav_core::{FaultMix, Scenario};
 
@@ -195,14 +196,6 @@ pub fn plan_items(figures: &[Figure], points: usize, replications: usize) -> Vec
         }
     }
     items
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic per-item RNG seed, derived from the base seed and the

@@ -382,7 +382,6 @@ pub fn evaluate_supervised(
 
     let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let mut results = GridResults::default();
-    let mut sim_events = 0u64;
     let mut quarantine = QuarantineReport::default();
     let mut skipped = 0usize;
     let mut journaled_cells = 0u64;
@@ -391,7 +390,7 @@ pub fn evaluate_supervised(
         match cell {
             Cell::Done(EvalCell::Fresh(Ok(output))) | Cell::Done(EvalCell::Restored(output)) => {
                 journaled_cells += 1;
-                crate::fold_output(&mut results, &mut sim_events, output);
+                crate::fold_output(&mut results, output);
             }
             Cell::Done(EvalCell::Fresh(Err(e))) => {
                 if first_error.is_none() {
@@ -423,31 +422,20 @@ pub fn evaluate_supervised(
     let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
 
     let metrics = RunMetrics {
-        threads: run.stats.workers,
-        items: items.len(),
-        stages: StageTimings {
-            plan_ms,
-            execute_ms,
-            aggregate_ms,
-        },
-        items_per_sec: if execute_ms > 0.0 {
-            items.len() as f64 / (execute_ms / 1e3)
-        } else {
-            0.0
-        },
-        cache_hits: graph.hits(),
-        cache_misses: graph.misses(),
-        steals: run.stats.steals,
-        sim_replications: (results.sim.len() * grid.replications) as u64
-            + results
-                .chaos
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>(),
-        sim_events,
         retries: run.retries,
         quarantined: quarantine.len() as u64,
         restored: restored_count as u64,
+        ..RunMetrics::from_run(
+            &results,
+            items.len(),
+            StageTimings {
+                plan_ms,
+                execute_ms,
+                aggregate_ms,
+            },
+            run.stats,
+            (graph.hits(), graph.misses()),
+        )
     };
 
     Ok(SupervisedOutcome {
@@ -509,6 +497,33 @@ mod tests {
         assert!(!supervised.interrupted);
         assert!(supervised.quarantine.is_empty());
         assert_eq!(supervised.metrics.retries, 0);
+    }
+
+    #[test]
+    fn both_evaluators_count_consensus_replications() {
+        // Fig. 3 is analytic and `replications` stays 0, so every DES
+        // replication here is a consensus one: 2 timeouts × 2 sizes, one
+        // replication per cell.
+        let s = spec();
+        let grid = GridSpec::builder()
+            .figures(&[Figure::Fig3])
+            .points(1)
+            .threads(2)
+            .sim_horizon_hours(5_000.0)
+            .sim_accelerate(500.0)
+            .consensus(sdnav_core::ConsensusSpec::raft_defaults())
+            .consensus_election_timeouts_ms(&[150.0, 600.0])
+            .consensus_cluster_sizes(&[3, 5])
+            .build()
+            .unwrap();
+        let plain = crate::evaluate(&s, &grid).unwrap();
+        let supervised = evaluate_supervised(&s, &grid, &SuperviseOptions::default()).unwrap();
+        let rows = &supervised.results.consensus;
+        assert_eq!(rows.len(), 4);
+        let replications: u64 = rows.iter().map(|r| r.replications as u64).sum();
+        assert_eq!(replications, 4);
+        assert_eq!(plain.metrics.sim_replications, replications);
+        assert_eq!(supervised.metrics.sim_replications, replications);
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub const CHECKPOINT: &str = "sdnav-checkpoint/v1";
 /// Quarantine report for cells that exhausted their retry budget.
 pub const QUARANTINE: &str = "sdnav-quarantine/v1";
 
-/// Sweep scaling bench line (`BENCH_sweep.json`).
-pub const BENCH_SWEEP: &str = "sdnav-bench-sweep/v1";
-
 /// `sdnav serve` patch acknowledgement (`PATCH /v1/spec`).
 pub const SERVE_PATCH: &str = "sdnav-serve-patch/v1";
 
@@ -149,7 +146,6 @@ mod tests {
             CHAOS_VERDICT,
             CHECKPOINT,
             QUARANTINE,
-            BENCH_SWEEP,
             SERVE_PATCH,
             SERVE_METRICS,
             SERVE_HEALTH,

@@ -1,11 +1,9 @@
 //! The discrete-event simulation engine.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use sdnav_core::des::EventQueue;
 use sdnav_core::{ControllerSpec, Plane, RestartMode, Scenario, Topology};
 
 use crate::injection::{
@@ -74,41 +72,7 @@ enum EventKind {
 
 /// Epoch value meaning "always valid" (events not tied to an element's
 /// failure/repair cycle: rediscovery, injections, maintenance ends).
-const EPOCH_ANY: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct TimedEvent {
-    time: f64,
-    seq: u64,
-    /// Generation of the target element when this event was scheduled.
-    /// An injection that forces the element's state bumps the element's
-    /// epoch, silently cancelling stale pending events ([`EPOCH_ANY`]
-    /// events are never cancelled). With no injections every epoch stays
-    /// 0, so organic behavior is untouched.
-    epoch: u32,
-    kind: EventKind,
-}
-
-impl PartialEq for TimedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for TimedEvent {}
-impl PartialOrd for TimedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimedEvent {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+const EPOCH_ANY: u64 = u64::MAX;
 
 /// One controller process instance.
 #[derive(Debug, Clone)]
@@ -526,8 +490,9 @@ struct QueuedRepair {
 /// Mutable per-run state.
 struct RunState<'p> {
     rng: SmallRng,
-    queue: BinaryHeap<TimedEvent>,
-    seq: u64,
+    /// Pending events, each tagged with its target element's epoch when
+    /// it was scheduled ([`EPOCH_ANY`] for untargeted events).
+    queue: EventQueue<EventKind>,
     rack_up: Vec<bool>,
     host_up: Vec<bool>,
     vm_up: Vec<bool>,
@@ -539,9 +504,11 @@ struct RunState<'p> {
     events: u64,
     // --- Injection state (inert for an empty plan) ---
     plan: &'p InjectionPlan,
-    /// Per-element generation counters; bumped by injections to cancel
-    /// stale pending events.
-    epochs: Vec<u32>,
+    /// Per-element generation counters. An injection that forces an
+    /// element's state bumps its epoch, silently cancelling stale pending
+    /// events. With no injections every epoch stays 0, so organic
+    /// behavior is untouched.
+    epochs: Vec<u64>,
     /// Per-element maintenance-window end (0 = not under maintenance).
     maint_until: Vec<f64>,
     crew_busy: usize,
@@ -576,8 +543,7 @@ impl<'p> RunState<'p> {
         let cfg = &sim.config;
         let mut state = RunState {
             rng: SmallRng::seed_from_u64(seed),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::default(),
             rack_up: vec![true; sim.rack_count],
             host_up: vec![true; sim.host_rack.len()],
             vm_up: vec![true; sim.vm_host.len()],
@@ -635,7 +601,7 @@ impl<'p> RunState<'p> {
             }
         }
         // Merge the planned injection stream (time-sorted by the compiler;
-        // same-time ties resolve by push order via `seq`).
+        // same-time ties resolve by push order).
         for (i, ev) in plan.events.iter().enumerate() {
             state.push(sim, ev.time, EventKind::Injected(i));
         }
@@ -660,14 +626,8 @@ impl<'p> RunState<'p> {
     }
 
     fn push(&mut self, sim: &Simulation<'_>, time: f64, kind: EventKind) {
-        self.seq += 1;
         let epoch = sim.elem_of(kind).map_or(EPOCH_ANY, |e| self.epochs[e]);
-        self.queue.push(TimedEvent {
-            time,
-            seq: self.seq,
-            epoch,
-            kind,
-        });
+        self.queue.push(time, epoch, kind);
     }
 
     /// Records that the current event took an element down (for outage
@@ -1043,7 +1003,7 @@ impl<'p> RunState<'p> {
                 self.note_down();
                 // Cancel the pending organic failure clock; the repair we
                 // schedule below carries the new epoch.
-                self.epochs[elem] = self.epochs[elem].wrapping_add(1);
+                self.epochs[elem] += 1;
                 match ev.target {
                     InjectTarget::Rack(r) => {
                         let t = match repair_hours {
@@ -1090,7 +1050,7 @@ impl<'p> RunState<'p> {
                 }
                 // Cancel whatever was pending (organic fail or an
                 // in-flight repair) — the window owns the element now.
-                self.epochs[elem] = self.epochs[elem].wrapping_add(1);
+                self.epochs[elem] += 1;
                 if self.crew_held[elem] {
                     self.release_crew(sim, elem, now);
                 } else {
@@ -1206,7 +1166,7 @@ impl<'p> RunState<'p> {
                         self.latent_armed[pid] = None;
                         self.proc_up[pid] = false;
                         let elem = sim.elem_of_target(InjectTarget::Proc(pid));
-                        self.epochs[elem] = self.epochs[elem].wrapping_add(1);
+                        self.epochs[elem] += 1;
                         let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
                         self.push(sim, now + t, EventKind::ProcRepair(pid));
                         self.downs_this_event.push(Cause::Injection(inj));
@@ -1806,43 +1766,6 @@ mod tests {
             .run(2);
         assert!(r.cp_outage_durations.is_empty());
         assert!(r.cp_outage_count > 0);
-    }
-
-    #[test]
-    fn same_time_events_resolve_by_seq() {
-        // Two events at the same timestamp must pop in `seq` order — the
-        // tie-break that makes Rediscover scheduling deterministic when a
-        // rediscovery lands exactly on another transition.
-        let mut heap = BinaryHeap::new();
-        heap.push(TimedEvent {
-            time: 5.0,
-            seq: 2,
-            epoch: EPOCH_ANY,
-            kind: EventKind::Rediscover(1),
-        });
-        heap.push(TimedEvent {
-            time: 5.0,
-            seq: 1,
-            epoch: EPOCH_ANY,
-            kind: EventKind::Rediscover(0),
-        });
-        heap.push(TimedEvent {
-            time: 4.0,
-            seq: 3,
-            epoch: 0,
-            kind: EventKind::RackFail(0),
-        });
-        let order: Vec<(u64, EventKind)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.seq, e.kind))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (3, EventKind::RackFail(0)),
-                (1, EventKind::Rediscover(0)),
-                (2, EventKind::Rediscover(1)),
-            ]
-        );
     }
 
     #[test]
