@@ -76,11 +76,7 @@ impl<'a> ModelIr<'a> {
         let element_ctmcs = configs.iter().flat_map(config_element_ctmcs).collect();
         ModelIr {
             spec,
-            topologies: vec![
-                Topology::small(spec),
-                Topology::medium(spec),
-                Topology::large(spec),
-            ],
+            topologies: Topology::paper(spec).into(),
             cp_rbd: cp_rbd(spec),
             dp_rbd: dp_rbd(spec),
             hw_params: HwParams::paper_defaults(),
@@ -193,13 +189,7 @@ impl ScheduleIr {
                 continue;
             }
             let blocks = sim.cp_blocks_taken_down(target);
-            let step = inj.every.filter(|e| e.is_finite() && *e > 0.0);
-            let mut occurrence = 0usize;
-            loop {
-                let start = inj.at + occurrence as f64 * step.unwrap_or(0.0);
-                if start >= horizon || occurrence >= MAX_OCCURRENCES {
-                    break;
-                }
+            for start in inj.occurrences(horizon).take(MAX_OCCURRENCES) {
                 windows.push(ScheduleWindow {
                     injection: i,
                     start,
@@ -208,10 +198,6 @@ impl ScheduleIr {
                     target,
                     blocks: blocks.clone(),
                 });
-                if step.is_none() {
-                    break;
-                }
-                occurrence += 1;
             }
         }
         ScheduleIr { resolved, windows }

@@ -87,8 +87,8 @@ fn run_verdicts(s: &ControllerSpec, threads: usize) -> Vec<(String, VerdictRepor
                 SwParams::paper_defaults(),
                 Scenario::SupervisorNotRequired,
             );
-            let generated =
-                generate(&deployment, &GenerateConfig::default()).expect("paper topologies have modes");
+            let generated = generate(&deployment, &GenerateConfig::default())
+                .expect("paper topologies have modes");
             let sim = Simulation::try_new(s, &topo, sim_config()).expect("valid simulation");
             let report = verdict(
                 &sim,
@@ -245,33 +245,36 @@ fn main() {
                 .iter()
                 .any(|e| e.targets.iter().any(|t| t.starts_with("rack:"))),
         );
-        rack_spof_count.push(
-            enumerate_filtered(&deployment, 1, |e| e.kind() == ElementKind::Rack).len(),
-        );
+        rack_spof_count
+            .push(enumerate_filtered(&deployment, 1, |e| e.kind() == ElementKind::Rack).len());
     }
 
     // Claim 2, dynamic half: the Medium rack mode is an attributed CP
     // outage; the same probe on Large leaves the CP up.
-    let medium_rack_attributed = reports[1].1.modes.iter().zip(
-        // Pair mode outcomes with their expectations' targets by index.
-        {
-            let topo = topology(&s, "Medium");
-            let deployment = Deployment::new(
-                &s,
-                &topo,
-                SwParams::paper_defaults(),
-                Scenario::SupervisorNotRequired,
-            );
-            generate(&deployment, &GenerateConfig::default())
-                .expect("modes exist")
-                .expectations
-        },
-    )
-    .any(|(outcome, exp)| {
-        exp.targets.iter().any(|t| t == "rack:0")
-            && outcome.verdict == ModeVerdict::Attributed
-            && outcome.attributed_cp_outages > 0
-    });
+    let medium_rack_attributed = reports[1]
+        .1
+        .modes
+        .iter()
+        .zip(
+            // Pair mode outcomes with their expectations' targets by index.
+            {
+                let topo = topology(&s, "Medium");
+                let deployment = Deployment::new(
+                    &s,
+                    &topo,
+                    SwParams::paper_defaults(),
+                    Scenario::SupervisorNotRequired,
+                );
+                generate(&deployment, &GenerateConfig::default())
+                    .expect("modes exist")
+                    .expectations
+            },
+        )
+        .any(|(outcome, exp)| {
+            exp.targets.iter().any(|t| t == "rack:0")
+                && outcome.verdict == ModeVerdict::Attributed
+                && outcome.attributed_cp_outages > 0
+        });
 
     let large_topo = topology(&s, "Large");
     let probe = rack_probe(&large_topo);
@@ -311,20 +314,16 @@ fn main() {
         "  'every generated campaign passes survive-or-attribute': {}",
         confirmed(all_pass)
     );
-    let some_attributed = reports.iter().all(|(_, r)| {
-        r.modes
-            .iter()
-            .any(|m| m.verdict == ModeVerdict::Attributed)
-    });
+    let some_attributed = reports
+        .iter()
+        .all(|(_, r)| r.modes.iter().any(|m| m.verdict == ModeVerdict::Attributed));
     println!(
         "  'each campaign registers at least one attributed mode': {}",
         confirmed(some_attributed)
     );
     println!(
         "  'FMEA regenerates \"one rack or three, but not two\"': {}",
-        confirmed(
-            rack_mode_in_genspec == [true, true, false] && rack_spof_count == [1, 1, 0]
-        )
+        confirmed(rack_mode_in_genspec == [true, true, false] && rack_spof_count == [1, 1, 0])
     );
     println!(
         "    (rack mode in genspec: Small={} Medium={} Large={})",

@@ -200,7 +200,12 @@ impl FromJson for ModeExpectation {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         Ok(ModeExpectation {
             label: String::from_json(value.field("label")?).map_err(|e| e.ctx("label"))?,
-            impact: impact_from_str(value.field("impact")?.as_str().map_err(|e| e.ctx("impact"))?)?,
+            impact: impact_from_str(
+                value
+                    .field("impact")?
+                    .as_str()
+                    .map_err(|e| e.ctx("impact"))?,
+            )?,
             targets: Vec::from_json(value.field("targets")?).map_err(|e| e.ctx("targets"))?,
             injection_labels: Vec::from_json(value.field("injection_labels")?)
                 .map_err(|e| e.ctx("injection_labels"))?,
@@ -208,7 +213,10 @@ impl FromJson for ModeExpectation {
                 .field("probability")?
                 .as_f64()
                 .map_err(|e| e.ctx("probability"))?,
-            order: value.field("order")?.as_usize().map_err(|e| e.ctx("order"))?,
+            order: value
+                .field("order")?
+                .as_usize()
+                .map_err(|e| e.ctx("order"))?,
             window_start_hours: value
                 .field("window_start_hours")?
                 .as_f64()
@@ -264,7 +272,10 @@ impl FromJson for GeneratedCampaign {
         Ok(GeneratedCampaign {
             topology: String::from_json(value.field("topology")?).map_err(|e| e.ctx("topology"))?,
             scenario: String::from_json(value.field("scenario")?).map_err(|e| e.ctx("scenario"))?,
-            top_k: value.field("top_k")?.as_usize().map_err(|e| e.ctx("top_k"))?,
+            top_k: value
+                .field("top_k")?
+                .as_usize()
+                .map_err(|e| e.ctx("top_k"))?,
             max_order: value
                 .field("max_order")?
                 .as_usize()
@@ -278,14 +289,6 @@ impl FromJson for GeneratedCampaign {
             expectations: Vec::from_json(value.field("expectations")?)
                 .map_err(|e| e.ctx("expectations"))?,
         })
-    }
-}
-
-/// The CLI spelling of a scenario.
-fn scenario_str(scenario: sdnav_core::Scenario) -> &'static str {
-    match scenario {
-        sdnav_core::Scenario::SupervisorRequired => "required",
-        sdnav_core::Scenario::SupervisorNotRequired => "not-required",
     }
 }
 
@@ -317,7 +320,7 @@ pub fn generate(
     }
 
     let topology = deployment.topology();
-    let scenario = scenario_str(deployment.scenario());
+    let scenario = deployment.scenario().name();
     let name = format!(
         "fmea-{}-{}-k{}-o{}{}",
         topology.name().to_lowercase(),
@@ -344,7 +347,10 @@ pub fn generate(
             let kind = match element {
                 Element::Rack { index } => InjectionKind::CommonCause {
                     trigger: target,
-                    members: rack_hosts(topology, *index).into_iter().map(TargetRef::Host).collect(),
+                    members: rack_hosts(topology, *index)
+                        .into_iter()
+                        .map(TargetRef::Host)
+                        .collect(),
                     probability: 1.0,
                     repair_hours: Some(config.repair_hours),
                 },
@@ -450,7 +456,10 @@ mod tests {
             .find(|inj| matches!(inj.kind, InjectionKind::CommonCause { .. }))
             .expect("small topology has a rack-rooted dominant mode");
         let InjectionKind::CommonCause {
-            trigger, members, probability, ..
+            trigger,
+            members,
+            probability,
+            ..
         } = &cc.kind
         else {
             unreachable!()

@@ -249,6 +249,21 @@ pub struct InjectionSpec {
     pub every: Option<f64>,
 }
 
+impl InjectionSpec {
+    /// The occurrence times `at + k·every` (k = 0, 1, …) below `horizon`,
+    /// in order; just `at` when `every` is unset or not a finite positive
+    /// period. Unbounded for tiny periods: callers apply their own
+    /// [`MAX_OCCURRENCES`] policy.
+    pub fn occurrences(&self, horizon: f64) -> impl Iterator<Item = f64> {
+        let at = self.at;
+        let every = self.every.filter(|e| e.is_finite() && *e > 0.0);
+        let count = if every.is_some() { usize::MAX } else { 1 };
+        (0..count)
+            .map(move |k| at + k as f64 * every.unwrap_or(0.0))
+            .take_while(move |&time| time < horizon)
+    }
+}
+
 /// Finite repair-crew pool declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrewSpec {
@@ -852,32 +867,34 @@ pub fn compile(spec: &ChaosSpec, sim: &Simulation<'_>) -> Result<InjectionPlan, 
     };
     let mut events: Vec<PlannedEvent> = Vec::new();
     for (i, inj) in spec.injections.iter().enumerate() {
-        // Expand `at`/`every` occurrences up to the horizon. Occurrences
-        // at or past the horizon would never fire; dropping them here
-        // keeps plans small (SA021 warns about fully-dead injections).
-        let mut occurrence = 0usize;
-        loop {
-            let time = inj.at + occurrence as f64 * inj.every.unwrap_or(0.0);
-            if time >= horizon {
-                break;
-            }
+        // Occurrences at or past the horizon would never fire; dropping
+        // them here keeps plans small (SA021 warns about fully-dead
+        // injections).
+        for (occurrence, time) in inj.occurrences(horizon).enumerate() {
             if occurrence >= MAX_OCCURRENCES {
                 return Err(CompileError::TooManyOccurrences {
                     label: inj.label.clone(),
                 });
             }
+            let label = &inj.label;
+            let mut emit = |target, action| {
+                events.push(PlannedEvent {
+                    time,
+                    injection: i,
+                    target,
+                    action,
+                });
+            };
             match &inj.kind {
                 InjectionKind::Fail {
                     target,
                     repair_hours,
-                } => events.push(PlannedEvent {
-                    time,
-                    injection: i,
-                    target: resolve(&inj.label, target)?,
-                    action: InjectAction::Fail {
+                } => emit(
+                    resolve(label, target)?,
+                    InjectAction::Fail {
                         repair_hours: *repair_hours,
                     },
-                }),
+                ),
                 InjectionKind::CommonCause {
                     trigger,
                     members,
@@ -886,50 +903,30 @@ pub fn compile(spec: &ChaosSpec, sim: &Simulation<'_>) -> Result<InjectionPlan, 
                 } => {
                     // Trigger first; members keep declaration order. The
                     // stable sort below preserves this within a timestamp.
-                    events.push(PlannedEvent {
-                        time,
-                        injection: i,
-                        target: resolve(&inj.label, trigger)?,
-                        action: InjectAction::Fail {
-                            repair_hours: *repair_hours,
-                        },
-                    });
+                    let fail = InjectAction::Fail {
+                        repair_hours: *repair_hours,
+                    };
+                    emit(resolve(label, trigger)?, fail);
                     for (m, member) in members.iter().enumerate() {
-                        let resolved = resolve(&inj.label, member)?;
+                        let resolved = resolve(label, member)?;
                         if ccf_member_fails(spec.seed, i, occurrence, m, *probability) {
-                            events.push(PlannedEvent {
-                                time,
-                                injection: i,
-                                target: resolved,
-                                action: InjectAction::Fail {
-                                    repair_hours: *repair_hours,
-                                },
-                            });
+                            emit(resolved, fail);
                         }
                     }
                 }
                 InjectionKind::Maintenance {
                     target,
                     duration_hours,
-                } => events.push(PlannedEvent {
-                    time,
-                    injection: i,
-                    target: resolve(&inj.label, target)?,
-                    action: InjectAction::Maintenance {
+                } => emit(
+                    resolve(label, target)?,
+                    InjectAction::Maintenance {
                         duration_hours: *duration_hours,
                     },
-                }),
-                InjectionKind::Latent { target } => events.push(PlannedEvent {
-                    time,
-                    injection: i,
-                    target: resolve(&inj.label, target)?,
-                    action: InjectAction::Latent,
-                }),
+                ),
+                InjectionKind::Latent { target } => {
+                    emit(resolve(label, target)?, InjectAction::Latent);
+                }
             }
-            if inj.every.is_none() {
-                break;
-            }
-            occurrence += 1;
         }
     }
     events.sort_by(|a, b| a.time.total_cmp(&b.time));
@@ -1201,6 +1198,13 @@ mod tests {
                  "every": 300.0, "repair_hours": 1.0}
             ]}"#,
         );
+        let occurrences = |inj: usize, horizon: f64| -> Vec<f64> {
+            c.injections[inj].occurrences(horizon).collect()
+        };
+        assert_eq!(occurrences(1, 1_000.0), vec![100.0, 400.0, 700.0]);
+        assert_eq!(occurrences(1, 700.0), vec![100.0, 400.0]);
+        assert_eq!(occurrences(0, 1_000.0), vec![500.0]);
+        assert!(occurrences(0, 500.0).is_empty());
         let plan = compile(&c, &sim).expect("compiles");
         let times: Vec<f64> = plan.events.iter().map(|e| e.time).collect();
         assert_eq!(times, vec![100.0, 400.0, 500.0, 700.0]);

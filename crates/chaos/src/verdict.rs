@@ -168,7 +168,12 @@ impl VerdictReport {
                 ("modes", self.modes.to_json()),
                 (
                     "violations",
-                    Json::Arr(self.violations.iter().map(|v| Json::str(v.clone())).collect()),
+                    Json::Arr(
+                        self.violations
+                            .iter()
+                            .map(|v| Json::str(v.clone()))
+                            .collect(),
+                    ),
                 ),
             ],
         )
@@ -330,8 +335,8 @@ pub fn verdict(
         .map(|(index, exp)| {
             let cp_hit = attributed_cp_outages[index] > 0;
             let dp_hit = attributed_dp_hours[index] > 0.0;
-            let impact_confirmed = (!exp.impact.hits_cp() || cp_hit)
-                && (!exp.impact.hits_dp() || dp_hit);
+            let impact_confirmed =
+                (!exp.impact.hits_cp() || cp_hit) && (!exp.impact.hits_dp() || dp_hit);
             ModeOutcome {
                 label: exp.label.clone(),
                 verdict: if cp_hit || dp_hit {
@@ -398,7 +403,10 @@ mod tests {
         let report = verdict(&sim, &generated, 7, &VerdictConfig::default()).unwrap();
         assert!(report.pass(), "violations: {:?}", report.violations);
         assert!(
-            report.modes.iter().any(|m| m.verdict == ModeVerdict::Attributed),
+            report
+                .modes
+                .iter()
+                .any(|m| m.verdict == ModeVerdict::Attributed),
             "probability-1 injections of CP cuts must register attributed downtime"
         );
         assert_eq!(report.modes.len(), generated.expectations.len());

@@ -6,165 +6,275 @@ mod signals;
 
 use std::process::ExitCode;
 
-use args::Args;
+use args::{Args, Command, Run};
+use sdnav_core::sweep::{Fig3Row, SwSweepRow};
 use sdnav_core::{
-    ControllerSpec, ErrorKind, HwModel, HwParams, Plane, Scenario, SdnavError, SwModel, SwParams,
-    Topology,
+    ConsensusSpec, ControllerSpec, ErrorKind, FaultMix, HwModel, HwParams, Plane, Scenario,
+    SdnavError, SwModel, SwParams, Topology,
 };
 use sdnav_fmea::{derive_table1, dominant_modes, enumerate_filtered, Deployment, ElementKind};
 use sdnav_grid::plan::Figure;
-use sdnav_grid::{GridResults, GridSpec, RetryPolicy, SimRow, SuperviseOptions};
+use sdnav_grid::{GridSpec, GridSpecBuilder, RetryPolicy, SimRow, SuperviseOptions};
 use sdnav_report::{minutes_per_year, Chart, Series, Table};
 use sdnav_sim::{replicate, SimConfig};
 
-const USAGE: &str = "\
-sdnav — distributed SDN controller availability analysis
+/// `print!`/`println!` for every handler below: a closed stdout
+/// (`sdnav sweep … | head -1`) ends the process quietly with exit 0
+/// instead of panicking. `sdnav serve` answers on sockets, where a client
+/// that hangs up stays an error for that connection only.
+macro_rules! print {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
 
-USAGE: sdnav <command> [options]
+macro_rules! println {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
-COMMANDS:
-  tables                      print Tables I-III (derived from the spec)
-  topology [--layout L]       print deployment layouts (small|medium|large|all)
-  hw [--a-c X]                HW-centric availability for all topologies
-  sw [--scenario S]           SW-centric CP/DP availability (required|not-required)
-  fig3 [--points N] [--csv]   regenerate Fig. 3
-  fig4 [--points N] [--csv]   regenerate Fig. 4
-  fig5 [--points N] [--csv]   regenerate Fig. 5
-  sweep [--figures F,..] [--points N] [--replications R] [--threads T]
-        [--seed S] [--horizon H] [--accelerate F] [--compute-hosts N]
-        [--campaign FILE] [--crews N,..] [--ccf P,..]
-        [--election-timeout-ms MS,..] [--cluster-size N,..] [--fault-mix B:C,..]
-        [--checkpoint FILE] [--resume] [--retries N] [--backoff-ms MS]
-        [--quarantine-out FILE] [--format json] [--out FILE] [--dry-run]
-                              batch-evaluate a whole scenario grid (figures
-                              and optional simulation cells) in parallel;
-                              --campaign adds chaos cells sweeping the
-                              campaign over crew-count × common-cause
-                              probability axes (default 1,2,3,4 ×
-                              0,0.25,0.5,0.75,1); run metrics go to stderr.
-                              A spec `consensus` block — or any of
-                              --election-timeout-ms/--cluster-size/
-                              --fault-mix (defaults 150,300,600 × 3,5,7 ×
-                              0:1) — adds consensus DES cells, each
-                              cross-validated against the CTMC macro-state
-                              model.
-                              Cells run supervised: a panicking cell is
-                              retried --retries times with exponential
-                              backoff then quarantined (report to
-                              --quarantine-out or stderr) without killing
-                              the sweep. --checkpoint journals finished
-                              cells to an fsync'd WAL; --resume replays it
-                              and recomputes only the rest, byte-identical
-                              to an uninterrupted run. SIGINT/SIGTERM drain
-                              in-flight cells, seal the WAL and emit the
-                              partial results with an `incomplete` marker.
-                              --dry-run evaluates nothing: it prints the
-                              static sdnav-sweep-plan/v1 cost prediction
-                              (per-cell cost units, predicted cache hit
-                              rate, skippable cells) and any SA030-SA032
-                              grid findings, then exits
-  serve [--addr HOST:PORT]    run the persistent evaluator service
-                              (default 127.0.0.1:8423; port 0 binds an
-                              ephemeral port, printed to stderr). HTTP/1.1
-                              + JSON: POST /v1/eval evaluates a grid spec
-                              byte-identically to `sweep --format json`,
-                              PATCH /v1/spec edits one rate and
-                              invalidates only dependent cached
-                              sub-models, GET /v1/plan predicts sweep
-                              cost, GET /v1/metrics reports cache
-                              counters, GET /v1/healthz liveness.
-                              SIGINT/SIGTERM drain in-flight requests,
-                              then exit 0
-  fmea [--order N] [--scenario S] [--layout L] [--sw-only]
-                              enumerate minimal failure modes
-  importance [--scenario S] [--layout L]
-                              rank elements by share of failure-mode probability
-  sensitivity [--layout L] [--scenario S]
-                              rank parameters by share of downtime
-  plan [--target M]           Pareto cost:resiliency analysis; optional
-                              CP downtime target in minutes/year
-  harden --target M [--layout L] [--scenario S]
-                              process availability needed for a CP target
-  simulate [--layout L] [--scenario S] [--horizon H] [--replications R]
-           [--accelerate F] [--seed S]
-                              Monte-Carlo validation run
-  spec [--out FILE]           dump the OpenContrail 3.x spec as JSON
-  chaos generate [--layout L] [--scenario S] [--top-k K] [--max-order N]
-                 [--start H] [--spacing H] [--repair H] [--stress]
-                 [--format json] [--out FILE]
-                              compile the deployment's top-K CP/DP
-                              dominant FMEA failure modes into an
-                              injection campaign: one staggered window
-                              per mode, simultaneous fails for
-                              multi-element modes, rack common-cause
-                              groups for rack-rooted modes; --stress
-                              starves the crew pool and arms latent
-                              faults; --format json emits the
-                              sdnav-chaos-genspec/v1 document (campaign
-                              + per-mode expectation records) consumed
-                              by `chaos run --verdict`
-  chaos run --campaign FILE [--layout L] [--scenario S] [--seed S]
-            [--horizon H] [--accelerate F] [--compute-hosts N]
-            [--format json|digest] [--out FILE]
-            [--consensus-spec FILE]
-            [--verdict GENSPEC [--replications R]]
-                              run a declarative fault-injection campaign
-                              (scheduled faults, common-cause groups,
-                              maintenance windows, crew pools, latent
-                              faults) and print the outage-attribution
-                              ledger; --format json emits the
-                              deterministic sdnav-chaos-report/v1 document
-                              and --format digest the compact
-                              sdnav-chaos-digest/v1 summary (per-array
-                              SHA-256 + first/last rows) used for golden
-                              diffing in CI; --consensus-spec runs the
-                              campaign's fail injections (incl. the
-                              event-time `leader` target) against the
-                              consensus DES of that spec's consensus
-                              block; --verdict replays a generated
-                              genspec and gates it on the
-                              survive-or-attribute check — CP
-                              availability inside the uninjected
-                              baseline's 95% CI, or every excess outage
-                              100% attributed to the injected mode in
-                              its window (exit 1 otherwise)
-  lint [--format json|sarif] [--deny-warnings] [--topology FILE]
-       [--block FILE] [--spec-set FILE] [--campaign FILE]
-       [--ctmc FILE] [--grid FILE] [--fix] [--dry-run]
-       [--source [PATH]]
-                              statically audit the model (SA001..SA035);
-                              accepts broken specs via --spec, standalone
-                              RBD JSON via --block, sweep-grid spec arrays
-                              via --spec-set, user topology JSON via
-                              --topology, chaos campaigns via --campaign
-                              (SA020..SA023 and SA027..SA029, linted
-                              against the built-in deployment at
-                              --layout/--scenario), CTMC generators via
-                              --ctmc (SA010 + structural SA024..SA026),
-                              and sweep-grid specs via --grid
-                              (SA030..SA032); --fix rewrites auto-fixable
-                              findings in place (--dry-run prints the edit
-                              plan without writing and exits 1 if any edit
-                              is pending); --source runs the detlint
-                              determinism scan (DL001..DL010) over the
-                              workspace source — bare --source walks up to
-                              the workspace root, --source DIR scans that
-                              workspace, --source FILE.rs scans one file;
-                              suppressions come from inline
-                              `detlint::allow(DLxxx): reason` comments and
-                              the detlint.allow baseline, and stale allows
-                              are themselves errors (DL000)
-  help                        show this help
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
-COMMON OPTIONS:
-  --spec FILE                 analyze a custom controller spec (JSON)
-  --nodes N                   scale the cluster to 2N+1 = N nodes (odd)
-  --layout small|medium|large (default: small)
-  --scenario required|not-required (default: not-required)
+/// Every command, in help order. Each synopsis is both the help text and
+/// the option declaration the parser enforces (see `args`).
+const COMMANDS: &[Command] = &[
+    Command {
+        synopsis: "tables",
+        about: "print Tables I-III (derived from the spec)",
+        run: Run::Spec(tables),
+    },
+    Command {
+        synopsis: "topology [--layout L]",
+        about: "print deployment layouts (small|medium|large|all)",
+        run: Run::Spec(topology_cmd),
+    },
+    Command {
+        synopsis: "hw [--a-c X]",
+        about: "HW-centric availability for all topologies",
+        run: Run::Spec(hw),
+    },
+    Command {
+        synopsis: "sw [--scenario S]",
+        about: "SW-centric CP/DP availability (required|not-required)",
+        run: Run::Spec(sw),
+    },
+    Command {
+        synopsis: "fig3 [--points N] [--threads T] [--csv]",
+        about: "regenerate Fig. 3",
+        run: Run::Spec(|spec, args| figure(spec, args, Figure::Fig3)),
+    },
+    Command {
+        synopsis: "fig4 [--points N] [--threads T] [--csv]",
+        about: "regenerate Fig. 4",
+        run: Run::Spec(|spec, args| figure(spec, args, Figure::Fig4)),
+    },
+    Command {
+        synopsis: "fig5 [--points N] [--threads T] [--csv]",
+        about: "regenerate Fig. 5",
+        run: Run::Spec(|spec, args| figure(spec, args, Figure::Fig5)),
+    },
+    Command {
+        synopsis: "sweep [--figures F,..] [--points N] [--replications R] [--threads T]\n\
+                   [--seed S] [--horizon H] [--accelerate F] [--compute-hosts N]\n\
+                   [--campaign FILE] [--crews N,..] [--ccf P,..]\n\
+                   [--election-timeout-ms MS,..] [--cluster-size N,..] [--fault-mix B:C,..]\n\
+                   [--checkpoint FILE] [--resume] [--retries N] [--backoff-ms MS]\n\
+                   [--quarantine-out FILE] [--format json] [--out FILE] [--dry-run]\n\
+                   [--inject-panic N] [--cancel-after-cells N]",
+        about: "batch-evaluate a whole scenario grid (figures\n\
+                and optional simulation cells) in parallel;\n\
+                --campaign adds chaos cells sweeping the\n\
+                campaign over crew-count × common-cause\n\
+                probability axes (default 1,2,3,4 ×\n\
+                0,0.25,0.5,0.75,1); run metrics go to stderr.\n\
+                A spec `consensus` block — or any of\n\
+                --election-timeout-ms/--cluster-size/\n\
+                --fault-mix (defaults 150,300,600 × 3,5,7 ×\n\
+                0:1) — adds consensus DES cells, each\n\
+                cross-validated against the CTMC macro-state\n\
+                model.\n\
+                Cells run supervised: a panicking cell is\n\
+                retried --retries times with exponential\n\
+                backoff then quarantined (report to\n\
+                --quarantine-out or stderr) without killing\n\
+                the sweep. --checkpoint journals finished\n\
+                cells to an fsync'd WAL; --resume replays it\n\
+                and recomputes only the rest, byte-identical\n\
+                to an uninterrupted run. SIGINT/SIGTERM drain\n\
+                in-flight cells, seal the WAL and emit the\n\
+                partial results with an `incomplete` marker.\n\
+                --dry-run evaluates nothing: it prints the\n\
+                static sdnav-sweep-plan/v1 cost prediction\n\
+                (per-cell cost units, predicted cache hit\n\
+                rate, skippable cells) and any SA030-SA032\n\
+                grid findings, then exits (--inject-panic and\n\
+                --cancel-after-cells are test hooks)",
+        run: Run::Spec(sweep),
+    },
+    Command {
+        synopsis: "serve [--addr HOST:PORT]",
+        about: "run the persistent evaluator service\n\
+                (default 127.0.0.1:8423; port 0 binds an\n\
+                ephemeral port, printed to stderr). HTTP/1.1\n\
+                + JSON: POST /v1/eval evaluates a grid spec\n\
+                byte-identically to `sweep --format json`,\n\
+                PATCH /v1/spec edits one rate and\n\
+                invalidates only dependent cached\n\
+                sub-models, GET /v1/plan predicts sweep\n\
+                cost, GET /v1/metrics reports cache\n\
+                counters, GET /v1/healthz liveness.\n\
+                SIGINT/SIGTERM drain in-flight requests,\n\
+                then exit 0",
+        run: Run::Spec(serve),
+    },
+    Command {
+        synopsis: "fmea [--order N] [--scenario S] [--layout L] [--sw-only]",
+        about: "enumerate minimal failure modes",
+        run: Run::Spec(fmea),
+    },
+    Command {
+        synopsis: "importance [--scenario S] [--layout L] [--order N]",
+        about: "rank elements by share of failure-mode probability",
+        run: Run::Spec(importance),
+    },
+    Command {
+        synopsis: "sensitivity [--layout L] [--scenario S]",
+        about: "rank parameters by share of downtime",
+        run: Run::Spec(sensitivity),
+    },
+    Command {
+        synopsis: "plan [--target M]",
+        about: "Pareto cost:resiliency analysis; optional\n\
+                CP downtime target in minutes/year",
+        run: Run::Spec(plan),
+    },
+    Command {
+        synopsis: "harden --target M [--layout L] [--scenario S]",
+        about: "process availability needed for a CP target",
+        run: Run::Spec(harden),
+    },
+    Command {
+        synopsis: "simulate [--layout L] [--scenario S] [--horizon H] [--replications R]\n\
+                   [--accelerate F] [--seed S] [--compute-hosts N]",
+        about: "Monte-Carlo validation run",
+        run: Run::Spec(simulate),
+    },
+    Command {
+        synopsis: "spec [--out FILE]",
+        about: "dump the OpenContrail 3.x spec as JSON",
+        run: Run::Spec(dump_spec),
+    },
+    Command {
+        synopsis: "chaos generate [--layout L] [--scenario S] [--top-k K] [--max-order N]\n\
+                   [--start H] [--spacing H] [--repair H] [--stress]\n\
+                   [--format json] [--out FILE]",
+        about: "compile the deployment's top-K CP/DP\n\
+                dominant FMEA failure modes into an\n\
+                injection campaign: one staggered window\n\
+                per mode, simultaneous fails for\n\
+                multi-element modes, rack common-cause\n\
+                groups for rack-rooted modes; --stress\n\
+                starves the crew pool and arms latent\n\
+                faults; --format json emits the\n\
+                sdnav-chaos-genspec/v1 document (campaign\n\
+                + per-mode expectation records) consumed\n\
+                by `chaos run --verdict`",
+        run: Run::Spec(chaos_generate),
+    },
+    Command {
+        synopsis: "chaos run --campaign FILE [--layout L] [--scenario S] [--seed S]\n\
+                   [--horizon H] [--accelerate F] [--compute-hosts N]\n\
+                   [--format json|digest] [--out FILE]\n\
+                   [--consensus-spec FILE]\n\
+                   [--verdict GENSPEC [--replications R]]",
+        about: "run a declarative fault-injection campaign\n\
+                (scheduled faults, common-cause groups,\n\
+                maintenance windows, crew pools, latent\n\
+                faults) and print the outage-attribution\n\
+                ledger; --format json emits the\n\
+                deterministic sdnav-chaos-report/v1 document\n\
+                and --format digest the compact\n\
+                sdnav-chaos-digest/v1 summary (per-array\n\
+                SHA-256 + first/last rows) used for golden\n\
+                diffing in CI; --consensus-spec runs the\n\
+                campaign's fail injections (incl. the\n\
+                event-time `leader` target) against the\n\
+                consensus DES of that spec's consensus\n\
+                block; --verdict replays a generated\n\
+                genspec and gates it on the\n\
+                survive-or-attribute check — CP\n\
+                availability inside the uninjected\n\
+                baseline's 95% CI, or every excess outage\n\
+                100% attributed to the injected mode in\n\
+                its window (exit 1 otherwise)",
+        run: Run::Spec(chaos_run),
+    },
+    Command {
+        synopsis: "lint [--format json|sarif] [--deny-warnings] [--topology FILE]\n\
+                   [--block FILE] [--spec-set FILE] [--campaign FILE]\n\
+                   [--ctmc FILE] [--grid FILE] [--fix] [--dry-run]\n\
+                   [--source [PATH]] [--spec FILE] [--layout L] [--scenario S]\n\
+                   [--horizon H] [--accelerate F] [--compute-hosts N]",
+        about: "statically audit the model (SA001..SA035);\n\
+                accepts broken specs via --spec, standalone\n\
+                RBD JSON via --block, sweep-grid spec arrays\n\
+                via --spec-set, user topology JSON via\n\
+                --topology, chaos campaigns via --campaign\n\
+                (SA020..SA023 and SA027..SA029, linted\n\
+                against the built-in deployment at\n\
+                --layout/--scenario/--horizon/--accelerate/\n\
+                --compute-hosts), CTMC generators via\n\
+                --ctmc (SA010 + structural SA024..SA026),\n\
+                and sweep-grid specs via --grid\n\
+                (SA030..SA032); --fix rewrites auto-fixable\n\
+                findings in place (--dry-run prints the edit\n\
+                plan without writing and exits 1 if any edit\n\
+                is pending); --source runs the detlint\n\
+                determinism scan (DL001..DL010) over the\n\
+                workspace source — bare --source walks up to\n\
+                the workspace root, --source DIR scans that\n\
+                workspace, --source FILE.rs scans one file;\n\
+                suppressions come from inline\n\
+                `detlint::allow(DLxxx): reason` comments and\n\
+                the detlint.allow baseline, and stale allows\n\
+                are themselves errors (DL000)",
+        // `lint` bypasses `load_spec`: its whole point is to accept specs
+        // that `validate()` would reject and explain what is wrong.
+        run: Run::Raw(lint),
+    },
+    Command {
+        synopsis: "help",
+        about: "show this help",
+        run: Run::Raw(help),
+    },
+];
 
-EXIT CODES: 0 success, 1 analysis/input failure, 2 usage error,
-            3 partial results (sweep interrupted or cells quarantined)
-";
+/// The options every `Run::Spec` command takes, declared like a synopsis.
+const COMMON_OPTIONS: &[(&str, &str)] = &[
+    ("--spec FILE", "analyze a custom controller spec (JSON)"),
+    ("--nodes N", "scale the cluster to 2N+1 = N nodes (odd)"),
+    ("--layout small|medium|large", "(default: small)"),
+    (
+        "--scenario required|not-required",
+        "(default: not-required)",
+    ),
+];
+
+fn help(_: &Args) -> Result<(), SdnavError> {
+    print!(
+        "sdnav — distributed SDN controller availability analysis\n\n\
+         USAGE: sdnav <command> [options]\n\n\
+         {}\n\
+         EXIT CODES: 0 success, 1 analysis/input failure, 2 usage error,\n            \
+         3 partial results (sweep interrupted or cells quarantined)\n",
+        args::help(COMMANDS, COMMON_OPTIONS)
+    );
+    Ok(())
+}
 
 // How a run fails maps onto the process exit code through the shared
 // `sdnav_core::error` taxonomy (the same one `sdnav serve` maps onto HTTP
@@ -184,15 +294,7 @@ fn failure(message: impl Into<String>) -> SdnavError {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("try `sdnav help`");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&args) {
+    match Args::parse(COMMANDS, COMMON_OPTIONS, std::env::args().skip(1)).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             if e.kind() == ErrorKind::Partial {
@@ -208,59 +310,20 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &Args) -> Result<(), SdnavError> {
-    // `lint` deliberately bypasses `load_spec`: its whole point is to accept
-    // specs that `validate()` would reject and explain what is wrong.
-    if args.subcommand() == Some("lint") {
-        return lint(args);
-    }
-    let spec = load_spec(args)?;
-    if args.action().is_some() && args.subcommand() != Some("chaos") {
-        return Err(usage(format!(
-            "unexpected positional argument {:?}",
-            args.action().expect("checked")
-        )));
-    }
-    match args.subcommand().unwrap_or("help") {
-        "chaos" => chaos(&spec, args),
-        "tables" => tables(&spec),
-        "topology" => topology_cmd(&spec, args),
-        "hw" => hw(&spec, args),
-        "sw" => sw(&spec, args),
-        "fig3" => fig3(&spec, args),
-        "fig4" => sw_figure(&spec, args, Figure::Fig4),
-        "fig5" => sw_figure(&spec, args, Figure::Fig5),
-        "sweep" => sweep(&spec, args),
-        "serve" => serve(&spec, args),
-        "fmea" => fmea(&spec, args),
-        "importance" => importance(&spec, args),
-        "sensitivity" => sensitivity(&spec, args),
-        "plan" => plan(&spec, args),
-        "harden" => harden(&spec, args),
-        "simulate" => simulate(&spec, args),
-        "spec" => dump_spec(&spec, args),
-        "help" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(usage(format!("unknown command {other:?}"))),
+fn run((run, args): (Run, Args)) -> Result<(), SdnavError> {
+    match run {
+        Run::Spec(run) => run(&load_spec(&args)?, &args),
+        Run::Raw(run) => run(&args),
     }
 }
 
 fn load_spec(args: &Args) -> Result<ControllerSpec, SdnavError> {
     let mut spec = match args.get("spec") {
         None => ControllerSpec::opencontrail_3x(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| failure(format!("cannot read {path}: {e}")))?;
-            sdnav_json::from_str(&text).map_err(|e| failure(format!("cannot parse {path}: {e}")))?
-        }
+        Some(path) => read_json(path)?,
     };
     spec.validate().map_err(|e| failure(e.to_string()))?;
-    if let Some(nodes) = args.get("nodes") {
-        let nodes: u32 = nodes
-            .parse()
-            .map_err(|_| usage(format!("--nodes expects an integer, got {nodes:?}")))?;
+    if let Some(nodes) = args.value::<u32>("nodes", "an integer")? {
         if nodes == 0 || nodes % 2 == 0 {
             return Err(usage(format!("--nodes must be odd (2N+1), got {nodes}")));
         }
@@ -270,27 +333,45 @@ fn load_spec(args: &Args) -> Result<ControllerSpec, SdnavError> {
 }
 
 fn scenario(args: &Args) -> Result<Scenario, SdnavError> {
-    match args.get("scenario").unwrap_or("not-required") {
-        "required" => Ok(Scenario::SupervisorRequired),
-        "not-required" => Ok(Scenario::SupervisorNotRequired),
-        other => Err(usage(format!(
-            "--scenario must be `required` or `not-required`, got {other:?}"
-        ))),
-    }
+    let name = args.get("scenario").unwrap_or("not-required");
+    Scenario::from_name(name).ok_or_else(|| {
+        usage(format!(
+            "--scenario must be `required` or `not-required`, got {name:?}"
+        ))
+    })
 }
 
 fn layout(spec: &ControllerSpec, args: &Args) -> Result<Topology, SdnavError> {
-    match args.get("layout").unwrap_or("small") {
-        "small" => Ok(Topology::small(spec)),
-        "medium" => Ok(Topology::medium(spec)),
-        "large" => Ok(Topology::large(spec)),
-        other => Err(usage(format!(
-            "--layout must be small, medium or large, got {other:?}"
-        ))),
-    }
+    let name = args.get("layout").unwrap_or("small");
+    Topology::named(spec, name).ok_or_else(|| {
+        usage(format!(
+            "--layout must be small, medium or large, got {name:?}"
+        ))
+    })
 }
 
-fn tables(spec: &ControllerSpec) -> Result<(), SdnavError> {
+/// Writes a result document to `--out FILE` (announced on stderr) or to
+/// stdout.
+fn write_out(args: &Args, json: &str) -> Result<(), SdnavError> {
+    match args.get("out") {
+        Some(path) => {
+            std::fs::write(path, format!("{json}\n"))
+                .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
+            eprintln!("wrote {path}");
+        }
+        None => println!("{json}"),
+    }
+    Ok(())
+}
+
+/// Applies the given sweep-flag options (`GridSpecBuilder::KEYS`).
+fn grid_flags(args: &Args, builder: GridSpecBuilder) -> Result<GridSpecBuilder, SdnavError> {
+    args.values()
+        .filter(|(key, _)| GridSpecBuilder::KEYS.contains(key))
+        .try_fold(builder, |builder, (key, value)| builder.set(key, value))
+}
+
+fn tables(spec: &ControllerSpec, _: &Args) -> Result<(), SdnavError> {
     println!("Table I — process failure modes (derived behaviorally):\n");
     let mut t1 = Table::new(vec!["Role", "Process", "SDN CP", "Host DP"]);
     for row in derive_table1(spec) {
@@ -325,11 +406,7 @@ fn tables(spec: &ControllerSpec) -> Result<(), SdnavError> {
 fn topology_cmd(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     match args.get("layout").unwrap_or("all") {
         "all" => {
-            for t in [
-                Topology::small(spec),
-                Topology::medium(spec),
-                Topology::large(spec),
-            ] {
+            for t in Topology::paper(spec) {
                 println!("{}", t.describe());
             }
         }
@@ -339,7 +416,7 @@ fn topology_cmd(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 }
 
 fn hw(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    let a_c = args.get_f64("a-c", 0.9995).map_err(usage)?;
+    let a_c = args.get_f64("a-c", 0.9995)?;
     if !(0.0..=1.0).contains(&a_c) {
         return Err(usage(format!(
             "--a-c must be an availability in [0, 1], got {a_c}"
@@ -347,11 +424,7 @@ fn hw(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     }
     let params = HwParams::paper_defaults().with_a_c(a_c);
     let mut table = Table::new(vec!["topology", "availability", "downtime"]);
-    for topo in [
-        Topology::small(spec),
-        Topology::medium(spec),
-        Topology::large(spec),
-    ] {
+    for topo in Topology::paper(spec) {
         let a = HwModel::try_new(spec, &topo, params)
             .map_err(|e| failure(e.to_string()))?
             .availability();
@@ -369,11 +442,7 @@ fn sw(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let scenario = scenario(args)?;
     let params = SwParams::paper_defaults();
     let mut table = Table::new(vec!["topology", "A_CP", "A_SDP", "A_DP", "CP DT", "DP DT"]);
-    for topo in [
-        Topology::small(spec),
-        Topology::medium(spec),
-        Topology::large(spec),
-    ] {
+    for topo in Topology::paper(spec) {
         let m =
             SwModel::try_new(spec, &topo, params, scenario).map_err(|e| failure(e.to_string()))?;
         table.row(vec![
@@ -390,51 +459,52 @@ fn sw(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     Ok(())
 }
 
-/// Evaluates a single-figure grid — the figure subcommands are thin views
-/// over the same engine `sweep` uses.
-fn figure_grid(
-    spec: &ControllerSpec,
-    args: &Args,
-    figure: Figure,
-) -> Result<GridResults, SdnavError> {
-    let grid = GridSpec::builder()
-        .figures(&[figure])
-        .points(args.get_usize("points", 21).map_err(usage)?)
-        .threads(args.get_usize("threads", 0).map_err(usage)?)
+/// `fig3`/`fig4`/`fig5`: a single-figure grid on the engine `sweep` uses,
+/// printed as a table and an ASCII chart, or as CSV.
+fn figure(spec: &ControllerSpec, args: &Args, figure: Figure) -> Result<(), SdnavError> {
+    let grid = grid_flags(args, GridSpec::builder().figures(&[figure]))?
         .build()
         .map_err(|e| failure(e.to_string()))?;
-    Ok(sdnav_grid::evaluate(spec, &grid)
+    let results = sdnav_grid::evaluate(spec, &grid)
         .map_err(|e| failure(e.to_string()))?
-        .results)
-}
-
-fn fig3(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    let rows = figure_grid(spec, args, Figure::Fig3)?.fig3;
-    let table = fig3_table(&rows);
-    if args.has_flag("csv") {
+        .results;
+    let (table, chart) = if figure == Figure::Fig3 {
+        let rows = &results.fig3;
+        let series = |name, y: fn(&Fig3Row) -> f64| {
+            Series::new(name, rows.iter().map(|r| (r.a_c, y(r))).collect())
+        };
+        let chart = Chart::new(60, 14)
+            .series(series("Small", |r| r.small))
+            .series(series("Medium", |r| r.medium))
+            .series(series("Large", |r| r.large))
+            .labels("A_C", "availability");
+        (fig3_table(rows), chart)
+    } else {
+        let (rows, y_label) = if figure == Figure::Fig4 {
+            (&results.fig4, "A_CP")
+        } else {
+            (&results.fig5, "A_DP")
+        };
+        let series = |name, y: fn(&SwSweepRow) -> f64| {
+            Series::new(name, rows.iter().map(|r| (r.x, y(r))).collect())
+        };
+        let chart = Chart::new(60, 14)
+            .series(series("1S", |r| r.small_no_sup))
+            .series(series("2S", |r| r.small_sup))
+            .series(series("1L", |r| r.large_no_sup))
+            .series(series("2L", |r| r.large_sup))
+            .labels("orders of magnitude of downtime removed", y_label);
+        (sw_table(rows), chart)
+    };
+    if args.has("csv") {
         print!("{}", table.to_csv());
-        return Ok(());
+    } else {
+        print!("{table}{chart}");
     }
-    print!("{table}");
-    let chart = Chart::new(60, 14)
-        .series(Series::new(
-            "Small",
-            rows.iter().map(|r| (r.a_c, r.small)).collect(),
-        ))
-        .series(Series::new(
-            "Medium",
-            rows.iter().map(|r| (r.a_c, r.medium)).collect(),
-        ))
-        .series(Series::new(
-            "Large",
-            rows.iter().map(|r| (r.a_c, r.large)).collect(),
-        ))
-        .labels("A_C", "availability");
-    print!("{chart}");
     Ok(())
 }
 
-fn fig3_table(rows: &[sdnav_core::sweep::Fig3Row]) -> Table {
+fn fig3_table(rows: &[Fig3Row]) -> Table {
     let mut table = Table::new(vec!["A_C", "Small", "Medium", "Large"]);
     for r in rows {
         table.row(vec![
@@ -447,7 +517,7 @@ fn fig3_table(rows: &[sdnav_core::sweep::Fig3Row]) -> Table {
     table
 }
 
-fn sw_table(rows: &[sdnav_core::sweep::SwSweepRow]) -> Table {
+fn sw_table(rows: &[SwSweepRow]) -> Table {
     let mut table = Table::new(vec!["x", "A", "1S", "2S", "1L", "2L"]);
     for r in rows {
         table.row(vec![
@@ -547,165 +617,57 @@ fn consensus_table(rows: &[sdnav_grid::ConsensusRow]) -> Table {
     table
 }
 
-fn sw_figure(spec: &ControllerSpec, args: &Args, figure: Figure) -> Result<(), SdnavError> {
-    let results = figure_grid(spec, args, figure)?;
-    let rows = if figure == Figure::Fig4 {
-        results.fig4
-    } else {
-        results.fig5
-    };
-    let table = sw_table(&rows);
-    if args.has_flag("csv") {
-        print!("{}", table.to_csv());
-        return Ok(());
-    }
-    print!("{table}");
-    let chart = Chart::new(60, 14)
-        .series(Series::new(
-            "1S",
-            rows.iter().map(|r| (r.x, r.small_no_sup)).collect(),
-        ))
-        .series(Series::new(
-            "2S",
-            rows.iter().map(|r| (r.x, r.small_sup)).collect(),
-        ))
-        .series(Series::new(
-            "1L",
-            rows.iter().map(|r| (r.x, r.large_no_sup)).collect(),
-        ))
-        .series(Series::new(
-            "2L",
-            rows.iter().map(|r| (r.x, r.large_sup)).collect(),
-        ))
-        .labels(
-            "orders of magnitude of downtime removed",
-            if figure == Figure::Fig4 {
-                "A_CP"
-            } else {
-                "A_DP"
-            },
-        );
-    print!("{chart}");
-    Ok(())
-}
-
 fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    let figures = match args.get("figures") {
-        None => vec![Figure::Fig3, Figure::Fig4, Figure::Fig5],
-        Some(list) => {
-            let mut figures = Vec::new();
-            for name in list.split(',') {
-                figures.push(Figure::parse(name.trim()).ok_or_else(|| {
-                    usage(format!(
-                        "--figures expects a comma list of fig3|fig4|fig5, got {name:?}"
-                    ))
-                })?);
-            }
-            figures
-        }
-    };
-    let mut builder = GridSpec::builder()
-        .figures(&figures)
-        .points(args.get_usize("points", 21).map_err(usage)?)
-        .replications(args.get_usize("replications", 0).map_err(usage)?)
-        .threads(args.get_usize("threads", 0).map_err(usage)?)
-        .seed(args.get_usize("seed", 7).map_err(usage)? as u64)
-        .sim_horizon_hours(args.get_f64("horizon", 20_000.0).map_err(usage)?)
-        .sim_accelerate(args.get_f64("accelerate", 200.0).map_err(usage)?)
-        .sim_compute_hosts(args.get_usize("compute-hosts", 2).map_err(usage)?);
+    let json = args.choice("format", &["json"])?.is_some();
+    let mut builder = grid_flags(args, GridSpec::builder())?;
     if let Some(path) = args.get("campaign") {
         let campaign: sdnav_chaos::ChaosSpec = read_json(path)?;
         campaign
             .try_validate()
             .map_err(|e| failure(format!("{path}: {e}")))?;
         builder = builder.chaos_campaign(campaign);
-        if let Some(list) = args.get("crews") {
-            let mut crews = Vec::new();
-            for part in list.split(',') {
-                crews.push(part.trim().parse::<usize>().map_err(|_| {
-                    usage(format!(
-                        "--crews expects a comma list of counts, got {part:?}"
-                    ))
-                })?);
-            }
+        if let Some(crews) = args.list("crews", "counts", |s| s.parse().ok())? {
             builder = builder.chaos_crew_counts(&crews);
         }
-        if let Some(list) = args.get("ccf") {
-            let mut probabilities = Vec::new();
-            for part in list.split(',') {
-                probabilities.push(part.trim().parse::<f64>().map_err(|_| {
-                    usage(format!(
-                        "--ccf expects a comma list of probabilities, got {part:?}"
-                    ))
-                })?);
-            }
-            builder = builder.chaos_ccf_probabilities(&probabilities);
+        if let Some(ccf) = args.list("ccf", "probabilities", |s| s.parse().ok())? {
+            builder = builder.chaos_ccf_probabilities(&ccf);
         }
-    } else if args.get("crews").is_some() || args.get("ccf").is_some() {
+    } else if args.has("crews") || args.has("ccf") {
         return Err(usage("--crews and --ccf require --campaign"));
     }
-    let consensus_flags = args.get("election-timeout-ms").is_some()
-        || args.get("cluster-size").is_some()
-        || args.get("fault-mix").is_some();
-    if spec.consensus.is_some() || consensus_flags {
+    let timeouts = args.list("election-timeout-ms", "milliseconds", |s| s.parse().ok())?;
+    let sizes = args.list("cluster-size", "node counts", |s| s.parse().ok())?;
+    let mixes = args.list(
+        "fault-mix",
+        "BYZANTINE:CRASH counts (e.g. 0:1,1:1)",
+        FaultMix::parse,
+    )?;
+    if spec.consensus.is_some() || timeouts.is_some() || sizes.is_some() || mixes.is_some() {
         // The spec's consensus block is the base; the flags enable the
         // axes on a plain spec with RAFT defaults as the base.
         let base = spec
             .consensus
             .clone()
-            .unwrap_or_else(sdnav_core::ConsensusSpec::raft_defaults);
+            .unwrap_or_else(ConsensusSpec::raft_defaults);
         builder = builder.consensus(base);
-        if let Some(list) = args.get("election-timeout-ms") {
-            let mut timeouts = Vec::new();
-            for part in list.split(',') {
-                timeouts.push(part.trim().parse::<f64>().map_err(|_| {
-                    usage(format!(
-                        "--election-timeout-ms expects a comma list of milliseconds, got {part:?}"
-                    ))
-                })?);
-            }
+        if let Some(timeouts) = timeouts {
             builder = builder.consensus_election_timeouts_ms(&timeouts);
         }
-        if let Some(list) = args.get("cluster-size") {
-            let mut sizes = Vec::new();
-            for part in list.split(',') {
-                sizes.push(part.trim().parse::<u32>().map_err(|_| {
-                    usage(format!(
-                        "--cluster-size expects a comma list of node counts, got {part:?}"
-                    ))
-                })?);
-            }
+        if let Some(sizes) = sizes {
             builder = builder.consensus_cluster_sizes(&sizes);
         }
-        if let Some(list) = args.get("fault-mix") {
-            let mut mixes = Vec::new();
-            for part in list.split(',') {
-                mixes.push(sdnav_core::FaultMix::parse(part.trim()).ok_or_else(|| {
-                    usage(format!(
-                        "--fault-mix expects a comma list of BYZANTINE:CRASH counts \
-                         (e.g. 0:1,1:1), got {part:?}"
-                    ))
-                })?);
-            }
+        if let Some(mixes) = mixes {
             builder = builder.consensus_fault_mixes(&mixes);
         }
     }
     let grid = builder.build().map_err(|e| failure(e.to_string()))?;
 
-    if args.has_flag("dry-run") {
+    if args.has("dry-run") {
         // Static cost prediction only: print the sdnav-sweep-plan/v1
         // document (stdout / --out) and any SA030-SA032 grid findings
         // (stderr), without evaluating a single cell.
         let plan = sdnav_audit::SweepPlan::predict(spec, &grid);
-        let json = sdnav_json::to_string_pretty(&plan);
-        match args.get("out") {
-            Some(path) => {
-                std::fs::write(path, format!("{json}\n"))
-                    .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
-                eprintln!("wrote {path}");
-            }
-            None => println!("{json}"),
-        }
+        write_out(args, &sdnav_json::to_string_pretty(&plan))?;
         let findings = sdnav_audit::audit_grid(spec, &grid);
         if !findings.is_clean() {
             eprint!("{}", findings.render());
@@ -720,24 +682,20 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     }
 
     let checkpoint = args.get("checkpoint").map(std::path::PathBuf::from);
-    if args.has_flag("resume") && checkpoint.is_none() {
+    if args.has("resume") && checkpoint.is_none() {
         return Err(usage("--resume requires --checkpoint <file>"));
     }
-    let retries = args.get_usize("retries", 2).map_err(usage)?;
     let retry = RetryPolicy::builder()
-        .max_retries(
-            u32::try_from(retries)
-                .map_err(|_| usage(format!("--retries is out of range, got {retries}")))?,
-        )
-        .backoff_base_ms(args.get_usize("backoff-ms", 50).map_err(usage)? as u64)
+        .max_retries(args.value("retries", "an integer")?.unwrap_or(2))
+        .backoff_base_ms(args.value("backoff-ms", "an integer")?.unwrap_or(50))
         .build();
-    let inject_panic = optional_usize(args, "inject-panic")?;
-    let cancel_after_cells = optional_usize(args, "cancel-after-cells")?;
+    let inject_panic = args.value("inject-panic", "an integer")?;
+    let cancel_after_cells = args.value("cancel-after-cells", "an integer")?;
     signals::install();
     let opts = SuperviseOptions::builder()
         .retry(retry)
         .checkpoint(checkpoint.as_deref())
-        .resume(args.has_flag("resume"))
+        .resume(args.has("resume"))
         .shutdown(&signals::SHUTDOWN)
         .inject_panic(inject_panic)
         .cancel_after_cells(cancel_after_cells)
@@ -747,48 +705,36 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 
     // Results (reproducible) go to stdout / --out; metrics (run-varying
     // timings) go to stderr so byte-comparing two runs' outputs works.
-    match args.get("format") {
-        Some("json") => {
-            let json = sdnav_json::to_string_pretty(&outcome.results);
-            match args.get("out") {
-                Some(path) => {
-                    std::fs::write(path, format!("{json}\n"))
-                        .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
-                    eprintln!("wrote {path}");
-                }
-                None => println!("{json}"),
-            }
-            eprintln!("{}", sdnav_json::to_string_pretty(&outcome.metrics));
+    if json {
+        write_out(args, &sdnav_json::to_string_pretty(&outcome.results))?;
+        eprintln!("{}", sdnav_json::to_string_pretty(&outcome.metrics));
+    } else {
+        let r = &outcome.results;
+        if !r.fig3.is_empty() {
+            println!("Fig. 3 — HW-centric availability vs A_C:\n");
+            print!("{}", fig3_table(&r.fig3));
         }
-        Some(other) => return Err(usage(format!("--format must be `json`, got {other:?}"))),
-        None => {
-            let r = &outcome.results;
-            if !r.fig3.is_empty() {
-                println!("Fig. 3 — HW-centric availability vs A_C:\n");
-                print!("{}", fig3_table(&r.fig3));
-            }
-            if !r.fig4.is_empty() {
-                println!("\nFig. 4 — SW-centric CP availability:\n");
-                print!("{}", sw_table(&r.fig4));
-            }
-            if !r.fig5.is_empty() {
-                println!("\nFig. 5 — SW-centric per-host DP availability:\n");
-                print!("{}", sw_table(&r.fig5));
-            }
-            if !r.sim.is_empty() {
-                println!("\nSimulated cells (accelerated rates):\n");
-                print!("{}", sim_table(&r.sim));
-            }
-            if !r.chaos.is_empty() {
-                println!("\nChaos campaign cells (crew count × CCF probability):\n");
-                print!("{}", chaos_table(&r.chaos));
-            }
-            if !r.consensus.is_empty() {
-                println!("\nConsensus cells (election timeout × cluster size × fault mix):\n");
-                print!("{}", consensus_table(&r.consensus));
-            }
-            eprint!("{}", outcome.metrics.render());
+        if !r.fig4.is_empty() {
+            println!("\nFig. 4 — SW-centric CP availability:\n");
+            print!("{}", sw_table(&r.fig4));
         }
+        if !r.fig5.is_empty() {
+            println!("\nFig. 5 — SW-centric per-host DP availability:\n");
+            print!("{}", sw_table(&r.fig5));
+        }
+        if !r.sim.is_empty() {
+            println!("\nSimulated cells (accelerated rates):\n");
+            print!("{}", sim_table(&r.sim));
+        }
+        if !r.chaos.is_empty() {
+            println!("\nChaos campaign cells (crew count × CCF probability):\n");
+            print!("{}", chaos_table(&r.chaos));
+        }
+        if !r.consensus.is_empty() {
+            println!("\nConsensus cells (election timeout × cluster size × fault mix):\n");
+            print!("{}", consensus_table(&r.consensus));
+        }
+        eprint!("{}", outcome.metrics.render());
     }
 
     if !outcome.quarantine.is_empty() {
@@ -822,17 +768,6 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     Ok(())
 }
 
-/// An optional `--key N` integer (absent stays `None`).
-fn optional_usize(args: &Args, key: &str) -> Result<Option<usize>, SdnavError> {
-    match args.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| usage(format!("--{key} expects an integer, got {v:?}"))),
-    }
-}
-
 /// `sdnav serve`: run the persistent evaluator service until
 /// SIGINT/SIGTERM, then drain in-flight requests and exit 0.
 fn serve(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
@@ -851,10 +786,10 @@ fn serve(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 }
 
 fn fmea(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    let order = args.get_usize("order", 2).map_err(usage)?;
+    let order = args.get_usize("order", 2)?;
     let scenario = scenario(args)?;
     let topo = layout(spec, args)?;
-    let sw_only = args.has_flag("sw-only");
+    let sw_only = args.has("sw-only");
     let dep = Deployment::new(spec, &topo, SwParams::paper_defaults(), scenario);
     let modes = enumerate_filtered(&dep, order, |e| {
         !sw_only || matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
@@ -879,7 +814,7 @@ fn fmea(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 fn importance(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let scenario = scenario(args)?;
     let topo = layout(spec, args)?;
-    let order = args.get_usize("order", 2).map_err(usage)?;
+    let order = args.get_usize("order", 2)?;
     let dep = Deployment::new(spec, &topo, SwParams::paper_defaults(), scenario);
     let modes = enumerate_filtered(&dep, order, |e| {
         matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
@@ -957,10 +892,7 @@ fn plan(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
         ]);
     }
     print!("{table}");
-    if let Some(target) = args.get("target") {
-        let target: f64 = target
-            .parse()
-            .map_err(|_| usage(format!("--target expects minutes/year, got {target:?}")))?;
+    if let Some(target) = args.value::<f64>("target", "minutes/year")? {
         match cheapest_meeting(&points, target) {
             Some(p) => println!(
                 "\ncheapest meeting ≤ {target} m/y: cost {:.0} — {} / {:?} / {}",
@@ -979,10 +911,8 @@ fn harden(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let scenario = scenario(args)?;
     let topo = layout(spec, args)?;
     let target = args
-        .get("target")
-        .ok_or_else(|| usage("harden requires --target <minutes/year>"))?
-        .parse::<f64>()
-        .map_err(|_| usage("--target expects minutes/year"))?;
+        .value::<f64>("target", "minutes/year")?
+        .ok_or_else(|| usage("harden requires --target <minutes/year>"))?;
     let base = SwParams::paper_defaults();
     match sdnav_core::sweep::required_process_availability(spec, &topo, base, scenario, target) {
         Some(a) => {
@@ -1009,18 +939,18 @@ fn harden(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 fn simulate(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let scenario = scenario(args)?;
     let topo = layout(spec, args)?;
-    let accel = args.get_f64("accelerate", 100.0).map_err(usage)?;
+    let accel = args.get_f64("accelerate", 100.0)?;
     let config = SimConfig::builder(scenario)
         .accelerate(accel)
-        .horizon_hours(args.get_f64("horizon", 200_000.0).map_err(usage)?)
-        .compute_hosts(args.get_usize("compute-hosts", 3).map_err(usage)?)
+        .horizon_hours(args.get_f64("horizon", 200_000.0)?)
+        .compute_hosts(args.get_usize("compute-hosts", 3)?)
         .build()
         .map_err(|e| failure(e.to_string()))?;
-    let replications = args.get_usize("replications", 4).map_err(usage)?;
+    let replications = args.get_usize("replications", 4)?;
     if replications == 0 {
         return Err(usage("--replications must be at least 1"));
     }
-    let seed = args.get_usize("seed", 1).map_err(usage)? as u64;
+    let seed = args.get_usize("seed", 1)? as u64;
 
     let result = replicate(spec, &topo, config, seed, replications);
     let params = config.analytic_params();
@@ -1055,27 +985,20 @@ fn simulate(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 /// `lint --campaign` from the common options.
 fn chaos_config(args: &Args) -> Result<SimConfig, SdnavError> {
     SimConfig::builder(scenario(args)?)
-        .accelerate(args.get_f64("accelerate", 100.0).map_err(usage)?)
-        .horizon_hours(args.get_f64("horizon", 100_000.0).map_err(usage)?)
-        .compute_hosts(args.get_usize("compute-hosts", 3).map_err(usage)?)
+        .accelerate(args.get_f64("accelerate", 100.0)?)
+        .horizon_hours(args.get_f64("horizon", 100_000.0)?)
+        .compute_hosts(args.get_usize("compute-hosts", 3)?)
         .build()
         .map_err(|e| failure(e.to_string()))
 }
 
-fn chaos(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    match args.action() {
-        Some("run") => {}
-        Some("generate") => return chaos_generate(spec, args),
-        Some(other) => return Err(usage(format!("unknown chaos action {other:?}"))),
-        None => {
-            return Err(usage(
-                "chaos requires an action: `sdnav chaos run ...` or `sdnav chaos generate ...`",
-            ))
-        }
-    }
+/// `sdnav chaos run`: run a declarative fault-injection campaign and print
+/// its outage-attribution ledger.
+fn chaos_run(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     if let Some(genspec_path) = args.get("verdict") {
         return chaos_verdict(spec, genspec_path, args);
     }
+    let format = args.choice("format", &["json", "digest"])?;
     let path = args
         .get("campaign")
         .ok_or_else(|| usage("chaos run requires --campaign <file>"))?;
@@ -1092,31 +1015,13 @@ fn chaos(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
         sdnav_sim::Simulation::try_new(spec, &topo, config).map_err(|e| failure(e.to_string()))?;
     let plan =
         sdnav_chaos::compile(&campaign, &sim).map_err(|e| failure(format!("{path}: {e}")))?;
-    let seed = args.get_usize("seed", 1).map_err(usage)? as u64;
+    let seed = args.get_usize("seed", 1)? as u64;
     let result = sim.run_injected(seed, &plan);
     let report = sdnav_chaos::report(&campaign, &result);
 
-    match args.get("format") {
-        Some(format @ ("json" | "digest")) => {
-            let json = if format == "digest" {
-                sdnav_chaos::digest_report(&report).to_pretty()
-            } else {
-                report.to_pretty()
-            };
-            match args.get("out") {
-                Some(out) => {
-                    std::fs::write(out, format!("{json}\n"))
-                        .map_err(|e| failure(format!("cannot write {out}: {e}")))?;
-                    eprintln!("wrote {out}");
-                }
-                None => println!("{json}"),
-            }
-        }
-        Some(other) => {
-            return Err(usage(format!(
-                "--format must be `json` or `digest`, got {other:?}"
-            )))
-        }
+    match format {
+        Some("digest") => write_out(args, &sdnav_chaos::digest_report(&report).to_pretty())?,
+        Some(_) => write_out(args, &report.to_pretty())?,
         None => {
             let ledger = result.ledger.as_ref().expect("injected run has a ledger");
             println!(
@@ -1168,89 +1073,61 @@ fn chaos(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     Ok(())
 }
 
-/// Shared flag parsing for campaign generation (`chaos generate` and the
-/// serve endpoint take the same knobs).
-fn generate_config(args: &Args) -> Result<sdnav_chaos::GenerateConfig, SdnavError> {
-    let defaults = sdnav_chaos::GenerateConfig::default();
-    Ok(sdnav_chaos::GenerateConfig {
-        top_k: args.get_usize("top-k", defaults.top_k).map_err(usage)?,
-        max_order: args
-            .get_usize("max-order", defaults.max_order)
-            .map_err(usage)?,
-        start_hours: args
-            .get_f64("start", defaults.start_hours)
-            .map_err(usage)?,
-        spacing_hours: args
-            .get_f64("spacing", defaults.spacing_hours)
-            .map_err(usage)?,
-        repair_hours: args
-            .get_f64("repair", defaults.repair_hours)
-            .map_err(usage)?,
-        stress: args.has_flag("stress"),
-    })
-}
-
 /// `sdnav chaos generate`: compile the deployment's FMEA dominant modes
 /// into an injection campaign with per-mode expectation records.
 fn chaos_generate(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let topo = layout(spec, args)?;
     let deployment = Deployment::new(spec, &topo, SwParams::paper_defaults(), scenario(args)?);
-    let config = generate_config(args)?;
+    let defaults = sdnav_chaos::GenerateConfig::default();
+    let config = sdnav_chaos::GenerateConfig {
+        top_k: args.get_usize("top-k", defaults.top_k)?,
+        max_order: args.get_usize("max-order", defaults.max_order)?,
+        start_hours: args.get_f64("start", defaults.start_hours)?,
+        spacing_hours: args.get_f64("spacing", defaults.spacing_hours)?,
+        repair_hours: args.get_f64("repair", defaults.repair_hours)?,
+        stress: args.has("stress"),
+    };
+    let json = args.choice("format", &["json"])?.is_some();
     let generated =
         sdnav_chaos::generate(&deployment, &config).map_err(|e| failure(e.to_string()))?;
 
-    match args.get("format") {
-        Some("json") => {
-            let json = sdnav_json::ToJson::to_json(&generated).to_pretty();
-            match args.get("out") {
-                Some(out) => {
-                    std::fs::write(out, format!("{json}\n"))
-                        .map_err(|e| failure(format!("cannot write {out}: {e}")))?;
-                    eprintln!("wrote {out}");
-                }
-                None => println!("{json}"),
-            }
+    if json {
+        write_out(args, &sdnav_json::ToJson::to_json(&generated).to_pretty())?;
+    } else {
+        println!(
+            "campaign {:?}: {} mode(s), {} injection(s), seed {}",
+            generated.campaign.name,
+            generated.expectations.len(),
+            generated.campaign.injections.len(),
+            generated.campaign.seed,
+        );
+        let mut table = Table::new(vec!["mode", "impact", "p", "window (h)", "targets"]);
+        for exp in &generated.expectations {
+            table.row(vec![
+                exp.label.clone(),
+                match exp.impact {
+                    sdnav_fmea::PlaneImpact::ControlPlaneOnly => "CP".to_owned(),
+                    sdnav_fmea::PlaneImpact::DataPlaneOnly => "DP".to_owned(),
+                    sdnav_fmea::PlaneImpact::Both => "CP+DP".to_owned(),
+                },
+                format!("{:.3e}", exp.probability),
+                format!(
+                    "[{:.0}, {:.0})",
+                    exp.window_start_hours, exp.window_end_hours
+                ),
+                exp.targets.join(" + "),
+            ]);
         }
-        Some(other) => return Err(usage(format!("--format must be `json`, got {other:?}"))),
-        None => {
-            println!(
-                "campaign {:?}: {} mode(s), {} injection(s), seed {}",
-                generated.campaign.name,
-                generated.expectations.len(),
-                generated.campaign.injections.len(),
-                generated.campaign.seed,
-            );
-            let mut table = Table::new(vec!["mode", "impact", "p", "window (h)", "targets"]);
-            for exp in &generated.expectations {
-                table.row(vec![
-                    exp.label.clone(),
-                    match exp.impact {
-                        sdnav_fmea::PlaneImpact::ControlPlaneOnly => "CP".to_owned(),
-                        sdnav_fmea::PlaneImpact::DataPlaneOnly => "DP".to_owned(),
-                        sdnav_fmea::PlaneImpact::Both => "CP+DP".to_owned(),
-                    },
-                    format!("{:.3e}", exp.probability),
-                    format!(
-                        "[{:.0}, {:.0})",
-                        exp.window_start_hours, exp.window_end_hours
-                    ),
-                    exp.targets.join(" + "),
-                ]);
-            }
-            print!("{table}");
-            eprintln!("hint: --format json emits the sdnav-chaos-genspec/v1 document");
-        }
+        print!("{table}");
+        eprintln!("hint: --format json emits the sdnav-chaos-genspec/v1 document");
     }
     Ok(())
 }
 
 /// `sdnav chaos run --verdict GENSPEC`: replay a generated campaign and
 /// gate it on the survive-or-attribute check against its expectations.
-fn chaos_verdict(
-    spec: &ControllerSpec,
-    genspec_path: &str,
-    args: &Args,
-) -> Result<(), SdnavError> {
+fn chaos_verdict(spec: &ControllerSpec, genspec_path: &str, args: &Args) -> Result<(), SdnavError> {
+    let json = args.choice("format", &["json"])?.is_some();
     let generated: sdnav_chaos::GeneratedCampaign = read_json(genspec_path)?;
     let topo = layout(spec, args)?;
     if !topo.name().eq_ignore_ascii_case(&generated.topology) {
@@ -1265,60 +1142,48 @@ fn chaos_verdict(
     let config = chaos_config(args)?;
     let sim =
         sdnav_sim::Simulation::try_new(spec, &topo, config).map_err(|e| failure(e.to_string()))?;
-    let seed = args.get_usize("seed", 1).map_err(usage)? as u64;
+    let seed = args.get_usize("seed", 1)? as u64;
     let verdict_config = sdnav_chaos::VerdictConfig {
-        replications: args.get_usize("replications", 5).map_err(usage)?,
+        replications: args.get_usize("replications", 5)?,
         ..sdnav_chaos::VerdictConfig::default()
     };
     let report = sdnav_chaos::verdict(&sim, &generated, seed, &verdict_config)
         .map_err(|e| failure(format!("{genspec_path}: {e}")))?;
 
-    match args.get("format") {
-        Some("json") => {
-            let json = report.to_doc().to_pretty();
-            match args.get("out") {
-                Some(out) => {
-                    std::fs::write(out, format!("{json}\n"))
-                        .map_err(|e| failure(format!("cannot write {out}: {e}")))?;
-                    eprintln!("wrote {out}");
-                }
-                None => println!("{json}"),
-            }
-        }
-        Some(other) => return Err(usage(format!("--format must be `json`, got {other:?}"))),
-        None => {
-            println!(
-                "verdict for {:?} on {} (seed {seed}): baseline CP {:.9} ± {:.2e}, \
-                 injected {:.9} (attribution-adjusted {:.9})",
-                report.campaign,
-                topo.name(),
-                report.baseline_mean,
-                report.baseline_half_width,
-                report.cp_availability,
-                report.adjusted_cp_availability,
-            );
-            let mut table = Table::new(vec![
-                "mode",
-                "verdict",
-                "CP outages",
-                "CP hours",
-                "DP host-hours",
-                "FMEA confirmed",
+    if json {
+        write_out(args, &report.to_doc().to_pretty())?;
+    } else {
+        println!(
+            "verdict for {:?} on {} (seed {seed}): baseline CP {:.9} ± {:.2e}, \
+             injected {:.9} (attribution-adjusted {:.9})",
+            report.campaign,
+            topo.name(),
+            report.baseline_mean,
+            report.baseline_half_width,
+            report.cp_availability,
+            report.adjusted_cp_availability,
+        );
+        let mut table = Table::new(vec![
+            "mode",
+            "verdict",
+            "CP outages",
+            "CP hours",
+            "DP host-hours",
+            "FMEA confirmed",
+        ]);
+        for mode in &report.modes {
+            table.row(vec![
+                mode.label.clone(),
+                mode.verdict.name().to_owned(),
+                mode.attributed_cp_outages.to_string(),
+                format!("{:.4}", mode.attributed_cp_hours),
+                format!("{:.4}", mode.attributed_dp_hours),
+                if mode.impact_confirmed { "yes" } else { "no" }.to_owned(),
             ]);
-            for mode in &report.modes {
-                table.row(vec![
-                    mode.label.clone(),
-                    mode.verdict.name().to_owned(),
-                    mode.attributed_cp_outages.to_string(),
-                    format!("{:.4}", mode.attributed_cp_hours),
-                    format!("{:.4}", mode.attributed_dp_hours),
-                    if mode.impact_confirmed { "yes" } else { "no" }.to_owned(),
-                ]);
-            }
-            print!("{table}");
-            for violation in &report.violations {
-                eprintln!("violation: {violation}");
-            }
+        }
+        print!("{table}");
+        for violation in &report.violations {
+            eprintln!("violation: {violation}");
         }
     }
     if !report.pass() {
@@ -1344,18 +1209,11 @@ fn chaos_consensus(
             "{consensus_path}: spec has no consensus block — a consensus run needs one"
         ))
     })?;
-    let horizon = args.get_f64("horizon", 100_000.0).map_err(usage)?;
-    let accelerate = args.get_f64("accelerate", 100.0).map_err(usage)?;
-    let defaults = sdnav_consensus::ConsensusParams::paper_defaults();
-    let params = sdnav_consensus::ConsensusParams {
-        node_mtbf_hours: defaults.node_mtbf_hours / accelerate,
-        node_mttr_hours: defaults.node_mttr_hours,
-        horizon_hours: horizon,
-    };
+    let horizon = args.get_f64("horizon", 100_000.0)?;
+    let params =
+        sdnav_consensus::ConsensusParams::accelerated(horizon, args.get_f64("accelerate", 100.0)?);
 
-    // Map the campaign's fail injections onto consensus kill hooks,
-    // expanding `at`/`every` occurrences exactly as the simulator compiler
-    // does.
+    // Map the campaign's fail injections onto consensus kill hooks.
     let mut injections = Vec::new();
     for inj in &campaign.injections {
         let target = match &inj.kind {
@@ -1377,30 +1235,20 @@ fn chaos_consensus(
                 )))
             }
         };
-        let mut occurrence = 0usize;
-        loop {
-            let at_hours = inj.at + occurrence as f64 * inj.every.unwrap_or(0.0);
-            if at_hours >= horizon {
-                break;
-            }
+        for (occurrence, at_hours) in inj.occurrences(horizon).enumerate() {
             if occurrence >= sdnav_chaos::MAX_OCCURRENCES {
-                return Err(failure(format!(
-                    "injection {:?} expands to more than {} occurrences",
-                    inj.label,
-                    sdnav_chaos::MAX_OCCURRENCES
-                )));
+                let label = inj.label.clone();
+                return Err(failure(
+                    sdnav_chaos::CompileError::TooManyOccurrences { label }.to_string(),
+                ));
             }
             injections.push(sdnav_consensus::Injection { at_hours, target });
-            if inj.every.is_none() {
-                break;
-            }
-            occurrence += 1;
         }
     }
 
     let sim = sdnav_consensus::ConsensusSim::try_new(consensus, params)
         .map_err(|e| failure(format!("{consensus_path}: {e}")))?;
-    let seed = args.get_usize("seed", 1).map_err(usage)? as u64;
+    let seed = args.get_usize("seed", 1)? as u64;
     let outcome = sim
         .run_injected(seed, &injections)
         .map_err(|e| failure(e.to_string()))?;
@@ -1481,8 +1329,8 @@ fn find_workspace_root() -> Result<std::path::PathBuf, SdnavError> {
 /// `lint --source`: the detlint determinism/concurrency scan over Rust
 /// source, sharing the model lint's output formats and exit contract
 /// (0 clean / 1 findings / 2 usage).
-fn lint_source(args: &Args) -> Result<(), SdnavError> {
-    if args.has_flag("fix") || args.get("topology").is_some() {
+fn lint_source(args: &Args, format: Option<&str>) -> Result<(), SdnavError> {
+    if args.has("fix") || args.has("topology") {
         return Err(usage(
             "--source cannot be combined with --fix or --topology",
         ));
@@ -1505,14 +1353,9 @@ fn lint_source(args: &Args) -> Result<(), SdnavError> {
             (summary.report, summary.files_scanned)
         }
     };
-    match args.get("format") {
+    match format {
         Some("json") => println!("{}", sdnav_json::to_string_pretty(&report)),
-        Some("sarif") => println!("{}", sdnav_audit::to_sarif(&report, None).to_pretty()),
-        Some(other) => {
-            return Err(usage(format!(
-                "--format must be `json` or `sarif`, got {other:?}"
-            )))
-        }
+        Some(_sarif) => println!("{}", sdnav_audit::to_sarif(&report, None).to_pretty()),
         None => {
             print!("{}", report.render());
             eprintln!("detlint: scanned {scanned} file(s)");
@@ -1528,22 +1371,17 @@ fn lint_source(args: &Args) -> Result<(), SdnavError> {
 }
 
 fn lint(args: &Args) -> Result<(), SdnavError> {
-    let source = args.has_flag("source") || args.get("source").is_some();
+    let format = args.choice("format", &["json", "sarif"])?;
     let selectors = [
-        args.get("spec"),
-        args.get("block"),
-        args.get("spec-set"),
-        args.get("campaign"),
-        args.get("ctmc"),
-        args.get("grid"),
+        "spec", "block", "spec-set", "campaign", "ctmc", "grid", "source",
     ];
-    if selectors.iter().flatten().count() + usize::from(source) > 1 {
+    if selectors.iter().filter(|key| args.has(key)).count() > 1 {
         return Err(usage(
             "--spec, --block, --spec-set, --campaign, --ctmc, --grid and --source are mutually exclusive",
         ));
     }
-    if source {
-        return lint_source(args);
+    if args.has("source") {
+        return lint_source(args, format);
     }
     let (target, path) = if let Some(path) = args.get("block") {
         (LintTarget::Block(read_json(path)?), Some(path))
@@ -1564,23 +1402,15 @@ fn lint(args: &Args) -> Result<(), SdnavError> {
         )
     };
 
-    let fix = args.has_flag("fix");
-    let dry_run = args.has_flag("dry-run");
+    let fix = args.has("fix");
+    let dry_run = args.has("dry-run");
     if dry_run && !fix {
         return Err(usage("--dry-run only makes sense with --fix"));
     }
-    if fix
-        && matches!(
-            target,
-            LintTarget::Set(_)
-                | LintTarget::Campaign(_)
-                | LintTarget::Ctmc(_)
-                | LintTarget::Grid(_)
-        )
-    {
+    if fix && !matches!(target, LintTarget::Spec(_) | LintTarget::Block(_)) {
         return Err(usage("--fix supports a single --spec or --block"));
     }
-    if fix && args.get("topology").is_some() {
+    if fix && args.has("topology") {
         return Err(usage("--fix cannot be combined with --topology"));
     }
 
@@ -1659,14 +1489,9 @@ fn lint(args: &Args) -> Result<(), SdnavError> {
         }
     }
 
-    match args.get("format") {
+    match format {
         Some("json") => println!("{}", sdnav_json::to_string_pretty(&report)),
-        Some("sarif") => println!("{}", sdnav_audit::to_sarif(&report, path).to_pretty()),
-        Some(other) => {
-            return Err(usage(format!(
-                "--format must be `json` or `sarif`, got {other:?}"
-            )))
-        }
+        Some(_sarif) => println!("{}", sdnav_audit::to_sarif(&report, path).to_pretty()),
         None => print!("{}", report.render()),
     }
     if pending_fixes > 0 {
@@ -1682,7 +1507,7 @@ fn lint(args: &Args) -> Result<(), SdnavError> {
             report.error_count()
         )));
     }
-    if args.has_flag("deny-warnings") && report.warning_count() > 0 {
+    if args.has("deny-warnings") && report.warning_count() > 0 {
         return Err(failure(format!(
             "lint found {} warning(s) (--deny-warnings)",
             report.warning_count()
@@ -1692,14 +1517,5 @@ fn lint(args: &Args) -> Result<(), SdnavError> {
 }
 
 fn dump_spec(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
-    let json = sdnav_json::to_string_pretty(spec);
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
-            println!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    Ok(())
+    write_out(args, &sdnav_json::to_string_pretty(spec))
 }

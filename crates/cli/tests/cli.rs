@@ -30,6 +30,24 @@ fn help_lists_commands() {
     for cmd in ["tables", "fig3", "fmea", "simulate", "sensitivity"] {
         assert!(stdout.contains(cmd), "help is missing {cmd}");
     }
+    // The synopsis is the option declaration, so every option a handler
+    // reads is listed on its command.
+    for (cmd, option) in [
+        ("fig3", "--threads"),
+        ("importance", "--order"),
+        ("simulate", "--compute-hosts"),
+    ] {
+        let entry = stdout
+            .lines()
+            .skip_while(|line| !line.starts_with(&format!("  {cmd} ")))
+            .take_while(|line| line.starts_with(&format!("  {cmd} ")) || line.starts_with("   "))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert!(
+            entry.contains(option),
+            "help for {cmd} is missing {option}:\n{entry}"
+        );
+    }
 }
 
 #[test]
@@ -221,11 +239,59 @@ fn usage_errors_exit_2_failures_exit_1() {
     assert_eq!(sdnav_code(&["fig3", "--points", "abc"]), 2);
     assert_eq!(sdnav_code(&["simulate", "--scenario", "sometimes"]), 2);
     assert_eq!(sdnav_code(&["sweep", "--format", "yaml"]), 2);
+    // Options a command does not declare, missing or stray values, and
+    // repeats are refused instead of analysing something else.
+    for (argv, option) in [
+        (&["sweep", "--thread", "4"][..], "--thread"),
+        (&["hw", "--a-c=0.5"], "--a-c"),
+        (&["sw", "--scenario=required"], "--scenario"),
+        (&["hw", "--spec"], "--spec"),
+        (&["sweep", "--format"], "--format"),
+        (&["fig3", "--csv", "yes"], "--csv"),
+        (&["fig3", "--points", "2", "--points", "3"], "--points"),
+    ] {
+        let out = sdnav_raw(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains(option), "{argv:?}: {stderr}");
+    }
     // Well-formed requests that fail → 1.
     assert_eq!(sdnav_code(&["lint", "--spec", "/no/such/file.json"]), 1);
     assert_eq!(sdnav_code(&["fig4", "--points", "0"]), 1);
     // Success → 0.
     assert_eq!(sdnav_code(&["help"]), 0);
+}
+
+#[test]
+fn closed_stdout_ends_the_process_cleanly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // ~450 KB of JSON: far more than a pipe buffer holds.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sdnav"))
+        .args([
+            "sweep",
+            "--figures",
+            "fig3",
+            "--points",
+            "3000",
+            "--format",
+            "json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout piped"))
+        .read_line(&mut first)
+        .expect("read first line");
+    assert_eq!(first, "{\n");
+    // The reader is gone: the next write sees a closed pipe.
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

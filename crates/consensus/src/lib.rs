@@ -84,6 +84,19 @@ impl ConsensusParams {
         }
     }
 
+    /// The paper defaults with node failures `accelerate` times more
+    /// frequent (repair unchanged) over `horizon_hours` — how grid cells
+    /// and consensus campaign runs see failovers on short horizons.
+    #[must_use]
+    pub fn accelerated(horizon_hours: f64, accelerate: f64) -> Self {
+        let defaults = Self::paper_defaults();
+        ConsensusParams {
+            node_mtbf_hours: defaults.node_mtbf_hours / accelerate,
+            horizon_hours,
+            ..defaults
+        }
+    }
+
     /// Per-hour failure rate `λ = 1 / MTBF`.
     #[must_use]
     pub fn failure_rate(&self) -> f64 {

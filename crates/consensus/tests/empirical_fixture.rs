@@ -86,7 +86,9 @@ fn empirical_draws_are_bit_identical_across_threads() {
     // shared state and each replication owns its seeded streams.
     let run = &run;
     let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..=4u64).map(|seed| scope.spawn(move || run(seed))).collect();
+        let handles: Vec<_> = (1..=4u64)
+            .map(|seed| scope.spawn(move || run(seed)))
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("replication thread"))

@@ -257,9 +257,7 @@ impl ElectionLatency {
             ElectionLatency::Empirical { quantiles } => {
                 quantiles.first().map_or(f64::NAN, |&(_, ms)| ms)
             }
-            ElectionLatency::LogNormal { mu, sigma } => {
-                (mu + sigma * probit(FLOOR_QUANTILE)).exp()
-            }
+            ElectionLatency::LogNormal { mu, sigma } => (mu + sigma * probit(FLOOR_QUANTILE)).exp(),
         }
     }
 
@@ -717,7 +715,10 @@ mod tests {
             max_ms: 300.0,
         };
         for u in [0.0, 0.125, 0.5, 0.999_999] {
-            assert_eq!(latency.sample_ms(u).to_bits(), (150.0 + 150.0 * u).to_bits());
+            assert_eq!(
+                latency.sample_ms(u).to_bits(),
+                (150.0 + 150.0 * u).to_bits()
+            );
         }
     }
 

@@ -17,6 +17,27 @@ pub enum Scenario {
     SupervisorRequired,
 }
 
+impl Scenario {
+    /// Parses the CLI/JSON spelling (`required` | `not-required`).
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Scenario> {
+        match name {
+            "required" => Some(Scenario::SupervisorRequired),
+            "not-required" => Some(Scenario::SupervisorNotRequired),
+            _ => None,
+        }
+    }
+
+    /// The CLI/JSON spelling.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scenario::SupervisorRequired => "required",
+            Scenario::SupervisorNotRequired => "not-required",
+        }
+    }
+}
+
 /// The paper's SW-centric availability model (Eqs. 9–15), generalized to
 /// any topology and controller spec.
 ///
@@ -208,6 +229,20 @@ mod tests {
         let model =
             SwModel::try_new(&s, &topo, defaults(), Scenario::SupervisorNotRequired).unwrap();
         assert!(model.cp_availability() > 0.999987);
+    }
+
+    #[test]
+    fn scenario_names_round_trip() {
+        for scenario in [
+            Scenario::SupervisorRequired,
+            Scenario::SupervisorNotRequired,
+        ] {
+            assert_eq!(Scenario::from_name(scenario.name()), Some(scenario));
+        }
+        assert_eq!(Scenario::SupervisorNotRequired.name(), "not-required");
+        for bad in ["sometimes", "Required", ""] {
+            assert_eq!(Scenario::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -217,6 +217,25 @@ impl Topology {
         t
     }
 
+    /// The paper's three layouts: Small, Medium and Large.
+    #[must_use]
+    pub fn paper(spec: &ControllerSpec) -> [Self; 3] {
+        [
+            Topology::small(spec),
+            Topology::medium(spec),
+            Topology::large(spec),
+        ]
+    }
+
+    /// The paper layout spelled `name` on the CLI and in JSON bodies
+    /// (`small` | `medium` | `large`), or `None` for any other name.
+    #[must_use]
+    pub fn named(spec: &ControllerSpec, name: &str) -> Option<Self> {
+        Self::paper(spec)
+            .into_iter()
+            .find(|t| t.name().to_lowercase() == name)
+    }
+
     /// Adds a rack.
     pub fn add_rack(&mut self) -> RackId {
         self.rack_count += 1;
@@ -551,5 +570,21 @@ mod tests {
         assert_eq!(t, back);
         // Assignments serialize as an entry list.
         assert!(json.contains(r#""role":"Config""#));
+    }
+
+    #[test]
+    fn named_round_trips_the_paper_layouts() {
+        let s = spec();
+        for t in [
+            Topology::small(&s),
+            Topology::medium(&s),
+            Topology::large(&s),
+        ] {
+            let name = t.name().to_lowercase();
+            assert_eq!(Topology::named(&s, &name), Some(t));
+        }
+        for bad in ["Small", "small-3r", "all", ""] {
+            assert_eq!(Topology::named(&s, bad), None, "{bad:?}");
+        }
     }
 }

@@ -322,6 +322,49 @@ pub struct GridSpecBuilder {
 }
 
 impl GridSpecBuilder {
+    /// The textual keys [`set`](Self::set) understands: the `sdnav sweep`
+    /// flags without their dashes, and the `GET /v1/plan` query keys.
+    pub const KEYS: [&'static str; 8] = [
+        "figures",
+        "points",
+        "replications",
+        "seed",
+        "threads",
+        "horizon",
+        "accelerate",
+        "compute-hosts",
+    ];
+
+    /// Sets the field a textual key names (one of [`KEYS`](Self::KEYS))
+    /// from its textual value, e.g. `("figures", "fig3,fig4")`.
+    ///
+    /// # Errors
+    ///
+    /// A `Usage`-kind [`SdnavError`] for an unknown key or a value that
+    /// does not parse; out-of-range values are left to [`build`](Self::build).
+    pub fn set(self, key: &str, value: &str) -> Result<Self, SdnavError> {
+        let bad = |what: &str| SdnavError::usage(format!("{key} expects {what}, got {value:?}"));
+        let integer = || value.parse::<usize>().map_err(|_| bad("an integer"));
+        let number = || value.parse::<f64>().map_err(|_| bad("a number"));
+        Ok(match key {
+            "figures" => {
+                let figures: Option<Vec<Figure>> = value
+                    .split(',')
+                    .map(|name| Figure::parse(name.trim()))
+                    .collect();
+                self.figures(&figures.ok_or_else(|| bad("a comma list of fig3|fig4|fig5"))?)
+            }
+            "points" => self.points(integer()?),
+            "replications" => self.replications(integer()?),
+            "seed" => self.seed(value.parse().map_err(|_| bad("an integer"))?),
+            "threads" => self.threads(integer()?),
+            "horizon" => self.sim_horizon_hours(number()?),
+            "accelerate" => self.sim_accelerate(number()?),
+            "compute-hosts" => self.sim_compute_hosts(integer()?),
+            other => return Err(SdnavError::usage(format!("unknown grid key {other:?}"))),
+        })
+    }
+
     /// Restricts the run to the given figures (deduplicated, order kept).
     pub fn figures(mut self, figures: &[Figure]) -> Self {
         let mut list: Vec<Figure> = Vec::new();
@@ -860,14 +903,9 @@ impl EvalCtx<'_> {
         consensus.fault_mix = fault_mix;
         let quorum = consensus.quorum();
 
-        // Node failure rates accelerate exactly like the simulation cells',
-        // so short smoke horizons still see failovers.
-        let defaults = ConsensusParams::paper_defaults();
-        let params = ConsensusParams {
-            node_mtbf_hours: defaults.node_mtbf_hours / self.grid.sim_accelerate,
-            node_mttr_hours: defaults.node_mttr_hours,
-            horizon_hours: self.grid.sim_horizon_hours,
-        };
+        // Node failure rates accelerate exactly like the simulation cells'.
+        let params =
+            ConsensusParams::accelerated(self.grid.sim_horizon_hours, self.grid.sim_accelerate);
         let sim = ConsensusSim::try_new(consensus.clone(), params)
             .map_err(|e| GridError::Consensus(e.to_string()))?;
         let ctmc_availability = sdnav_consensus::ctmc_availability(&consensus, &params)

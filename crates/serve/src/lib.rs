@@ -43,9 +43,8 @@ use std::time::Duration;
 use sdnav_chaos::GenerateConfig;
 use sdnav_core::{ControllerSpec, ErrorKind, ModelState, Scenario, SdnavError, Topology};
 use sdnav_fmea::Deployment;
-use sdnav_grid::plan::Figure;
 use sdnav_grid::{evaluate_incremental, EvalGraph, GridSpec};
-use sdnav_json::{schema, Envelope, Json, ToJson};
+use sdnav_json::{schema, Envelope, Json, JsonError, ToJson};
 
 /// How long the accept loop sleeps between polls of the listener and the
 /// shutdown flag.
@@ -390,66 +389,45 @@ fn chaos_generate(state: &ServiceState, body: &str) -> Result<(u16, String), Sdn
     } else {
         Json::parse(body)?
     };
-    let field_str = |key: &str, default: &str| -> Result<String, SdnavError> {
-        match doc.get(key) {
-            Some(v) => Ok(v.as_str().map_err(|e| e.ctx(key))?.to_owned()),
-            None => Ok(default.to_owned()),
-        }
-    };
-    let field_usize = |key: &str, default: usize| -> Result<usize, SdnavError> {
-        match doc.get(key) {
-            Some(v) => Ok(v.as_usize().map_err(|e| e.ctx(key))?),
-            None => Ok(default),
-        }
-    };
-    let field_f64 = |key: &str, default: f64| -> Result<f64, SdnavError> {
-        match doc.get(key) {
-            Some(v) => Ok(v.as_f64().map_err(|e| e.ctx(key))?),
-            None => Ok(default),
-        }
-    };
-    let field_bool = |key: &str, default: bool| -> Result<bool, SdnavError> {
-        match doc.get(key) {
-            Some(v) => Ok(v.as_bool().map_err(|e| e.ctx(key))?),
-            None => Ok(default),
-        }
-    };
-
     let defaults = GenerateConfig::default();
     let config = GenerateConfig {
-        top_k: field_usize("top_k", defaults.top_k)?,
-        max_order: field_usize("max_order", defaults.max_order)?,
-        start_hours: field_f64("start_hours", defaults.start_hours)?,
-        spacing_hours: field_f64("spacing_hours", defaults.spacing_hours)?,
-        repair_hours: field_f64("repair_hours", defaults.repair_hours)?,
-        stress: field_bool("stress", defaults.stress)?,
+        top_k: field(&doc, "top_k", defaults.top_k, Json::as_usize)?,
+        max_order: field(&doc, "max_order", defaults.max_order, Json::as_usize)?,
+        start_hours: field(&doc, "start_hours", defaults.start_hours, Json::as_f64)?,
+        spacing_hours: field(&doc, "spacing_hours", defaults.spacing_hours, Json::as_f64)?,
+        repair_hours: field(&doc, "repair_hours", defaults.repair_hours, Json::as_f64)?,
+        stress: field(&doc, "stress", defaults.stress, Json::as_bool)?,
     };
-    let scenario = match field_str("scenario", "not-required")?.as_str() {
-        "required" => Scenario::SupervisorRequired,
-        "not-required" => Scenario::SupervisorNotRequired,
-        other => {
-            return Err(SdnavError::model(format!(
-                "scenario must be \"required\" or \"not-required\", got {other:?}"
-            )))
-        }
-    };
-    let topology_name = field_str("topology", "small")?;
+    let scenario_name = field(&doc, "scenario", "not-required", Json::as_str)?;
+    let scenario = Scenario::from_name(scenario_name).ok_or_else(|| {
+        SdnavError::model(format!(
+            "scenario must be \"required\" or \"not-required\", got {scenario_name:?}"
+        ))
+    })?;
+    let topology_name = field(&doc, "topology", "small", Json::as_str)?;
 
     let model = state.model.lock().expect("model state");
-    let topo = match topology_name.as_str() {
-        "small" => Topology::small(&model.spec),
-        "medium" => Topology::medium(&model.spec),
-        "large" => Topology::large(&model.spec),
-        other => {
-            return Err(SdnavError::model(format!(
-                "topology must be \"small\", \"medium\" or \"large\", got {other:?}"
-            )))
-        }
-    };
+    let topo = Topology::named(&model.spec, topology_name).ok_or_else(|| {
+        SdnavError::model(format!(
+            "topology must be \"small\", \"medium\" or \"large\", got {topology_name:?}"
+        ))
+    })?;
     let deployment = Deployment::new(&model.spec, &topo, model.sw, scenario);
-    let generated =
-        sdnav_chaos::generate(&deployment, &config).map_err(|e| SdnavError::model(e.to_string()))?;
+    let generated = sdnav_chaos::generate(&deployment, &config)
+        .map_err(|e| SdnavError::model(e.to_string()))?;
     Ok((200, document(generated.to_json())))
+}
+
+/// Field `key` of a JSON request body, read by `read`, or `default` when
+/// the body omits it.
+fn field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    default: T,
+    read: fn(&'a Json) -> Result<T, JsonError>,
+) -> Result<T, SdnavError> {
+    let value = doc.get(key).map(|v| read(v).map_err(|e| e.ctx(key)));
+    Ok(value.transpose()?.unwrap_or(default))
 }
 
 /// `PATCH /v1/spec` — edit one named rate or parameter.
@@ -495,10 +473,10 @@ fn patch(state: &ServiceState, body: &str) -> Result<(u16, String), SdnavError> 
 /// grid, without evaluating a cell.
 ///
 /// The grid comes from the query string (`?points=41&replications=50&
-/// figures=fig3,fig4`); supported keys mirror the `sdnav sweep` flags:
-/// `figures`, `points`, `replications`, `seed`, `threads`, `horizon`,
-/// `accelerate`, `compute-hosts`. The response is the same
-/// `sdnav-sweep-plan/v1` document `sdnav sweep --dry-run` prints.
+/// figures=fig3,fig4`), keyed like the `sdnav sweep` flags
+/// ([`GridSpecBuilder::KEYS`](sdnav_grid::GridSpecBuilder::KEYS)). The
+/// response is the same `sdnav-sweep-plan/v1` document
+/// `sdnav sweep --dry-run` prints.
 fn plan(state: &ServiceState, query: &str) -> Result<(u16, String), SdnavError> {
     let grid = grid_from_query(query)?;
     let model = state.model.lock().expect("model state");
@@ -512,41 +490,7 @@ fn grid_from_query(query: &str) -> Result<GridSpec, SdnavError> {
         let (key, value) = pair
             .split_once('=')
             .ok_or_else(|| SdnavError::usage(format!("query parameter {pair:?} is missing `=`")))?;
-        let as_usize = || {
-            value
-                .parse::<usize>()
-                .map_err(|_| SdnavError::usage(format!("{key} expects an integer, got {value:?}")))
-        };
-        let as_f64 = || {
-            value
-                .parse::<f64>()
-                .map_err(|_| SdnavError::usage(format!("{key} expects a number, got {value:?}")))
-        };
-        builder = match key {
-            "figures" => {
-                let mut figures = Vec::new();
-                for name in value.split(',') {
-                    figures.push(Figure::parse(name).ok_or_else(|| {
-                        SdnavError::usage(format!(
-                            "unknown figure {name:?} (want fig3, fig4, or fig5)"
-                        ))
-                    })?);
-                }
-                builder.figures(&figures)
-            }
-            "points" => builder.points(as_usize()?),
-            "replications" => builder.replications(as_usize()?),
-            "seed" => builder.seed(as_usize()? as u64),
-            "threads" => builder.threads(as_usize()?),
-            "horizon" => builder.sim_horizon_hours(as_f64()?),
-            "accelerate" => builder.sim_accelerate(as_f64()?),
-            "compute-hosts" => builder.sim_compute_hosts(as_usize()?),
-            other => {
-                return Err(SdnavError::usage(format!(
-                    "unknown query parameter {other:?}"
-                )))
-            }
-        };
+        builder = builder.set(key, value)?;
     }
     Ok(builder.build()?)
 }
@@ -631,6 +575,7 @@ fn _kind_assert(k: ErrorKind) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdnav_grid::plan::Figure;
 
     #[test]
     fn config_builder_validates_the_spec() {
