@@ -137,7 +137,7 @@ pub struct ScheduleWindow {
     /// The resolved element the window takes down.
     pub target: InjectTarget,
     /// Distinct `(requirement, node)` CP member blocks the target takes
-    /// down, from [`Simulation::cp_blocks_taken_down`].
+    /// down, from [`sdnav_core::Structure::cp_blocks_downed_by`].
     pub blocks: Vec<(usize, usize)>,
 }
 
@@ -188,7 +188,10 @@ impl ScheduleIr {
             if !inj.at.is_finite() || !duration.is_finite() || duration <= 0.0 {
                 continue;
             }
-            let blocks = sim.cp_blocks_taken_down(target);
+            let structure = sim.structure();
+            let blocks = target
+                .element(structure)
+                .map_or_else(Vec::new, |elem| structure.cp_blocks_downed_by(elem));
             for start in inj.occurrences(horizon).take(MAX_OCCURRENCES) {
                 windows.push(ScheduleWindow {
                     injection: i,

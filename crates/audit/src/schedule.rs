@@ -104,9 +104,10 @@ pub fn audit_schedule(
             .iter()
             .flat_map(|o| o.blocks.iter().copied())
             .collect();
-        for req in 0..sim.cp_requirement_count() {
-            let members = sim.nodes();
-            let required = sim.cp_required(req);
+        let structure = sim.structure();
+        for (req, quorum) in structure.cp().iter().enumerate() {
+            let members = structure.nodes();
+            let required = quorum.required;
             let down_count = down.iter().filter(|(r, _)| *r == req).count();
             if members - down_count < required {
                 let key: Vec<usize> = participants.iter().copied().collect();

@@ -786,30 +786,25 @@ impl From<ChaosError> for CompileError {
 /// consensus-run concept with no static counterpart in the deployment.
 #[allow(clippy::result_unit_err)]
 pub fn resolve_target(target: &TargetRef, sim: &Simulation<'_>) -> Result<InjectTarget, ()> {
+    let s = sim.structure();
     match target {
         TargetRef::Leader => Err(()),
-        TargetRef::Rack(i) => (*i < sim.rack_count())
-            .then_some(InjectTarget::Rack(*i))
-            .ok_or(()),
-        TargetRef::Host(i) => (*i < sim.host_count())
-            .then_some(InjectTarget::Host(*i))
-            .ok_or(()),
-        TargetRef::Vm(i) => (*i < sim.vm_count())
-            .then_some(InjectTarget::Vm(*i))
-            .ok_or(()),
+        TargetRef::Rack(i) => s.rack(*i).map(|_| InjectTarget::Rack(*i)).ok_or(()),
+        TargetRef::Host(i) => s.host(*i).map(|_| InjectTarget::Host(*i)).ok_or(()),
+        TargetRef::Vm(i) => s.vm(*i).map(|_| InjectTarget::Vm(*i)).ok_or(()),
         TargetRef::Proc {
             role,
             node,
             process,
-        } => sim
-            .proc_index(role, *node, process)
+        } => s
+            .process_index(role, *node, process)
             .map(InjectTarget::Proc)
             .ok_or(()),
         TargetRef::VProc { host, process } => {
             if *host >= sim.config().compute_hosts {
                 return Err(());
             }
-            sim.vproc_index(process)
+            s.host_process_index(process)
                 .map(|idx| InjectTarget::VProc(*host, idx))
                 .ok_or(())
         }
@@ -1231,6 +1226,43 @@ mod tests {
             match compile(&c, &sim) {
                 Err(CompileError::UnknownTarget { .. }) => {}
                 other => panic!("{target}: expected UnknownTarget, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fmea_elements_resolve_to_the_simulator_elements_they_name() {
+        // Generated campaigns target FMEA elements by `target_str()`; the
+        // verdict gate relies on each naming the same simulator element.
+        let spec = ControllerSpec::opencontrail_3x();
+        for topo in Topology::paper(&spec) {
+            let deployment = sdnav_fmea::Deployment::new(
+                &spec,
+                &topo,
+                sdnav_core::SwParams::paper_defaults(),
+                Scenario::SupervisorNotRequired,
+            );
+            let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+            cfg.compute_hosts = 3;
+            let sim = Simulation::try_new(&spec, &topo, cfg).expect("valid simulation");
+            let (mut process, mut host_process) = (0, 0);
+            for element in deployment.elements() {
+                let target = TargetRef::parse(&element.target_str()).expect("target grammar");
+                let resolved = resolve_target(&target, &sim).expect("element resolves");
+                let expected = match element {
+                    sdnav_fmea::Element::Rack { index } => InjectTarget::Rack(index),
+                    sdnav_fmea::Element::Host { index } => InjectTarget::Host(index),
+                    sdnav_fmea::Element::Vm { index } => InjectTarget::Vm(index),
+                    sdnav_fmea::Element::Process { .. } => {
+                        process += 1;
+                        InjectTarget::Proc(process - 1)
+                    }
+                    sdnav_fmea::Element::HostProcess { .. } => {
+                        host_process += 1;
+                        InjectTarget::VProc(0, host_process - 1)
+                    }
+                };
+                assert_eq!(resolved, expected, "{} on {}", element, topo.name());
             }
         }
     }

@@ -19,7 +19,7 @@
 //! [`VerdictReport::violations`] entry and a hard failure.
 
 use sdnav_json::{schema, Envelope, Json, ToJson};
-use sdnav_sim::Simulation;
+use sdnav_sim::{Simulation, Welford};
 
 use crate::generate::GeneratedCampaign;
 use crate::{compile, Cause, CompileError};
@@ -182,9 +182,9 @@ impl VerdictReport {
 
 /// Runs the survive-or-attribute gate for `generated` on `sim` at `seed`.
 ///
-/// Baseline replications run uninjected at `seed, seed+1, …`; the
-/// injected run uses `seed` itself, so the comparison is paired on the
-/// first replication's event stream.
+/// Baseline replications run uninjected at `seed, seed+1, …` (wrapping
+/// past `u64::MAX`); the injected run uses `seed` itself, so the
+/// comparison is paired on the first replication's event stream.
 ///
 /// # Errors
 ///
@@ -202,16 +202,12 @@ pub fn verdict(
     // Baseline interval: mean ± z·sd·√(1 + 1/R), the predictive interval
     // for one further uninjected run.
     let replications = config.replications.max(2);
-    let mut mean = 0.0;
-    let mut m2 = 0.0;
+    let mut baseline = Welford::new();
     for r in 0..replications {
-        let availability = sim.run(seed + r as u64).cp_availability;
-        let count = (r + 1) as f64;
-        let delta = availability - mean;
-        mean += delta / count;
-        m2 += delta * (availability - mean);
+        baseline.push(sim.run(seed.wrapping_add(r as u64)).cp_availability);
     }
-    let sd = (m2 / (replications as f64 - 1.0)).sqrt();
+    let mean = baseline.mean();
+    let sd = baseline.sample_variance().sqrt();
     // Floor the interval at 1e-9 availability (≈ 0.1 ms/day): below that,
     // the comparison would be judging last-ulp float accumulation, not
     // outage accounting.
@@ -413,6 +409,11 @@ mod tests {
         // The doc round-trips through the envelope check.
         let doc = report.to_doc();
         assert!(Envelope::expect(schema::CHAOS_VERDICT, &doc).is_ok());
+
+        // The largest seed wraps to 0 for the second baseline replication.
+        let report = verdict(&sim, &generated, u64::MAX, &VerdictConfig::default()).unwrap();
+        assert!(report.pass(), "violations: {:?}", report.violations);
+        assert_eq!(report.modes.len(), generated.expectations.len());
     }
 
     #[test]

@@ -958,6 +958,9 @@ fn simulate_smoke() {
         "100",
         "--compute-hosts",
         "2",
+        // The second replication's seed wraps to 0.
+        "--seed",
+        "18446744073709551615",
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("CP  simulated"));

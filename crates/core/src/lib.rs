@@ -30,6 +30,8 @@
 //!   process-level quorums, supervisor-required vs not-required scenarios,
 //!   and separate control-plane (CP) and per-host data-plane (DP)
 //!   availabilities;
+//! * [`Structure`] — the element table and the boolean CP/DP structure
+//!   function that both the FMEA and the discrete-event simulator evaluate;
 //! * [`paper`] — direct transcriptions of the paper's closed-form equations
 //!   for cross-validation against the general evaluator;
 //! * [`approx`] — the paper's conclusions-section approximations;
@@ -69,6 +71,7 @@ pub mod planner;
 pub mod sensitivity;
 mod spec;
 pub mod state;
+mod structure;
 mod sw;
 pub mod sweep;
 mod topology;
@@ -83,6 +86,7 @@ pub use spec::{
     RoleScope, RoleSpec, SpecError,
 };
 pub use state::{ModelState, PatchEffect};
+pub use structure::{Component, ProcessElement, Quorum, Structure};
 pub use sw::{Scenario, SwModel};
 pub use topology::{HostId, RackId, Topology, TopologyError, VmId};
 pub use units::{Quantity, RatePair, SpecRates, Unit, FIT_SCALE};

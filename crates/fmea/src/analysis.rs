@@ -93,22 +93,25 @@ pub fn enumerate_filtered(
     max_order: usize,
     filter: impl Fn(&Element) -> bool,
 ) -> Vec<FailureMode> {
-    let elements: Vec<Element> = deployment
-        .elements()
-        .into_iter()
-        .filter(|e| filter(e))
+    // `elements()` lists the element table in index order.
+    let elements = deployment.elements();
+    let picked: Vec<usize> = (0..elements.len())
+        .filter(|&i| filter(&elements[i]))
         .collect();
-    let n = elements.len();
+    let weights: Vec<f64> = picked
+        .iter()
+        .map(|&i| deployment.unavailability(&elements[i]))
+        .collect();
+    let structure = deployment.structure();
+    let mut up = vec![true; structure.len()];
+    let n = picked.len();
     let mut cp_cuts: Vec<Vec<usize>> = Vec::new();
     let mut dp_cuts: Vec<Vec<usize>> = Vec::new();
     let mut out = Vec::new();
 
-    let mut combo = Vec::new();
     for order in 1..=max_order.min(n) {
         let mut indices: Vec<usize> = (0..order).collect();
         'combos: loop {
-            combo.clear();
-            combo.extend(indices.iter().map(|&i| elements[i].clone()));
             let cp_superset = cp_cuts
                 .iter()
                 .any(|cut| cut.iter().all(|i| indices.contains(i)));
@@ -116,8 +119,14 @@ pub fn enumerate_filtered(
                 .iter()
                 .any(|cut| cut.iter().all(|i| indices.contains(i)));
             if !(cp_superset && dp_superset) {
-                let cp_down = !cp_superset && !deployment.cp_up(&combo);
-                let dp_down = !dp_superset && !deployment.host_dp_up(&combo);
+                for &i in &indices {
+                    up[picked[i]] = false;
+                }
+                let cp_down = !cp_superset && !structure.cp_up(&up);
+                let dp_down = !dp_superset && !structure.host_dp_up(&up, 0);
+                for &i in &indices {
+                    up[picked[i]] = true;
+                }
                 if cp_down {
                     cp_cuts.push(indices.clone());
                 }
@@ -131,11 +140,13 @@ pub fn enumerate_filtered(
                     (false, false) => None,
                 };
                 if let Some(impact) = impact {
-                    let probability = combo.iter().map(|e| deployment.unavailability(e)).product();
                     out.push(FailureMode {
-                        elements: combo.clone(),
+                        elements: indices
+                            .iter()
+                            .map(|&i| elements[picked[i]].clone())
+                            .collect(),
                         impact,
-                        probability,
+                        probability: indices.iter().map(|&i| weights[i]).product(),
                     });
                 }
             }
@@ -411,7 +422,23 @@ mod tests {
     fn rare_event_estimate_tracks_exact_model() {
         use sdnav_core::SwModel;
         let (spec, params) = fixtures();
-        for topo in [Topology::small(&spec), Topology::large(&spec)] {
+        // Supervisors are found by `is_supervisor`, never by name.
+        let mut renamed = spec.clone();
+        for p in renamed
+            .roles
+            .iter_mut()
+            .flat_map(|r| r.processes.iter_mut())
+        {
+            if p.is_supervisor {
+                p.name = "supervisord".to_owned();
+            }
+        }
+        for (spec, topo) in [
+            (spec.clone(), Topology::small(&spec)),
+            (spec.clone(), Topology::large(&spec)),
+            (renamed.clone(), Topology::small(&renamed)),
+            (renamed.clone(), Topology::large(&renamed)),
+        ] {
             for scenario in [
                 Scenario::SupervisorNotRequired,
                 Scenario::SupervisorRequired,

@@ -1,10 +1,10 @@
-//! Deployment state model: elements and the CP/DP structure functions.
+//! Deployment state model: named elements over the core element table.
 
 use std::fmt;
 
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 
-use sdnav_core::{ControllerSpec, Plane, Scenario, SwParams, Topology};
+use sdnav_core::{ControllerSpec, Scenario, Structure, SwParams, Topology};
 
 /// A failable element of a deployment.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -196,13 +196,15 @@ pub enum ElementKind {
 
 /// A concrete deployment whose state can be queried under failures: a
 /// controller spec laid out on a topology, with parameters and supervisor
-/// scenario fixed.
+/// scenario fixed. Its element table has one compute host, the reference
+/// host of [`Element::HostProcess`].
 #[derive(Debug)]
 pub struct Deployment<'a> {
     spec: &'a ControllerSpec,
     topology: &'a Topology,
     params: SwParams,
     scenario: Scenario,
+    structure: Structure<'a>,
 }
 
 impl<'a> Deployment<'a> {
@@ -218,14 +220,14 @@ impl<'a> Deployment<'a> {
         params: SwParams,
         scenario: Scenario,
     ) -> Self {
-        topology
-            .validate(spec)
+        let structure = Structure::new(spec, topology, scenario, 1)
             .expect("topology must be valid for the spec");
         Deployment {
             spec,
             topology,
             params,
             scenario,
+            structure,
         }
     }
 
@@ -247,9 +249,14 @@ impl<'a> Deployment<'a> {
         self.topology
     }
 
+    /// The element table the structure function runs on.
+    pub(crate) fn structure(&self) -> &Structure<'a> {
+        &self.structure
+    }
+
     /// Every failable element of this deployment: racks, hosts, VMs, all
     /// controller process instances, and the reference compute host's
-    /// vRouter processes.
+    /// vRouter processes — in element-table index order.
     #[must_use]
     pub fn elements(&self) -> Vec<Element> {
         let mut out = Vec::new();
@@ -308,67 +315,41 @@ impl<'a> Deployment<'a> {
             })
     }
 
-    /// Is the hosting chain of `(role, node)` intact under `failed`?
-    fn chain_up(&self, role: &str, node: u32, failed: &[Element]) -> bool {
-        let Some(vm) = self.topology.vm_of(role, node) else {
-            return false;
-        };
-        let host = self.topology.host_of(vm);
-        let rack = self.topology.rack_of(host);
-        !failed.contains(&Element::Vm { index: vm.0 })
-            && !failed.contains(&Element::Host { index: host.0 })
-            && !failed.contains(&Element::Rack { index: rack.0 })
+    /// `element`'s index in the element table, or `None` if the
+    /// deployment has no such element.
+    fn index(&self, element: &Element) -> Option<usize> {
+        let s = &self.structure;
+        match element {
+            Element::Rack { index } => s.rack(*index),
+            Element::Host { index } => s.host(*index),
+            Element::Vm { index } => s.vm(*index),
+            Element::Process {
+                role,
+                node,
+                process,
+            } => s
+                .process_index(role, *node as usize, process)
+                .and_then(|pid| s.process(pid)),
+            Element::HostProcess { process } => s
+                .host_process_index(process)
+                .and_then(|idx| s.host_process(0, idx)),
+        }
     }
 
-    /// Is a specific process instance up under `failed`?
-    ///
-    /// An instance is up when its hosting chain is intact, the process
-    /// itself has not failed, and — in
-    /// [`Scenario::SupervisorRequired`] — its node-role supervisor
-    /// has not failed (a dead supervisor takes the whole node-role down).
-    #[must_use]
-    pub fn instance_up(&self, role: &str, node: u32, process: &str, failed: &[Element]) -> bool {
-        if !self.chain_up(role, node, failed) {
-            return false;
+    /// The up-vector with every known element of `failed` down; unknown
+    /// elements are ignored.
+    fn up_vector(&self, failed: &[Element]) -> Vec<bool> {
+        let mut up = vec![true; self.structure.len()];
+        for i in failed.iter().filter_map(|e| self.index(e)) {
+            up[i] = false;
         }
-        if failed.contains(&Element::process(role, node, process)) {
-            return false;
-        }
-        if self.scenario == Scenario::SupervisorRequired
-            && self.spec.role(role).and_then(|r| r.supervisor()).is_some()
-            && failed.contains(&Element::process(role, node, "supervisor"))
-        {
-            return false;
-        }
-        true
-    }
-
-    fn plane_up(&self, plane: Plane, failed: &[Element]) -> bool {
-        let reqs = self.spec.requirements(plane);
-        for req in &reqs {
-            let role = &self.spec.roles[req.role_index];
-            // Count nodes where the whole member block is up.
-            let mut up = 0u32;
-            for node in 0..self.spec.nodes {
-                let members_up = req
-                    .members
-                    .iter()
-                    .all(|member| self.instance_up(&role.name, node, member, failed));
-                if members_up {
-                    up += 1;
-                }
-            }
-            if up < req.required {
-                return false;
-            }
-        }
-        true
+        up
     }
 
     /// Is the SDN control plane up under `failed`?
     #[must_use]
     pub fn cp_up(&self, failed: &[Element]) -> bool {
-        self.plane_up(Plane::ControlPlane, failed)
+        self.structure.cp_up(&self.up_vector(failed))
     }
 
     /// Is the reference compute host's data plane up under `failed`?
@@ -378,21 +359,7 @@ impl<'a> Deployment<'a> {
     /// supervisor-required scenario).
     #[must_use]
     pub fn host_dp_up(&self, failed: &[Element]) -> bool {
-        if !self.plane_up(Plane::DataPlane, failed) {
-            return false;
-        }
-        for p in self.spec.local_dp_processes() {
-            if failed.contains(&Element::host_process(&p.name)) {
-                return false;
-            }
-        }
-        if self.scenario == Scenario::SupervisorRequired
-            && self.spec.per_host_has_supervisor()
-            && failed.contains(&Element::host_process("supervisor"))
-        {
-            return false;
-        }
-        true
+        self.structure.host_dp_up(&self.up_vector(failed), 0)
     }
 }
 
@@ -433,6 +400,20 @@ mod tests {
             .map(|(_, r)| r.processes.len() * 3)
             .sum();
         assert_eq!(elements.len(), 3 + 12 + 12 + controller_procs + 4);
+    }
+
+    #[test]
+    fn elements_are_listed_in_structure_index_order() {
+        // `enumerate_filtered` flips `up[i]` for the i-th element.
+        let s = spec();
+        for topo in Topology::paper(&s) {
+            let d = deployment(&s, &topo, Scenario::SupervisorRequired);
+            let elements = d.elements();
+            assert_eq!(elements.len(), d.structure().len());
+            for (i, e) in elements.iter().enumerate() {
+                assert_eq!(d.index(e), Some(i), "{e} on {}", topo.name());
+            }
+        }
     }
 
     #[test]
@@ -520,6 +501,34 @@ mod tests {
         // Same pair in scenario 1 is tolerated.
         let d1 = deployment(&s, &topo, Scenario::SupervisorNotRequired);
         assert!(d1.cp_up(&failed));
+
+        // The shape `sdnav lint --fix` leaves behind: a plain process
+        // holds the name `supervisor`, so the real supervisor is
+        // `supervisor-2`. Supervisor identity is `is_supervisor`.
+        let mut fixed = spec();
+        let db = fixed
+            .roles
+            .iter_mut()
+            .find(|r| r.name == "Database")
+            .unwrap();
+        for p in &mut db.processes {
+            p.is_supervisor = false;
+        }
+        db.processes.push(
+            sdnav_core::ProcessSpec::new("supervisor-2", sdnav_core::RestartMode::Manual)
+                .supervisor(),
+        );
+        fixed.validate().expect("one supervisor per role");
+        let topo = Topology::small(&fixed);
+        let d = deployment(&fixed, &topo, Scenario::SupervisorRequired);
+        assert!(!d.cp_up(&[
+            Element::process("Database", 0, "supervisor-2"),
+            Element::process("Database", 1, "zookeeper"),
+        ]));
+        assert!(d.cp_up(&[
+            Element::process("Database", 0, "supervisor"),
+            Element::process("Database", 1, "supervisor"),
+        ]));
     }
 
     #[test]

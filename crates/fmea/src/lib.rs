@@ -4,11 +4,13 @@
 //! The paper's §III derives, by inspection of OpenContrail 3.x, which
 //! process failures impact the SDN control plane and which impact the
 //! per-host vRouter data plane (its Table I). This crate computes those
-//! effects *behaviorally*: a [`Deployment`] exposes the boolean structure
-//! functions "is the CP up?" / "is a host's DP up?" over arbitrary sets of
-//! failed elements (racks, hosts, VMs, processes, supervisors), and the
-//! analysis layer enumerates failure combinations, classifies their
-//! effects, and ranks dominant failure modes by probability.
+//! effects *behaviorally*: a [`Deployment`] names the elements of the
+//! core element table ([`sdnav_core::Structure`], the structure function
+//! the simulator runs too) and asks "is the CP up?" / "is a host's DP
+//! up?" over arbitrary sets of failed elements (racks, hosts, VMs,
+//! processes, supervisors), and the analysis layer enumerates failure
+//! combinations, classifies their effects, and ranks dominant failure
+//! modes by probability.
 //!
 //! Highlights:
 //!

@@ -4,7 +4,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use sdnav_core::des::EventQueue;
-use sdnav_core::{ControllerSpec, Plane, RestartMode, Scenario, Topology};
+use sdnav_core::{
+    Component, ControllerSpec, ProcessElement, RestartMode, Scenario, Structure, Topology,
+};
 
 use crate::injection::{
     AttributionLedger, Cause, DpWindowRecord, InjectAction, InjectTarget, InjectionPlan,
@@ -53,20 +55,15 @@ pub struct SimResult {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
-    RackFail(usize),
-    RackRepair(usize),
-    HostFail(usize),
-    HostRepair(usize),
-    VmFail(usize),
-    VmRepair(usize),
-    ProcFail(usize),
-    ProcRepair(usize),
-    VProcFail(usize, usize),
-    VProcRepair(usize, usize),
+    /// An element fails (index into the [`Structure`]).
+    Fail(usize),
+    /// An element's repair or restart completes.
+    Repair(usize),
+    /// A compute host's agent re-discovers control nodes.
     Rediscover(usize),
     /// A planned injection occurrence (index into `InjectionPlan::events`).
     Injected(usize),
-    /// End of a maintenance window on a flat element index.
+    /// End of a maintenance window on an element.
     MaintEnd(usize),
 }
 
@@ -74,61 +71,11 @@ enum EventKind {
 /// failure/repair cycle: rediscovery, injections, maintenance ends).
 const EPOCH_ANY: u64 = u64::MAX;
 
-/// One controller process instance.
-#[derive(Debug, Clone)]
-struct ProcInfo {
-    /// Row in role-major block order.
-    role_row: usize,
-    node: usize,
-    manual: bool,
-    is_supervisor: bool,
-    /// Downtime multiplier (spec `downtime_factor`), applied to the
-    /// failure rate.
-    fail_factor: f64,
-}
-
-/// One resolved quorum requirement: per node, the pids of its members.
-#[derive(Debug, Clone)]
-struct ReqInfo {
-    required: usize,
-    /// `members[node]` = pids that must all be up on that node.
-    members: Vec<Vec<usize>>,
-    /// Whether this is a grouped block subject to connection dynamics.
-    grouped: bool,
-}
-
-/// A vRouter process on a compute host.
-#[derive(Debug, Clone)]
-struct VProcInfo {
-    manual: bool,
-    is_supervisor: bool,
-    dp_required: bool,
-    fail_factor: f64,
-}
-
 /// A runnable simulation of a controller spec on a topology.
 #[derive(Debug)]
 pub struct Simulation<'a> {
     config: SimConfig,
-    nodes: usize,
-    // Static hardware structure.
-    rack_count: usize,
-    host_rack: Vec<usize>,
-    vm_host: Vec<usize>,
-    /// `(role_row, node)` → (rack, host, vm).
-    chains: Vec<(usize, usize, usize)>,
-    // Static process structure.
-    procs: Vec<ProcInfo>,
-    /// `(role name, node, process name)` per pid, for name resolution.
-    proc_keys: Vec<(String, usize, String)>,
-    /// vRouter process names, parallel to `vprocs`.
-    vproc_keys: Vec<String>,
-    /// `(role_row, node)` → supervisor pid (usize::MAX if none).
-    supervisors: Vec<usize>,
-    cp_reqs: Vec<ReqInfo>,
-    dp_reqs: Vec<ReqInfo>,
-    vprocs: Vec<VProcInfo>,
-    _spec: std::marker::PhantomData<&'a ()>,
+    structure: Structure<'a>,
 }
 
 /// Why a [`Simulation`] could not be prepared.
@@ -184,112 +131,8 @@ impl<'a> Simulation<'a> {
         config: SimConfig,
     ) -> Result<Self, SimBuildError> {
         config.try_validate()?;
-        topology.validate(spec)?;
-        let nodes = spec.nodes as usize;
-
-        let host_rack: Vec<usize> = (0..topology.host_count())
-            .map(|h| topology.rack_of(sdnav_core::HostId(h)).0)
-            .collect();
-        let vm_host: Vec<usize> = (0..topology.vm_count())
-            .map(|v| topology.host_of(sdnav_core::VmId(v)).0)
-            .collect();
-
-        // Controller processes, role-major.
-        let mut procs = Vec::new();
-        let mut proc_keys = Vec::new();
-        let mut chains = Vec::new();
-        let mut supervisors = Vec::new();
-        // pid lookup: (role_row, node, process name) → pid.
-        let mut pid_of: std::collections::HashMap<(usize, usize, &str), usize> =
-            std::collections::HashMap::new();
-        for (role_row, (_, role)) in spec.controller_roles().enumerate() {
-            for node in 0..nodes {
-                let vm = topology
-                    .vm_of(&role.name, node as u32)
-                    .expect("validated topology");
-                let host = topology.host_of(vm).0;
-                let rack = topology.rack_of(sdnav_core::HostId(host)).0;
-                chains.push((rack, host, vm.0));
-                let mut sup_pid = usize::MAX;
-                for p in &role.processes {
-                    let pid = procs.len();
-                    pid_of.insert((role_row, node, p.name.as_str()), pid);
-                    proc_keys.push((role.name.clone(), node, p.name.clone()));
-                    if p.is_supervisor {
-                        sup_pid = pid;
-                    }
-                    procs.push(ProcInfo {
-                        role_row,
-                        node,
-                        manual: p.restart == RestartMode::Manual,
-                        is_supervisor: p.is_supervisor,
-                        fail_factor: p.downtime_factor,
-                    });
-                }
-                supervisors.push(sup_pid);
-            }
-        }
-
-        let resolve = |plane: Plane| -> Vec<ReqInfo> {
-            spec.requirements(plane)
-                .iter()
-                .map(|req| {
-                    // Map the spec role index back to the role-major row.
-                    let role_row = spec
-                        .controller_roles()
-                        .position(|(ri, _)| ri == req.role_index)
-                        .expect("controller role");
-                    let members = (0..nodes)
-                        .map(|node| {
-                            req.members
-                                .iter()
-                                .map(|m| pid_of[&(role_row, node, m.as_str())])
-                                .collect()
-                        })
-                        .collect();
-                    ReqInfo {
-                        required: req.required as usize,
-                        members,
-                        grouped: req.members.len() > 1,
-                    }
-                })
-                .collect()
-        };
-        let cp_reqs = resolve(Plane::ControlPlane);
-        let dp_reqs = resolve(Plane::DataPlane);
-
-        let vprocs: Vec<VProcInfo> = spec
-            .per_host_roles()
-            .flat_map(|r| r.processes.iter())
-            .map(|p| VProcInfo {
-                manual: p.restart == RestartMode::Manual,
-                is_supervisor: p.is_supervisor,
-                dp_required: p.dp_required > 0,
-                fail_factor: p.downtime_factor,
-            })
-            .collect();
-        let vproc_keys: Vec<String> = spec
-            .per_host_roles()
-            .flat_map(|r| r.processes.iter())
-            .map(|p| p.name.clone())
-            .collect();
-
-        Ok(Simulation {
-            config,
-            nodes,
-            rack_count: topology.rack_count(),
-            host_rack,
-            vm_host,
-            chains,
-            procs,
-            proc_keys,
-            vproc_keys,
-            supervisors,
-            cp_reqs,
-            dp_reqs,
-            vprocs,
-            _spec: std::marker::PhantomData,
-        })
+        let structure = Structure::new(spec, topology, config.scenario, config.compute_hosts)?;
+        Ok(Simulation { config, structure })
     }
 
     /// Runs the simulation with the given RNG seed.
@@ -319,155 +162,21 @@ impl<'a> Simulation<'a> {
         &self.config
     }
 
-    /// Number of controller nodes per role.
+    /// The element table: element indices, names and the CP/DP structure
+    /// function this simulation evaluates.
     #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
+    pub fn structure(&self) -> &Structure<'a> {
+        &self.structure
     }
 
-    /// Number of racks in the topology.
-    #[must_use]
-    pub fn rack_count(&self) -> usize {
-        self.rack_count
-    }
-
-    /// Number of hosts in the topology.
-    #[must_use]
-    pub fn host_count(&self) -> usize {
-        self.host_rack.len()
-    }
-
-    /// Number of VMs in the topology.
-    #[must_use]
-    pub fn vm_count(&self) -> usize {
-        self.vm_host.len()
-    }
-
-    /// Number of controller process instances (role-major pids).
-    #[must_use]
-    pub fn proc_count(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// Number of distinct vRouter processes per compute host.
-    #[must_use]
-    pub fn vproc_count(&self) -> usize {
-        self.vprocs.len()
-    }
-
-    /// Resolves a controller process by `(role, node, process)` names to
-    /// its pid (the index used by [`InjectTarget::Proc`]).
-    #[must_use]
-    pub fn proc_index(&self, role: &str, node: usize, process: &str) -> Option<usize> {
-        self.proc_keys
-            .iter()
-            .position(|(r, n, p)| r == role && *n == node && p == process)
-    }
-
-    /// Resolves a vRouter process name to its per-host index (the second
-    /// component of [`InjectTarget::VProc`]).
-    #[must_use]
-    pub fn vproc_index(&self, process: &str) -> Option<usize> {
-        self.vproc_keys.iter().position(|p| p == process)
-    }
-
-    /// Number of control-plane quorum requirements.
-    #[must_use]
-    pub fn cp_requirement_count(&self) -> usize {
-        self.cp_reqs.len()
-    }
-
-    /// How many member blocks requirement `req` needs up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `req` is out of range (see
-    /// [`Simulation::cp_requirement_count`]).
-    #[must_use]
-    pub fn cp_required(&self, req: usize) -> usize {
-        self.cp_reqs[req].required
-    }
-
-    /// The control-plane member blocks `(requirement, node)` that are
-    /// taken down whenever `target` is down — via the hardware chain for
-    /// rack/host/VM targets, via membership (including §VI.A supervisor
-    /// coupling) for process targets. Used by the campaign audit to spot
-    /// maintenance windows that break a quorum (SA022).
-    #[must_use]
-    pub fn cp_blocks_taken_down(&self, target: InjectTarget) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (ri, req) in self.cp_reqs.iter().enumerate() {
-            for node in 0..self.nodes {
-                let down = req.members[node].iter().any(|&pid| {
-                    let info = &self.procs[pid];
-                    let row = info.role_row * self.nodes + info.node;
-                    let (rack, host, vm) = self.chains[row];
-                    match target {
-                        InjectTarget::Rack(r) => rack == r,
-                        InjectTarget::Host(h) => host == h,
-                        InjectTarget::Vm(v) => vm == v,
-                        InjectTarget::Proc(p) => {
-                            pid == p
-                                || (self.config.scenario == Scenario::SupervisorRequired
-                                    && self.supervisors[row] == p)
-                        }
-                        InjectTarget::VProc(..) => false,
-                    }
-                });
-                if down {
-                    out.push((ri, node));
-                }
-            }
-        }
-        out
-    }
-
-    // --- Flat element indexing (racks | hosts | vms | procs | vprocs) ---
-
-    fn elem_count(&self) -> usize {
-        self.rack_count
-            + self.host_rack.len()
-            + self.vm_host.len()
-            + self.procs.len()
-            + self.config.compute_hosts * self.vprocs.len()
-    }
-
-    /// Flat element index of an event's target, or `None` for events not
-    /// tied to one element's failure/repair cycle.
-    fn elem_of(&self, kind: EventKind) -> Option<usize> {
-        let (r, h, v, p) = (
-            self.rack_count,
-            self.host_rack.len(),
-            self.vm_host.len(),
-            self.procs.len(),
-        );
-        Some(match kind {
-            EventKind::RackFail(i) | EventKind::RackRepair(i) => i,
-            EventKind::HostFail(i) | EventKind::HostRepair(i) => r + i,
-            EventKind::VmFail(i) | EventKind::VmRepair(i) => r + h + i,
-            EventKind::ProcFail(i) | EventKind::ProcRepair(i) => r + h + v + i,
-            EventKind::VProcFail(host, idx) | EventKind::VProcRepair(host, idx) => {
-                r + h + v + p + host * self.vprocs.len() + idx
-            }
-            EventKind::Rediscover(_) | EventKind::Injected(_) | EventKind::MaintEnd(_) => {
-                return None
-            }
-        })
-    }
-
-    fn elem_of_target(&self, target: InjectTarget) -> usize {
-        let (r, h, v, p) = (
-            self.rack_count,
-            self.host_rack.len(),
-            self.vm_host.len(),
-            self.procs.len(),
-        );
-        match target {
-            InjectTarget::Rack(i) => i,
-            InjectTarget::Host(i) => r + i,
-            InjectTarget::Vm(i) => r + h + i,
-            InjectTarget::Proc(i) => r + h + v + i,
-            InjectTarget::VProc(host, idx) => r + h + v + p + host * self.vprocs.len() + idx,
+    /// Mean time to the next failure of element `elem`.
+    fn mtbf(&self, elem: usize) -> f64 {
+        let cfg = &self.config;
+        match self.structure.component(elem) {
+            Component::Rack => cfg.rack.mtbf,
+            Component::Host => cfg.host.mtbf,
+            Component::Vm => cfg.vm.mtbf,
+            Component::Process(p) => cfg.process_mtbf / p.downtime_factor.max(1e-12),
         }
     }
 }
@@ -481,7 +190,6 @@ struct QueuedRepair {
     /// Priority class: racks (0) before hosts (1) before VMs (2).
     rank: u8,
     elem: usize,
-    kind: EventKind,
     /// Service duration, sampled at failure time (keeps the RNG draw
     /// order independent of crew contention).
     duration: f64,
@@ -493,11 +201,8 @@ struct RunState<'p> {
     /// Pending events, each tagged with its target element's epoch when
     /// it was scheduled ([`EPOCH_ANY`] for untargeted events).
     queue: EventQueue<EventKind>,
-    rack_up: Vec<bool>,
-    host_up: Vec<bool>,
-    vm_up: Vec<bool>,
-    proc_up: Vec<bool>,
-    vproc_up: Vec<Vec<bool>>,
+    /// Up-state per [`Structure`] element.
+    up: Vec<bool>,
     /// Connected control-role node indices per compute host.
     connections: Vec<[usize; 2]>,
     rediscovery_pending: Vec<bool>,
@@ -516,7 +221,7 @@ struct RunState<'p> {
     crew_queue: Vec<QueuedRepair>,
     /// Whether the element's in-flight repair holds a crew.
     crew_held: Vec<bool>,
-    /// Armed latent fault (injection id) per controller pid.
+    /// Armed latent fault (injection id) per element.
     latent_armed: Vec<Option<usize>>,
     /// Whether the plan contains latent faults (reveal tracking enabled).
     track_latents: bool,
@@ -541,32 +246,30 @@ struct RunState<'p> {
 impl<'p> RunState<'p> {
     fn new(sim: &Simulation<'_>, seed: u64, plan: &'p InjectionPlan, record: bool) -> Self {
         let cfg = &sim.config;
+        let elements = sim.structure.len();
+        let nodes = sim.structure.nodes();
         let mut state = RunState {
             rng: SmallRng::seed_from_u64(seed),
             queue: EventQueue::default(),
-            rack_up: vec![true; sim.rack_count],
-            host_up: vec![true; sim.host_rack.len()],
-            vm_up: vec![true; sim.vm_host.len()],
-            proc_up: vec![true; sim.procs.len()],
-            vproc_up: vec![vec![true; sim.vprocs.len()]; cfg.compute_hosts],
+            up: vec![true; elements],
             connections: (0..cfg.compute_hosts)
-                .map(|i| [i % sim.nodes, (i + 1) % sim.nodes])
+                .map(|i| [i % nodes, (i + 1) % nodes])
                 .collect(),
             rediscovery_pending: vec![false; cfg.compute_hosts],
             events: 0,
             plan,
-            epochs: vec![0; sim.elem_count()],
-            maint_until: vec![0.0; sim.elem_count()],
+            epochs: vec![0; elements],
+            maint_until: vec![0.0; elements],
             crew_busy: 0,
             crew_order: 0,
             crew_queue: Vec::new(),
-            crew_held: vec![false; sim.elem_count()],
-            latent_armed: vec![None; sim.procs.len()],
+            crew_held: vec![false; elements],
+            latent_armed: vec![None; elements],
             track_latents: plan
                 .events
                 .iter()
                 .any(|e| matches!(e.action, InjectAction::Latent)),
-            cp_req_up: vec![0; sim.cp_reqs.len()],
+            cp_req_up: vec![0; sim.structure.cp().len()],
             downs_this_event: Vec::new(),
             event_cause: Cause::Organic,
             dp_down_cause: vec![Cause::Organic; cfg.compute_hosts],
@@ -577,33 +280,15 @@ impl<'p> RunState<'p> {
             open_contrib: Vec::new(),
             ledger: record.then(|| AttributionLedger::new(plan.labels.len())),
         };
-        // Seed initial failure events.
-        for i in 0..sim.rack_count {
-            let t = state.exp(cfg.rack.mtbf);
-            state.push(sim, t, EventKind::RackFail(i));
-        }
-        for i in 0..sim.host_rack.len() {
-            let t = state.exp(cfg.host.mtbf);
-            state.push(sim, t, EventKind::HostFail(i));
-        }
-        for i in 0..sim.vm_host.len() {
-            let t = state.exp(cfg.vm.mtbf);
-            state.push(sim, t, EventKind::VmFail(i));
-        }
-        for pid in 0..sim.procs.len() {
-            let t = state.exp(cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12));
-            state.push(sim, t, EventKind::ProcFail(pid));
-        }
-        for host in 0..cfg.compute_hosts {
-            for idx in 0..sim.vprocs.len() {
-                let t = state.exp(cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12));
-                state.push(sim, t, EventKind::VProcFail(host, idx));
-            }
+        // Seed initial failure events, one per element in table order.
+        for elem in 0..elements {
+            let t = state.exp(sim.mtbf(elem));
+            state.push(t, EventKind::Fail(elem));
         }
         // Merge the planned injection stream (time-sorted by the compiler;
         // same-time ties resolve by push order).
         for (i, ev) in plan.events.iter().enumerate() {
-            state.push(sim, ev.time, EventKind::Injected(i));
+            state.push(ev.time, EventKind::Injected(i));
         }
         state
     }
@@ -625,8 +310,13 @@ impl<'p> RunState<'p> {
         }
     }
 
-    fn push(&mut self, sim: &Simulation<'_>, time: f64, kind: EventKind) {
-        let epoch = sim.elem_of(kind).map_or(EPOCH_ANY, |e| self.epochs[e]);
+    /// Schedules an event; only element fail/repair events carry the
+    /// element's epoch.
+    fn push(&mut self, time: f64, kind: EventKind) {
+        let epoch = match kind {
+            EventKind::Fail(e) | EventKind::Repair(e) => self.epochs[e],
+            _ => EPOCH_ANY,
+        };
         self.queue.push(time, epoch, kind);
     }
 
@@ -640,35 +330,22 @@ impl<'p> RunState<'p> {
     /// Schedules a hardware repair, subject to the finite crew pool if one
     /// is configured. The duration is always sampled by the caller first,
     /// so crew contention never changes the RNG draw order.
-    fn schedule_hw_repair(
-        &mut self,
-        sim: &Simulation<'_>,
-        elem: usize,
-        repair_kind: EventKind,
-        duration: f64,
-        now: f64,
-    ) {
+    fn schedule_hw_repair(&mut self, elem: usize, rank: u8, duration: f64, now: f64) {
         let Some(pool) = self.plan.crews else {
-            self.push(sim, now + duration, repair_kind);
+            self.push(now + duration, EventKind::Repair(elem));
             return;
         };
         if self.crew_busy < pool.crews {
             self.crew_busy += 1;
             self.crew_held[elem] = true;
-            self.push(sim, now + duration, repair_kind);
+            self.push(now + duration, EventKind::Repair(elem));
         } else {
             self.crew_order += 1;
-            let rank = match repair_kind {
-                EventKind::RackRepair(_) => 0,
-                EventKind::HostRepair(_) => 1,
-                _ => 2,
-            };
             self.crew_queue.push(QueuedRepair {
                 fail_time: now,
                 order: self.crew_order,
                 rank,
                 elem,
-                kind: repair_kind,
                 duration,
             });
         }
@@ -676,16 +353,16 @@ impl<'p> RunState<'p> {
 
     /// Releases the crew held by `elem` (if any) and starts the next
     /// queued repair.
-    fn release_crew(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
+    fn release_crew(&mut self, elem: usize, now: f64) {
         if !self.crew_held[elem] {
             return;
         }
         self.crew_held[elem] = false;
         self.crew_busy -= 1;
-        self.dequeue_crew(sim, now);
+        self.dequeue_crew(now);
     }
 
-    fn dequeue_crew(&mut self, sim: &Simulation<'_>, now: f64) {
+    fn dequeue_crew(&mut self, now: f64) {
         let Some(pool) = self.plan.crews else { return };
         if self.crew_busy >= pool.crews || self.crew_queue.is_empty() {
             return;
@@ -709,144 +386,47 @@ impl<'p> RunState<'p> {
         self.crew_busy += 1;
         self.crew_held[q.elem] = true;
         // Service starts now; the queueing delay stretches effective MTTR.
-        self.push(sim, now + q.duration, q.kind);
+        self.push(now + q.duration, EventKind::Repair(q.elem));
     }
 
-    /// Restart time for a controller process at the moment of its failure.
-    fn proc_restart_time(&mut self, sim: &Simulation<'_>, pid: usize) -> f64 {
+    /// Restart time for a process at the moment of its failure.
+    fn restart_time(&mut self, sim: &Simulation<'_>, p: ProcessElement) -> f64 {
         let cfg = &sim.config;
-        let info = &sim.procs[pid];
-        if info.is_supervisor {
-            return match cfg.scenario {
+        let mean = if p.is_supervisor {
+            match cfg.scenario {
                 // Restarted at the next maintenance window.
-                Scenario::SupervisorNotRequired => {
-                    self.repair(cfg.repair_shape, cfg.supervisor_window)
-                }
+                Scenario::SupervisorNotRequired => cfg.supervisor_window,
                 // Restarted (manually) right away.
-                Scenario::SupervisorRequired => self.repair(cfg.repair_shape, cfg.manual_restart),
-            };
-        }
-        if info.manual {
-            return self.repair(cfg.repair_shape, cfg.manual_restart);
-        }
-        // Auto-restarted — if the supervisor is currently up (under the
-        // faithful §III semantics; the analytic-independence model always
-        // auto-restarts).
-        let supervised = match cfg.restart_model {
-            crate::RestartModel::AnalyticIndependence => true,
-            crate::RestartModel::Faithful => {
-                let sup = sim.supervisors[info.role_row * sim.nodes + info.node];
-                sup == usize::MAX || self.proc_up[sup]
+                Scenario::SupervisorRequired => cfg.manual_restart,
             }
-        };
-        if supervised {
-            self.repair(cfg.repair_shape, cfg.auto_restart)
+        } else if p.restart == RestartMode::Manual {
+            cfg.manual_restart
+        } else if cfg.restart_model == crate::RestartModel::Faithful
+            && p.supervisor.is_some_and(|sup| !self.up[sup])
+        {
+            // Auto-restarted only while the supervisor is up under the
+            // faithful §III semantics; the analytic-independence model
+            // always auto-restarts.
+            cfg.manual_restart
         } else {
-            self.repair(cfg.repair_shape, cfg.manual_restart)
-        }
-    }
-
-    fn vproc_restart_time(&mut self, sim: &Simulation<'_>, host: usize, idx: usize) -> f64 {
-        let cfg = &sim.config;
-        let info = &sim.vprocs[idx];
-        if info.is_supervisor {
-            return match cfg.scenario {
-                Scenario::SupervisorNotRequired => {
-                    self.repair(cfg.repair_shape, cfg.supervisor_window)
-                }
-                Scenario::SupervisorRequired => self.repair(cfg.repair_shape, cfg.manual_restart),
-            };
-        }
-        if info.manual {
-            return self.repair(cfg.repair_shape, cfg.manual_restart);
-        }
-        let supervised = match cfg.restart_model {
-            crate::RestartModel::AnalyticIndependence => true,
-            crate::RestartModel::Faithful => sim
-                .vprocs
-                .iter()
-                .position(|p| p.is_supervisor)
-                .is_none_or(|sup| self.vproc_up[host][sup]),
+            cfg.auto_restart
         };
-        if supervised {
-            self.repair(cfg.repair_shape, cfg.auto_restart)
-        } else {
-            self.repair(cfg.repair_shape, cfg.manual_restart)
-        }
+        self.repair(cfg.repair_shape, mean)
     }
 
-    /// Is the hardware chain of block `(role_row, node)` up?
-    fn chain_up(&self, sim: &Simulation<'_>, row: usize) -> bool {
-        let (rack, host, vm) = sim.chains[row];
-        self.rack_up[rack] && self.host_up[host] && self.vm_up[vm]
-    }
-
-    /// Effective up-state of a controller process instance.
-    fn effective_up(&self, sim: &Simulation<'_>, pid: usize) -> bool {
-        let info = &sim.procs[pid];
-        let row = info.role_row * sim.nodes + info.node;
-        if !self.proc_up[pid] || !self.chain_up(sim, row) {
-            return false;
-        }
-        if sim.config.scenario == Scenario::SupervisorRequired && !info.is_supervisor {
-            let sup = sim.supervisors[row];
-            if sup != usize::MAX && !self.proc_up[sup] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Is the full member block of `req` up on `node`?
-    fn block_up(&self, sim: &Simulation<'_>, req: &ReqInfo, node: usize) -> bool {
-        req.members[node]
-            .iter()
-            .all(|&pid| self.effective_up(sim, pid))
-    }
-
-    fn req_satisfied(&self, sim: &Simulation<'_>, req: &ReqInfo) -> bool {
-        let up = (0..sim.nodes)
-            .filter(|&n| self.block_up(sim, req, n))
-            .count();
-        up >= req.required
-    }
-
-    fn cp_up(&self, sim: &Simulation<'_>) -> bool {
-        sim.cp_reqs.iter().all(|r| self.req_satisfied(sim, r))
-    }
-
-    /// Shared + local DP state for one compute host.
+    /// Shared + local DP state for one compute host. Under
+    /// [`ConnectionModel::Failover`] the host's agent reaches a grouped
+    /// block only through the two nodes it is connected to.
     fn host_dp_up(&self, sim: &Simulation<'_>, host: usize) -> bool {
-        for req in &sim.dp_reqs {
-            let satisfied = if req.grouped {
-                match sim.config.connection {
-                    ConnectionModel::Analytic => self.req_satisfied(sim, req),
-                    ConnectionModel::Failover { .. } => self.connections[host]
-                        .iter()
-                        .any(|&n| self.block_up(sim, req, n)),
-                }
-            } else {
-                self.req_satisfied(sim, req)
-            };
-            if !satisfied {
-                return false;
-            }
+        let s = &sim.structure;
+        match sim.config.connection {
+            ConnectionModel::Analytic => s.host_dp_up(&self.up, host),
+            ConnectionModel::Failover { .. } => s.host_dp_up_with(&self.up, host, |q| {
+                self.connections[host]
+                    .iter()
+                    .any(|&n| q.block_up(&self.up, n))
+            }),
         }
-        // Local vRouter processes.
-        let sup_idx = sim.vprocs.iter().position(|p| p.is_supervisor);
-        for (idx, p) in sim.vprocs.iter().enumerate() {
-            if p.dp_required && !self.vproc_up[host][idx] {
-                return false;
-            }
-        }
-        if sim.config.scenario == Scenario::SupervisorRequired {
-            if let Some(sup) = sup_idx {
-                if !self.vproc_up[host][sup] {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Checks connection health and schedules rediscovery when an agent has
@@ -855,32 +435,31 @@ impl<'p> RunState<'p> {
         let ConnectionModel::Failover { rediscovery_hours } = sim.config.connection else {
             return;
         };
-        let Some(grouped) = sim.dp_reqs.iter().find(|r| r.grouped) else {
+        let Some(grouped) = sim.structure.dp().iter().find(|q| q.grouped) else {
             return;
         };
-        let node_up: Vec<bool> = (0..sim.nodes)
-            .map(|n| self.block_up(sim, grouped, n))
-            .collect();
+        let nodes = sim.structure.nodes();
+        let node_up: Vec<bool> = (0..nodes).map(|n| grouped.block_up(&self.up, n)).collect();
         for host in 0..sim.config.compute_hosts {
             if self.rediscovery_pending[host] {
                 continue;
             }
             let dead_connection = self.connections[host].iter().any(|&n| !node_up[n]);
             let replacement_exists =
-                (0..sim.nodes).any(|n| node_up[n] && !self.connections[host].contains(&n));
+                (0..nodes).any(|n| node_up[n] && !self.connections[host].contains(&n));
             if dead_connection && replacement_exists {
                 self.rediscovery_pending[host] = true;
-                self.push(sim, now + rediscovery_hours, EventKind::Rediscover(host));
+                self.push(now + rediscovery_hours, EventKind::Rediscover(host));
             }
         }
     }
 
     fn rediscover(&mut self, sim: &Simulation<'_>, host: usize) {
-        let Some(grouped) = sim.dp_reqs.iter().find(|r| r.grouped) else {
+        let Some(grouped) = sim.structure.dp().iter().find(|q| q.grouped) else {
             return;
         };
-        let node_up: Vec<usize> = (0..sim.nodes)
-            .filter(|&n| self.block_up(sim, grouped, n))
+        let node_up: Vec<usize> = (0..sim.structure.nodes())
+            .filter(|&n| grouped.block_up(&self.up, n))
             .collect();
         if node_up.is_empty() {
             return; // nothing to connect to; retry on the next state change
@@ -907,70 +486,46 @@ impl<'p> RunState<'p> {
         self.connections[host] = [new_conn[0], new_conn[1]];
     }
 
-    fn apply(&mut self, sim: &Simulation<'_>, kind: EventKind, now: f64) {
+    /// Takes `elem` down: marks it, notes the cause, then draws its repair
+    /// (hardware, through the crew pool) or restart time — unless `fixed`
+    /// sets the duration — and schedules the repair.
+    fn fail(&mut self, sim: &Simulation<'_>, elem: usize, now: f64, fixed: Option<f64>) {
+        self.up[elem] = false;
+        self.note_down();
         let cfg = &sim.config;
+        let (rates, rank) = match sim.structure.component(elem) {
+            Component::Rack => (cfg.rack, 0),
+            Component::Host => (cfg.host, 1),
+            Component::Vm => (cfg.vm, 2),
+            Component::Process(p) => {
+                let t = match fixed {
+                    Some(t) => t,
+                    None => self.restart_time(sim, p),
+                };
+                self.push(now + t, EventKind::Repair(elem));
+                return;
+            }
+        };
+        let t = match fixed {
+            Some(t) => t,
+            None => self.repair(cfg.repair_shape, rates.mttr),
+        };
+        self.schedule_hw_repair(elem, rank, t, now);
+    }
+
+    /// Brings `elem` back up: marks it, draws and schedules its next
+    /// failure, then frees its repair crew (a no-op for processes).
+    fn restore(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
+        self.up[elem] = true;
+        let t = self.exp(sim.mtbf(elem));
+        self.push(now + t, EventKind::Fail(elem));
+        self.release_crew(elem, now);
+    }
+
+    fn apply(&mut self, sim: &Simulation<'_>, kind: EventKind, now: f64) {
         match kind {
-            EventKind::RackFail(i) => {
-                self.rack_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.rack.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Rack(i));
-                self.schedule_hw_repair(sim, elem, EventKind::RackRepair(i), t, now);
-            }
-            EventKind::RackRepair(i) => {
-                self.rack_up[i] = true;
-                let t = self.exp(cfg.rack.mtbf);
-                self.push(sim, now + t, EventKind::RackFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Rack(i)), now);
-            }
-            EventKind::HostFail(i) => {
-                self.host_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.host.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Host(i));
-                self.schedule_hw_repair(sim, elem, EventKind::HostRepair(i), t, now);
-            }
-            EventKind::HostRepair(i) => {
-                self.host_up[i] = true;
-                let t = self.exp(cfg.host.mtbf);
-                self.push(sim, now + t, EventKind::HostFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Host(i)), now);
-            }
-            EventKind::VmFail(i) => {
-                self.vm_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.vm.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Vm(i));
-                self.schedule_hw_repair(sim, elem, EventKind::VmRepair(i), t, now);
-            }
-            EventKind::VmRepair(i) => {
-                self.vm_up[i] = true;
-                let t = self.exp(cfg.vm.mtbf);
-                self.push(sim, now + t, EventKind::VmFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Vm(i)), now);
-            }
-            EventKind::ProcFail(pid) => {
-                self.proc_up[pid] = false;
-                self.note_down();
-                let t = self.proc_restart_time(sim, pid);
-                self.push(sim, now + t, EventKind::ProcRepair(pid));
-            }
-            EventKind::ProcRepair(pid) => {
-                self.proc_up[pid] = true;
-                let t = self.exp(cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12));
-                self.push(sim, now + t, EventKind::ProcFail(pid));
-            }
-            EventKind::VProcFail(host, idx) => {
-                self.vproc_up[host][idx] = false;
-                self.note_down();
-                let t = self.vproc_restart_time(sim, host, idx);
-                self.push(sim, now + t, EventKind::VProcRepair(host, idx));
-            }
-            EventKind::VProcRepair(host, idx) => {
-                self.vproc_up[host][idx] = true;
-                let t = self.exp(cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12));
-                self.push(sim, now + t, EventKind::VProcFail(host, idx));
-            }
+            EventKind::Fail(elem) => self.fail(sim, elem, now, None),
+            EventKind::Repair(elem) => self.restore(sim, elem, now),
             EventKind::Rediscover(host) => {
                 self.rediscovery_pending[host] = false;
                 self.rediscover(sim, host);
@@ -978,10 +533,12 @@ impl<'p> RunState<'p> {
             EventKind::Injected(i) => self.apply_injected(sim, i, now),
             EventKind::MaintEnd(elem) => {
                 // Skip superseded window ends (overlaps merge to the
-                // latest end) and duplicates after the window closed.
+                // latest end) and duplicates after the window closed. The
+                // element holds no crew here: the window's start released
+                // or dequeued it.
                 if self.maint_until[elem] > 0.0 && now + 1e-9 >= self.maint_until[elem] {
                     self.maint_until[elem] = 0.0;
-                    self.restore_elem(sim, elem, now);
+                    self.restore(sim, elem, now);
                 }
             }
         }
@@ -991,141 +548,46 @@ impl<'p> RunState<'p> {
     /// Applies planned-injection occurrence `i` of the plan.
     fn apply_injected(&mut self, sim: &Simulation<'_>, i: usize, now: f64) {
         let ev = self.plan.events[i];
-        let cfg = &sim.config;
-        let elem = sim.elem_of_target(ev.target);
+        let elem = ev
+            .target
+            .element(&sim.structure)
+            .expect("injection target in the element table");
         match ev.action {
             InjectAction::Fail { repair_hours } => {
                 // A forced failure of an already-down element is a no-op.
-                if !self.target_up(ev.target) {
+                if !self.up[elem] {
                     return;
                 }
-                self.set_target_down(ev.target);
-                self.note_down();
-                // Cancel the pending organic failure clock; the repair we
-                // schedule below carries the new epoch.
+                // Cancel the pending organic failure clock; the repair
+                // scheduled next carries the new epoch.
                 self.epochs[elem] += 1;
-                match ev.target {
-                    InjectTarget::Rack(r) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.rack.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::RackRepair(r), t, now);
-                    }
-                    InjectTarget::Host(h) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.host.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::HostRepair(h), t, now);
-                    }
-                    InjectTarget::Vm(v) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.vm.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::VmRepair(v), t, now);
-                    }
-                    InjectTarget::Proc(pid) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.proc_restart_time(sim, pid),
-                        };
-                        self.push(sim, now + t, EventKind::ProcRepair(pid));
-                    }
-                    InjectTarget::VProc(host, idx) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.vproc_restart_time(sim, host, idx),
-                        };
-                        self.push(sim, now + t, EventKind::VProcRepair(host, idx));
-                    }
-                }
+                self.fail(sim, elem, now, repair_hours);
                 self.injected_count += 1;
             }
             InjectAction::Maintenance { duration_hours } => {
-                if self.target_up(ev.target) {
-                    self.set_target_down(ev.target);
+                if self.up[elem] {
+                    self.up[elem] = false;
                     self.note_down();
                 }
                 // Cancel whatever was pending (organic fail or an
                 // in-flight repair) — the window owns the element now.
                 self.epochs[elem] += 1;
                 if self.crew_held[elem] {
-                    self.release_crew(sim, elem, now);
+                    self.release_crew(elem, now);
                 } else {
                     self.crew_queue.retain(|q| q.elem != elem);
                 }
                 let end = (now + duration_hours).max(self.maint_until[elem]);
                 self.maint_until[elem] = end;
-                self.push(sim, end, EventKind::MaintEnd(elem));
+                self.push(end, EventKind::MaintEnd(elem));
                 self.injected_count += 1;
             }
             InjectAction::Latent => {
-                if let InjectTarget::Proc(pid) = ev.target {
-                    self.latent_armed[pid] = Some(ev.injection);
+                if let InjectTarget::Proc(_) = ev.target {
+                    self.latent_armed[elem] = Some(ev.injection);
                     self.injected_count += 1;
                 }
             }
-        }
-    }
-
-    fn target_up(&self, target: InjectTarget) -> bool {
-        match target {
-            InjectTarget::Rack(i) => self.rack_up[i],
-            InjectTarget::Host(i) => self.host_up[i],
-            InjectTarget::Vm(i) => self.vm_up[i],
-            InjectTarget::Proc(i) => self.proc_up[i],
-            InjectTarget::VProc(host, idx) => self.vproc_up[host][idx],
-        }
-    }
-
-    fn set_target_down(&mut self, target: InjectTarget) {
-        match target {
-            InjectTarget::Rack(i) => self.rack_up[i] = false,
-            InjectTarget::Host(i) => self.host_up[i] = false,
-            InjectTarget::Vm(i) => self.vm_up[i] = false,
-            InjectTarget::Proc(i) => self.proc_up[i] = false,
-            InjectTarget::VProc(host, idx) => self.vproc_up[host][idx] = false,
-        }
-    }
-
-    /// Ends a maintenance window: the element comes back repaired and its
-    /// organic failure clock restarts fresh.
-    fn restore_elem(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
-        let cfg = &sim.config;
-        let (r, h, v, p) = (
-            sim.rack_count,
-            sim.host_rack.len(),
-            sim.vm_host.len(),
-            sim.procs.len(),
-        );
-        if elem < r {
-            self.rack_up[elem] = true;
-            let t = self.exp(cfg.rack.mtbf);
-            self.push(sim, now + t, EventKind::RackFail(elem));
-        } else if elem < r + h {
-            let i = elem - r;
-            self.host_up[i] = true;
-            let t = self.exp(cfg.host.mtbf);
-            self.push(sim, now + t, EventKind::HostFail(i));
-        } else if elem < r + h + v {
-            let i = elem - r - h;
-            self.vm_up[i] = true;
-            let t = self.exp(cfg.vm.mtbf);
-            self.push(sim, now + t, EventKind::VmFail(i));
-        } else if elem < r + h + v + p {
-            let pid = elem - r - h - v;
-            self.proc_up[pid] = true;
-            let t = self.exp(cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12));
-            self.push(sim, now + t, EventKind::ProcFail(pid));
-        } else {
-            let off = elem - r - h - v - p;
-            let host = off / sim.vprocs.len();
-            let idx = off % sim.vprocs.len();
-            self.vproc_up[host][idx] = true;
-            let t = self.exp(cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12));
-            self.push(sim, now + t, EventKind::VProcFail(host, idx));
         }
     }
 
@@ -1135,47 +597,37 @@ impl<'p> RunState<'p> {
     /// discovered broken and starts a manual-time restart. Revealing may
     /// cascade, so this loops to a fixpoint.
     fn reveal_latents(&mut self, sim: &Simulation<'_>, now: f64) {
-        let counts = |state: &Self| -> Vec<usize> {
-            sim.cp_reqs
-                .iter()
-                .map(|req| {
-                    (0..sim.nodes)
-                        .filter(|&n| state.block_up(sim, req, n))
-                        .count()
-                })
-                .collect()
-        };
+        let cp = sim.structure.cp();
         loop {
-            let after: Vec<usize> = counts(self);
+            let after: Vec<usize> = cp.iter().map(|q| q.blocks_up(&self.up)).collect();
             let mut revealed = false;
-            for (ri, req) in sim.cp_reqs.iter().enumerate() {
+            for (ri, q) in cp.iter().enumerate() {
                 if after[ri] >= self.cp_req_up[ri] {
                     continue;
                 }
-                for node in 0..sim.nodes {
-                    if !self.block_up(sim, req, node) {
+                for (node, members) in q.members.iter().enumerate() {
+                    if !q.block_up(&self.up, node) {
                         continue;
                     }
-                    for &pid in &req.members[node] {
-                        let Some(inj) = self.latent_armed[pid] else {
+                    for &elem in members {
+                        let Some(inj) = self.latent_armed[elem] else {
                             continue;
                         };
-                        if !self.proc_up[pid] {
+                        if !self.up[elem] {
                             continue;
                         }
-                        self.latent_armed[pid] = None;
-                        self.proc_up[pid] = false;
-                        let elem = sim.elem_of_target(InjectTarget::Proc(pid));
+                        self.latent_armed[elem] = None;
+                        self.up[elem] = false;
                         self.epochs[elem] += 1;
                         let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
-                        self.push(sim, now + t, EventKind::ProcRepair(pid));
+                        self.push(now + t, EventKind::Repair(elem));
                         self.downs_this_event.push(Cause::Injection(inj));
                         self.revealed_count += 1;
                         revealed = true;
                     }
                 }
             }
-            self.cp_req_up = counts(self);
+            self.cp_req_up = cp.iter().map(|q| q.blocks_up(&self.up)).collect();
             if !revealed {
                 break;
             }
@@ -1192,7 +644,7 @@ impl<'p> RunState<'p> {
         let mut dp_batch = vec![0.0_f64; cfg.batches];
 
         let mut now = 0.0_f64;
-        let mut cp_state = self.cp_up(sim);
+        let mut cp_state = sim.structure.cp_up(&self.up);
         let mut dp_state: Vec<bool> = (0..cfg.compute_hosts)
             .map(|h| self.host_dp_up(sim, h))
             .collect();
@@ -1231,13 +683,10 @@ impl<'p> RunState<'p> {
 
         if self.track_latents {
             self.cp_req_up = sim
-                .cp_reqs
+                .structure
+                .cp()
                 .iter()
-                .map(|req| {
-                    (0..sim.nodes)
-                        .filter(|&n| self.block_up(sim, req, n))
-                        .count()
-                })
+                .map(|q| q.blocks_up(&self.up))
                 .collect();
         }
 
@@ -1248,7 +697,7 @@ impl<'p> RunState<'p> {
             // Drop events cancelled by an injection (stale epoch). These
             // never exist without injections, so the organic path is
             // untouched.
-            if let Some(elem) = sim.elem_of(event.kind) {
+            if let EventKind::Fail(elem) | EventKind::Repair(elem) = event.kind {
                 if event.epoch != self.epochs[elem] {
                     continue;
                 }
@@ -1274,7 +723,7 @@ impl<'p> RunState<'p> {
             if self.track_latents {
                 self.reveal_latents(sim, now);
             }
-            let cp_now = self.cp_up(sim);
+            let cp_now = sim.structure.cp_up(&self.up);
             if cp_state && !cp_now && now >= warmup {
                 cp_down_since = Some(now);
                 if self.ledger.is_some() {
@@ -1981,11 +1430,15 @@ mod tests {
         let sim = Simulation::try_new(&s, &topo, cfg).expect("valid simulation");
         // Find a Control-role process on node 2 to arm, then take node 0's
         // VM down: the quorum count drops, the failover reveals the latent.
-        let pid = (0..sim.proc_count())
+        let structure = sim.structure();
+        let pid = (0..structure.len())
             .find(|&p| {
-                sim.cp_blocks_taken_down(InjectTarget::Proc(p))
-                    .iter()
-                    .any(|&(_, node)| node == 2)
+                structure.process(p).is_some_and(|elem| {
+                    structure
+                        .cp_blocks_downed_by(elem)
+                        .iter()
+                        .any(|&(_, node)| node == 2)
+                })
             })
             .expect("a CP process on node 2");
         let plan = crate::InjectionPlan {

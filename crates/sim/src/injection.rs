@@ -13,13 +13,16 @@
 //! RNG draws, no extra heap events, no behavioral branches — the result is
 //! byte-identical to [`crate::Simulation::run`] for the same seed.
 
+use sdnav_core::Structure;
+
 /// A resolved injection target inside a prepared [`crate::Simulation`].
 ///
-/// Indices follow the simulation's own element order: racks, hosts and VMs
-/// are topology indices; `Proc` is the role-major controller-process index
-/// (resolve names with [`crate::Simulation::proc_index`]); `VProc` is a
+/// Indices follow the simulation's element table
+/// ([`crate::Simulation::structure`]): racks, hosts and VMs are topology
+/// indices; `Proc` is the role-major controller-process index (resolve
+/// names with [`Structure::process_index`]); `VProc` is a
 /// `(compute host, per-host process)` pair (see
-/// [`crate::Simulation::vproc_index`]).
+/// [`Structure::host_process_index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InjectTarget {
     /// A rack by topology index.
@@ -32,6 +35,20 @@ pub enum InjectTarget {
     Proc(usize),
     /// A vRouter process: `(compute host, per-host process index)`.
     VProc(usize, usize),
+}
+
+impl InjectTarget {
+    /// The target's element index in `structure`, if it has the target.
+    #[must_use]
+    pub fn element(self, structure: &Structure<'_>) -> Option<usize> {
+        match self {
+            InjectTarget::Rack(i) => structure.rack(i),
+            InjectTarget::Host(i) => structure.host(i),
+            InjectTarget::Vm(i) => structure.vm(i),
+            InjectTarget::Proc(pid) => structure.process(pid),
+            InjectTarget::VProc(host, idx) => structure.host_process(host, idx),
+        }
+    }
 }
 
 /// What a planned injection does when its scheduled time arrives.

@@ -24,7 +24,8 @@ pub struct ReplicatedResult {
 }
 
 /// Runs `replications` independent simulations (seeds `seed`,
-/// `seed+1`, …) in parallel threads and aggregates their means.
+/// `seed+1`, …, wrapping past `u64::MAX`) in parallel threads and
+/// aggregates their means.
 ///
 /// # Panics
 ///
@@ -53,7 +54,7 @@ pub fn replicate(
         let handles: Vec<_> = (0..replications)
             .map(|i| {
                 let sim = &sim;
-                scope.spawn(move || sim.run(seed + i as u64))
+                scope.spawn(move || sim.run(seed.wrapping_add(i as u64)))
             })
             .collect();
         for h in handles {
