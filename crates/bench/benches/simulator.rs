@@ -3,7 +3,7 @@
 //! Run with `cargo bench -p sdnav-bench --bench simulator`.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sdnav_core::{ControllerSpec, Scenario, Topology};
 use sdnav_sim::{ConnectionModel, SimConfig, Simulation};
@@ -17,24 +17,29 @@ fn busy_config(scenario: Scenario) -> SimConfig {
     c
 }
 
+/// Runs seeds `1..=iters` and returns the wall time and the events those
+/// runs processed (each seed runs a different number).
+fn time_runs(sim: &Simulation<'_>, iters: u64) -> (Duration, u64) {
+    let mut events = 0;
+    let start = Instant::now();
+    for seed in 1..=iters {
+        events += black_box(sim.run(seed)).events;
+    }
+    (start.elapsed(), events)
+}
+
 fn bench_event_throughput() {
     let spec = ControllerSpec::opencontrail_3x();
     for topo in [Topology::small(&spec), Topology::large(&spec)] {
         let sim =
             Simulation::try_new(&spec, &topo, busy_config(Scenario::SupervisorRequired)).unwrap();
         let name = topo.name().to_lowercase();
-        // Report per-event cost (event counts are seed-deterministic).
-        let events = sim.run(1).events;
         let iters = 20u64;
-        let start = Instant::now();
-        for seed in 1..=iters {
-            black_box(sim.run(seed));
-        }
-        let elapsed = start.elapsed();
-        let per_event = elapsed.as_nanos() as f64 / (events * iters) as f64;
+        let (elapsed, events) = time_runs(&sim, iters);
+        let per_event = elapsed.as_nanos() as f64 / events as f64;
         println!(
             "simulator/run_5000h/{name:<8} {per_event:>8.1} ns/event  \
-             ({events} events/run, {iters} runs, total {elapsed:.2?})"
+             ({events} events over {iters} runs, total {elapsed:.2?})"
         );
     }
 }
@@ -48,12 +53,13 @@ fn bench_failover_model() {
     };
     let sim = Simulation::try_new(&spec, &topo, cfg).unwrap();
     let iters = 20u64;
-    let start = Instant::now();
-    for seed in 1..=iters {
-        black_box(sim.run(seed));
-    }
-    let per_run = start.elapsed() / iters as u32;
-    println!("simulator/failover_connection_model {per_run:>10.2?}/run ({iters} runs)");
+    let (elapsed, events) = time_runs(&sim, iters);
+    let per_run = elapsed / iters as u32;
+    let per_event = elapsed.as_nanos() as f64 / events as f64;
+    println!(
+        "simulator/failover_connection_model {per_run:>10.2?}/run {per_event:>8.1} ns/event  \
+         ({events} events over {iters} runs)"
+    );
 }
 
 fn main() {

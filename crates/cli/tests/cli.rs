@@ -967,6 +967,39 @@ fn simulate_smoke() {
     assert!(stdout.contains("analytic"));
 }
 
+#[test]
+fn simulate_finishes_when_a_batch_boundary_rounds_down() {
+    // At this horizon a batch end, recomputed from a time that sits on it,
+    // floors back into the batch ending there; the batch split used to
+    // spin forever on every seed. A hang fails here instead of stalling.
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sdnav"))
+        .args([
+            "simulate",
+            "--horizon",
+            "8371",
+            "--replications",
+            "1",
+            "--accelerate",
+            "200",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill the stuck child");
+            child.wait().expect("reap the stuck child");
+            panic!("simulate --horizon 8371 did not finish in 120 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("CP  simulated"));
+}
+
 /// `sdnav serve` boots, answers over HTTP byte-identically to the
 /// one-shot sweep path, and SIGTERM drains it to a clean exit 0.
 #[cfg(unix)]

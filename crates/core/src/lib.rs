@@ -31,7 +31,8 @@
 //!   and separate control-plane (CP) and per-host data-plane (DP)
 //!   availabilities;
 //! * [`Structure`] — the element table and the boolean CP/DP structure
-//!   function that both the FMEA and the discrete-event simulator evaluate;
+//!   function that both the FMEA and the discrete-event simulator evaluate,
+//!   as incremental tallies in an [`UpState`];
 //! * [`paper`] — direct transcriptions of the paper's closed-form equations
 //!   for cross-validation against the general evaluator;
 //! * [`approx`] — the paper's conclusions-section approximations;
@@ -86,7 +87,7 @@ pub use spec::{
     RoleScope, RoleSpec, SpecError,
 };
 pub use state::{ModelState, PatchEffect};
-pub use structure::{Component, ProcessElement, Quorum, Structure};
+pub use structure::{Component, ProcessElement, Quorum, Structure, UpState};
 pub use sw::{Scenario, SwModel};
 pub use topology::{HostId, RackId, Topology, TopologyError, VmId};
 pub use units::{Quantity, RatePair, SpecRates, Unit, FIT_SCALE};

@@ -102,8 +102,7 @@ pub fn enumerate_filtered(
         .iter()
         .map(|&i| deployment.unavailability(&elements[i]))
         .collect();
-    let structure = deployment.structure();
-    let mut up = vec![true; structure.len()];
+    let mut up = deployment.structure().up_state();
     let n = picked.len();
     let mut cp_cuts: Vec<Vec<usize>> = Vec::new();
     let mut dp_cuts: Vec<Vec<usize>> = Vec::new();
@@ -120,12 +119,12 @@ pub fn enumerate_filtered(
                 .any(|cut| cut.iter().all(|i| indices.contains(i)));
             if !(cp_superset && dp_superset) {
                 for &i in &indices {
-                    up[picked[i]] = false;
+                    up.set(picked[i], false);
                 }
-                let cp_down = !cp_superset && !structure.cp_up(&up);
-                let dp_down = !dp_superset && !structure.host_dp_up(&up, 0);
+                let cp_down = !cp_superset && !up.cp_up();
+                let dp_down = !dp_superset && !up.host_dp_up(0);
                 for &i in &indices {
-                    up[picked[i]] = true;
+                    up.set(picked[i], true);
                 }
                 if cp_down {
                     cp_cuts.push(indices.clone());

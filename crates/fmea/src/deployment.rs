@@ -4,7 +4,7 @@ use std::fmt;
 
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 
-use sdnav_core::{ControllerSpec, Scenario, Structure, SwParams, Topology};
+use sdnav_core::{ControllerSpec, Scenario, Structure, SwParams, Topology, UpState};
 
 /// A failable element of a deployment.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -336,12 +336,12 @@ impl<'a> Deployment<'a> {
         }
     }
 
-    /// The up-vector with every known element of `failed` down; unknown
+    /// The up-state with every known element of `failed` down; unknown
     /// elements are ignored.
-    fn up_vector(&self, failed: &[Element]) -> Vec<bool> {
-        let mut up = vec![true; self.structure.len()];
+    fn up_state(&self, failed: &[Element]) -> UpState<'_> {
+        let mut up = self.structure.up_state();
         for i in failed.iter().filter_map(|e| self.index(e)) {
-            up[i] = false;
+            up.set(i, false);
         }
         up
     }
@@ -349,7 +349,7 @@ impl<'a> Deployment<'a> {
     /// Is the SDN control plane up under `failed`?
     #[must_use]
     pub fn cp_up(&self, failed: &[Element]) -> bool {
-        self.structure.cp_up(&self.up_vector(failed))
+        self.up_state(failed).cp_up()
     }
 
     /// Is the reference compute host's data plane up under `failed`?
@@ -359,7 +359,7 @@ impl<'a> Deployment<'a> {
     /// supervisor-required scenario).
     #[must_use]
     pub fn host_dp_up(&self, failed: &[Element]) -> bool {
-        self.structure.host_dp_up(&self.up_vector(failed), 0)
+        self.up_state(failed).host_dp_up(0)
     }
 }
 
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn elements_are_listed_in_structure_index_order() {
-        // `enumerate_filtered` flips `up[i]` for the i-th element.
+        // `enumerate_filtered` flips element `i` for the i-th element.
         let s = spec();
         for topo in Topology::paper(&s) {
             let d = deployment(&s, &topo, Scenario::SupervisorRequired);

@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use sdnav_core::des::EventQueue;
 use sdnav_core::{
-    Component, ControllerSpec, ProcessElement, RestartMode, Scenario, Structure, Topology,
+    Component, ControllerSpec, ProcessElement, RestartMode, Scenario, Structure, Topology, UpState,
 };
 
 use crate::injection::{
@@ -201,8 +201,8 @@ struct RunState<'p> {
     /// Pending events, each tagged with its target element's epoch when
     /// it was scheduled ([`EPOCH_ANY`] for untargeted events).
     queue: EventQueue<EventKind>,
-    /// Up-state per [`Structure`] element.
-    up: Vec<bool>,
+    /// Up-state per [`Structure`] element, with the CP/DP tallies.
+    up: UpState<'p>,
     /// Connected control-role node indices per compute host.
     connections: Vec<[usize; 2]>,
     rediscovery_pending: Vec<bool>,
@@ -227,6 +227,8 @@ struct RunState<'p> {
     track_latents: bool,
     /// Up-block count per CP requirement after the previous event.
     cp_req_up: Vec<usize>,
+    /// Whether each CP requirement lost a block during the current event.
+    cp_req_dropped: Vec<bool>,
     /// Causes that took an element down during the current event.
     downs_this_event: Vec<Cause>,
     /// Cause of the event currently being applied.
@@ -244,14 +246,14 @@ struct RunState<'p> {
 }
 
 impl<'p> RunState<'p> {
-    fn new(sim: &Simulation<'_>, seed: u64, plan: &'p InjectionPlan, record: bool) -> Self {
+    fn new(sim: &'p Simulation<'_>, seed: u64, plan: &'p InjectionPlan, record: bool) -> Self {
         let cfg = &sim.config;
         let elements = sim.structure.len();
         let nodes = sim.structure.nodes();
         let mut state = RunState {
             rng: SmallRng::seed_from_u64(seed),
             queue: EventQueue::default(),
-            up: vec![true; elements],
+            up: sim.structure.up_state(),
             connections: (0..cfg.compute_hosts)
                 .map(|i| [i % nodes, (i + 1) % nodes])
                 .collect(),
@@ -270,6 +272,7 @@ impl<'p> RunState<'p> {
                 .iter()
                 .any(|e| matches!(e.action, InjectAction::Latent)),
             cp_req_up: vec![0; sim.structure.cp().len()],
+            cp_req_dropped: vec![false; sim.structure.cp().len()],
             downs_this_event: Vec::new(),
             event_cause: Cause::Organic,
             dp_down_cause: vec![Cause::Organic; cfg.compute_hosts],
@@ -402,7 +405,7 @@ impl<'p> RunState<'p> {
         } else if p.restart == RestartMode::Manual {
             cfg.manual_restart
         } else if cfg.restart_model == crate::RestartModel::Faithful
-            && p.supervisor.is_some_and(|sup| !self.up[sup])
+            && p.supervisor.is_some_and(|sup| !self.up.is_up(sup))
         {
             // Auto-restarted only while the supervisor is up under the
             // faithful §III semantics; the analytic-independence model
@@ -418,13 +421,12 @@ impl<'p> RunState<'p> {
     /// [`ConnectionModel::Failover`] the host's agent reaches a grouped
     /// block only through the two nodes it is connected to.
     fn host_dp_up(&self, sim: &Simulation<'_>, host: usize) -> bool {
-        let s = &sim.structure;
         match sim.config.connection {
-            ConnectionModel::Analytic => s.host_dp_up(&self.up, host),
-            ConnectionModel::Failover { .. } => s.host_dp_up_with(&self.up, host, |q| {
+            ConnectionModel::Analytic => self.up.host_dp_up(host),
+            ConnectionModel::Failover { .. } => self.up.host_dp_up_with(host, |q| {
                 self.connections[host]
                     .iter()
-                    .any(|&n| q.block_up(&self.up, n))
+                    .any(|&n| self.up.block_up(q, n))
             }),
         }
     }
@@ -439,14 +441,14 @@ impl<'p> RunState<'p> {
             return;
         };
         let nodes = sim.structure.nodes();
-        let node_up: Vec<bool> = (0..nodes).map(|n| grouped.block_up(&self.up, n)).collect();
         for host in 0..sim.config.compute_hosts {
             if self.rediscovery_pending[host] {
                 continue;
             }
-            let dead_connection = self.connections[host].iter().any(|&n| !node_up[n]);
+            let connected = self.connections[host];
+            let dead_connection = connected.iter().any(|&n| !self.up.block_up(grouped, n));
             let replacement_exists =
-                (0..nodes).any(|n| node_up[n] && !self.connections[host].contains(&n));
+                (0..nodes).any(|n| self.up.block_up(grouped, n) && !connected.contains(&n));
             if dead_connection && replacement_exists {
                 self.rediscovery_pending[host] = true;
                 self.push(now + rediscovery_hours, EventKind::Rediscover(host));
@@ -458,39 +460,32 @@ impl<'p> RunState<'p> {
         let Some(grouped) = sim.structure.dp().iter().find(|q| q.grouped) else {
             return;
         };
-        let node_up: Vec<usize> = (0..sim.structure.nodes())
-            .filter(|&n| grouped.block_up(&self.up, n))
-            .collect();
-        if node_up.is_empty() {
+        let live = |n: usize| self.up.block_up(grouped, n);
+        let nodes = sim.structure.nodes();
+        if !(0..nodes).any(live) {
             return; // nothing to connect to; retry on the next state change
         }
-        // Keep live current connections, fill the rest from live nodes.
-        let current = self.connections[host];
-        let mut new_conn = Vec::with_capacity(2);
-        for &c in &current {
-            if node_up.contains(&c) && !new_conn.contains(&c) {
-                new_conn.push(c);
+        // Keep live current connections, fill the rest from live nodes in
+        // index order.
+        let mut new_conn = [0; 2];
+        let mut len = 0;
+        for n in self.connections[host].into_iter().chain(0..nodes) {
+            if len < 2 && live(n) && !new_conn[..len].contains(&n) {
+                new_conn[len] = n;
+                len += 1;
             }
         }
-        for &n in &node_up {
-            if new_conn.len() >= 2 {
-                break;
-            }
-            if !new_conn.contains(&n) {
-                new_conn.push(n);
-            }
+        if len < 2 {
+            new_conn[1] = new_conn[0]; // degenerate single-node cluster state
         }
-        while new_conn.len() < 2 {
-            new_conn.push(new_conn[0]); // degenerate single-node cluster state
-        }
-        self.connections[host] = [new_conn[0], new_conn[1]];
+        self.connections[host] = new_conn;
     }
 
     /// Takes `elem` down: marks it, notes the cause, then draws its repair
     /// (hardware, through the crew pool) or restart time — unless `fixed`
     /// sets the duration — and schedules the repair.
     fn fail(&mut self, sim: &Simulation<'_>, elem: usize, now: f64, fixed: Option<f64>) {
-        self.up[elem] = false;
+        self.up.set(elem, false);
         self.note_down();
         let cfg = &sim.config;
         let (rates, rank) = match sim.structure.component(elem) {
@@ -516,7 +511,7 @@ impl<'p> RunState<'p> {
     /// Brings `elem` back up: marks it, draws and schedules its next
     /// failure, then frees its repair crew (a no-op for processes).
     fn restore(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
-        self.up[elem] = true;
+        self.up.set(elem, true);
         let t = self.exp(sim.mtbf(elem));
         self.push(now + t, EventKind::Fail(elem));
         self.release_crew(elem, now);
@@ -555,7 +550,7 @@ impl<'p> RunState<'p> {
         match ev.action {
             InjectAction::Fail { repair_hours } => {
                 // A forced failure of an already-down element is a no-op.
-                if !self.up[elem] {
+                if !self.up.is_up(elem) {
                     return;
                 }
                 // Cancel the pending organic failure clock; the repair
@@ -565,8 +560,8 @@ impl<'p> RunState<'p> {
                 self.injected_count += 1;
             }
             InjectAction::Maintenance { duration_hours } => {
-                if self.up[elem] {
-                    self.up[elem] = false;
+                if self.up.is_up(elem) {
+                    self.up.set(elem, false);
                     self.note_down();
                 }
                 // Cancel whatever was pending (organic fail or an
@@ -594,57 +589,52 @@ impl<'p> RunState<'p> {
     /// Reveals armed latent faults after a failover: whenever a CP
     /// requirement's up-block count decreased this event, every armed
     /// latent process in a still-up block of that requirement is
-    /// discovered broken and starts a manual-time restart. Revealing may
-    /// cascade, so this loops to a fixpoint.
+    /// discovered broken and starts a manual-time restart. Which
+    /// requirements decreased is read once, before any reveal, so a
+    /// decrease a reveal itself causes reveals nothing further.
     fn reveal_latents(&mut self, sim: &Simulation<'_>, now: f64) {
         let cp = sim.structure.cp();
-        loop {
-            let after: Vec<usize> = cp.iter().map(|q| q.blocks_up(&self.up)).collect();
-            let mut revealed = false;
-            for (ri, q) in cp.iter().enumerate() {
-                if after[ri] >= self.cp_req_up[ri] {
+        for (ri, q) in cp.iter().enumerate() {
+            self.cp_req_dropped[ri] = self.up.blocks_up(q) < self.cp_req_up[ri];
+        }
+        for (ri, q) in cp.iter().enumerate() {
+            if !self.cp_req_dropped[ri] {
+                continue;
+            }
+            for (node, members) in q.members.iter().enumerate() {
+                if !self.up.block_up(q, node) {
                     continue;
                 }
-                for (node, members) in q.members.iter().enumerate() {
-                    if !q.block_up(&self.up, node) {
+                for &elem in members {
+                    let Some(inj) = self.latent_armed[elem] else {
+                        continue;
+                    };
+                    if !self.up.is_up(elem) {
                         continue;
                     }
-                    for &elem in members {
-                        let Some(inj) = self.latent_armed[elem] else {
-                            continue;
-                        };
-                        if !self.up[elem] {
-                            continue;
-                        }
-                        self.latent_armed[elem] = None;
-                        self.up[elem] = false;
-                        self.epochs[elem] += 1;
-                        let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
-                        self.push(now + t, EventKind::Repair(elem));
-                        self.downs_this_event.push(Cause::Injection(inj));
-                        self.revealed_count += 1;
-                        revealed = true;
-                    }
+                    self.latent_armed[elem] = None;
+                    self.up.set(elem, false);
+                    self.epochs[elem] += 1;
+                    let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
+                    self.push(now + t, EventKind::Repair(elem));
+                    self.downs_this_event.push(Cause::Injection(inj));
+                    self.revealed_count += 1;
                 }
             }
-            self.cp_req_up = cp.iter().map(|q| q.blocks_up(&self.up)).collect();
-            if !revealed {
-                break;
-            }
+        }
+        for (ri, q) in cp.iter().enumerate() {
+            self.cp_req_up[ri] = self.up.blocks_up(q);
         }
     }
 
     fn execute(&mut self, sim: &Simulation<'_>) -> SimResult {
         let cfg = &sim.config;
         let horizon = cfg.horizon_hours;
-        let warmup = horizon * cfg.warmup_fraction;
-        let measured = horizon - warmup;
-        let batch_len = measured / cfg.batches as f64;
-        let mut cp_batch = vec![0.0_f64; cfg.batches];
-        let mut dp_batch = vec![0.0_f64; cfg.batches];
+        let mut batches = Batches::new(cfg);
+        let warmup = batches.warmup;
 
         let mut now = 0.0_f64;
-        let mut cp_state = sim.structure.cp_up(&self.up);
+        let mut cp_state = self.up.cp_up();
         let mut dp_state: Vec<bool> = (0..cfg.compute_hosts)
             .map(|h| self.host_dp_up(sim, h))
             .collect();
@@ -654,40 +644,10 @@ impl<'p> RunState<'p> {
         let mut cp_down_since: Option<f64> = None;
         let mut cp_outage_durations: Vec<f64> = Vec::new();
 
-        // Accumulates up-time between `from` and `to` into the batches.
-        let hosts = cfg.compute_hosts as f64;
-        let accumulate = |cp_batch: &mut [f64],
-                          dp_batch: &mut [f64],
-                          from: f64,
-                          to: f64,
-                          cp: bool,
-                          dp_up_count: f64| {
-            let lo = from.max(warmup);
-            let hi = to.min(horizon);
-            if hi <= lo {
-                return;
-            }
-            // Split across batch boundaries.
-            let mut t = lo;
-            while t < hi {
-                let b = (((t - warmup) / batch_len) as usize).min(cp_batch.len() - 1);
-                let batch_end = warmup + (b + 1) as f64 * batch_len;
-                let seg = hi.min(batch_end) - t;
-                if cp {
-                    cp_batch[b] += seg;
-                }
-                dp_batch[b] += seg * dp_up_count / hosts;
-                t += seg;
-            }
-        };
-
         if self.track_latents {
-            self.cp_req_up = sim
-                .structure
-                .cp()
-                .iter()
-                .map(|q| q.blocks_up(&self.up))
-                .collect();
+            for (ri, q) in sim.structure.cp().iter().enumerate() {
+                self.cp_req_up[ri] = self.up.blocks_up(q);
+            }
         }
 
         while let Some(event) = self.queue.pop() {
@@ -702,15 +662,7 @@ impl<'p> RunState<'p> {
                     continue;
                 }
             }
-            let dp_up_count = dp_state.iter().filter(|&&u| u).count() as f64;
-            accumulate(
-                &mut cp_batch,
-                &mut dp_batch,
-                now,
-                event.time,
-                cp_state,
-                dp_up_count,
-            );
+            batches.add(now, event.time, cp_state, &dp_state);
             self.accumulate_dp_ledger(now, event.time, &dp_state, warmup, horizon);
             now = event.time;
             self.events += 1;
@@ -723,7 +675,7 @@ impl<'p> RunState<'p> {
             if self.track_latents {
                 self.reveal_latents(sim, now);
             }
-            let cp_now = sim.structure.cp_up(&self.up);
+            let cp_now = self.up.cp_up();
             if cp_state && !cp_now && now >= warmup {
                 cp_down_since = Some(now);
                 if self.ledger.is_some() {
@@ -790,15 +742,7 @@ impl<'p> RunState<'p> {
             }
         }
         // Tail to the horizon.
-        let dp_up_count = dp_state.iter().filter(|&&u| u).count() as f64;
-        accumulate(
-            &mut cp_batch,
-            &mut dp_batch,
-            now,
-            horizon,
-            cp_state,
-            dp_up_count,
-        );
+        batches.add(now, horizon, cp_state, &dp_state);
         self.accumulate_dp_ledger(now, horizon, &dp_state, warmup, horizon);
         // DP windows still open at the horizon close there, truncated —
         // mirroring the host-hours accumulation above.
@@ -828,10 +772,9 @@ impl<'p> RunState<'p> {
         }
         cp_outage_durations.sort_by(f64::total_cmp);
 
-        let cp_fracs: Vec<f64> = cp_batch.iter().map(|&t| t / batch_len).collect();
-        let dp_fracs: Vec<f64> = dp_batch.iter().map(|&t| t / batch_len).collect();
-        let cp_estimate = Estimate::from_samples(&cp_fracs);
-        let dp_estimate = Estimate::from_samples(&dp_fracs);
+        let measured = horizon - warmup;
+        let cp_estimate = Estimate::from_samples(&batches.fractions(&batches.cp));
+        let dp_estimate = Estimate::from_samples(&batches.fractions(&batches.dp));
         SimResult {
             cp_availability: cp_estimate.mean,
             cp_estimate,
@@ -917,10 +860,120 @@ impl<'p> RunState<'p> {
     }
 }
 
+/// CP and DP up-time per batch of the measured window `[warmup, horizon]`,
+/// for the batch-means estimates.
+struct Batches {
+    warmup: f64,
+    horizon: f64,
+    len: f64,
+    /// Compute hosts the DP up-time is averaged over.
+    hosts: f64,
+    cp: Vec<f64>,
+    dp: Vec<f64>,
+}
+
+impl Batches {
+    fn new(cfg: &SimConfig) -> Self {
+        let warmup = cfg.horizon_hours * cfg.warmup_fraction;
+        Batches {
+            warmup,
+            horizon: cfg.horizon_hours,
+            len: (cfg.horizon_hours - warmup) / cfg.batches as f64,
+            hosts: cfg.compute_hosts as f64,
+            cp: vec![0.0; cfg.batches],
+            dp: vec![0.0; cfg.batches],
+        }
+    }
+
+    /// Where batch `b` ends.
+    fn end(&self, b: usize) -> f64 {
+        self.warmup + (b + 1) as f64 * self.len
+    }
+
+    /// Adds the up-time between `from` and `to`, clipped to the measured
+    /// window and split across batch boundaries.
+    fn add(&mut self, from: f64, to: f64, cp: bool, dp_state: &[bool]) {
+        let lo = from.max(self.warmup);
+        let hi = to.min(self.horizon);
+        if hi <= lo {
+            return;
+        }
+        let dp_up_count = dp_state.iter().filter(|&&u| u).count() as f64;
+        let last = self.cp.len() - 1;
+        let mut t = lo;
+        while t < hi {
+            let mut b = (((t - self.warmup) / self.len) as usize).min(last);
+            // Rounding can floor a `t` that sits on a boundary into the
+            // batch ending there; that batch has no time left.
+            if b < last && self.end(b) <= t {
+                b += 1;
+            }
+            // The last batch runs to the horizon even where its computed
+            // end rounds short of it.
+            let end = if b == last { hi } else { hi.min(self.end(b)) };
+            let seg = end - t;
+            if cp {
+                self.cp[b] += seg;
+            }
+            self.dp[b] += seg * dp_up_count / self.hosts;
+            t += seg;
+        }
+    }
+
+    /// Each batch's up-time as a fraction of the batch length.
+    fn fractions(&self, time: &[f64]) -> Vec<f64> {
+        time.iter().map(|&t| t / self.len).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdnav_core::SwModel;
+
+    #[test]
+    fn batch_boundaries_that_round_down_still_advance() {
+        // At these horizons some batch end, recomputed from a time that
+        // sits on it, floors back into the batch ending there, and the
+        // split used to spin forever.
+        let s = spec();
+        let topo = Topology::small(&s);
+        for warmup_fraction in [0.05, 0.1] {
+            let mut cfg =
+                SimConfig::paper_defaults(Scenario::SupervisorNotRequired).accelerated(200.0);
+            cfg.horizon_hours = 8_371.0;
+            cfg.warmup_fraction = warmup_fraction;
+            cfg.batches = 20;
+            cfg.compute_hosts = 2;
+            // Segments ending exactly on every computed boundary, and the
+            // whole window in one piece; one of two hosts is DP-up.
+            let mut stepped = Batches::new(&cfg);
+            let mut from = 0.0;
+            for b in 0..cfg.batches {
+                let to = stepped.end(b);
+                stepped.add(from, to, true, &[true, false]);
+                from = to;
+            }
+            stepped.add(from, cfg.horizon_hours, true, &[true, false]);
+            let mut whole = Batches::new(&cfg);
+            whole.add(0.0, cfg.horizon_hours, true, &[true, false]);
+            for batches in [&stepped, &whole] {
+                for cp in batches.fractions(&batches.cp) {
+                    assert!((cp - 1.0).abs() < 1e-9, "cp fraction {cp}");
+                }
+                for dp in batches.fractions(&batches.dp) {
+                    assert!((dp - 0.5).abs() < 1e-9, "dp fraction {dp}");
+                }
+            }
+            let r = Simulation::try_new(&s, &topo, cfg)
+                .expect("valid simulation")
+                .run(1);
+            assert!(r.events > 100);
+            for fraction in [r.cp_availability, r.dp_availability] {
+                assert!((0.0..=1.0).contains(&fraction), "{fraction}");
+            }
+        }
+    }
 
     fn spec() -> ControllerSpec {
         ControllerSpec::opencontrail_3x()
