@@ -22,33 +22,40 @@
 //! can never change a result byte.
 //!
 //! Errors are structured `sdnav-serve-error/v1` documents; the HTTP status
-//! comes from the same [`ErrorKind`] table the CLI maps onto exit codes.
+//! comes from the same [`ErrorKind`](sdnav_core::ErrorKind) table the CLI
+//! maps onto exit codes. A request whose handler panics answers 500 with
+//! an `analysis` error document, and the service keeps serving.
 //!
 //! The server is deliberately minimal: one request per connection
-//! (`Connection: close`), a thread per connection, and a poll-based accept
-//! loop that watches an externally owned shutdown flag — once the flag is
-//! set it stops accepting, drains in-flight requests to completion, and
-//! returns.
+//! (`Connection: close`), a thread per connection, and an accept loop that
+//! blocks in `accept`. A watcher thread polls an externally owned shutdown
+//! flag; once the flag is set it wakes the loop with a connection to the
+//! listener's own address, and the loop stops accepting, drains in-flight
+//! requests to completion, and returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::{Deref, DerefMut};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use sdnav_chaos::GenerateConfig;
-use sdnav_core::{ControllerSpec, ErrorKind, ModelState, Scenario, SdnavError, Topology};
+use sdnav_core::{ControllerSpec, ModelState, Scenario, SdnavError, Topology};
 use sdnav_fmea::Deployment;
 use sdnav_grid::{evaluate_incremental, EvalGraph, GridSpec};
 use sdnav_json::{schema, Envelope, Json, JsonError, ToJson};
 
-/// How long the accept loop sleeps between polls of the listener and the
-/// shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often the shutdown watcher reads the flag, and how long the accept
+/// loop backs off after a failed `accept` (e.g. `EMFILE`) so it cannot
+/// spin. Neither is on the path of a request.
+const POLL: Duration = Duration::from_millis(25);
 
 /// Per-connection socket read timeout.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -125,12 +132,85 @@ impl ServeConfigBuilder {
 #[derive(Debug)]
 struct ServiceState {
     /// The evaluator state; the mutex also serializes evaluations so the
-    /// per-run metrics deltas on the shared graph stay attributable.
+    /// per-run metrics deltas on the shared graph stay attributable. Take
+    /// it only through [`ServiceState::lock_model`].
     model: Mutex<ModelState>,
+    /// When the current holder took `model`, in µs since `started`; 0
+    /// while the lock is free.
+    model_locked_at: AtomicU64,
+    started: Instant,
     graph: EvalGraph,
     requests: AtomicU64,
     evals: AtomicU64,
     patches: AtomicU64,
+}
+
+impl ServiceState {
+    fn new(spec: ControllerSpec) -> ServiceState {
+        ServiceState {
+            model: Mutex::new(ModelState::paper(spec)),
+            model_locked_at: AtomicU64::new(0),
+            started: Instant::now(), // detlint::allow(DL002): times the model lock for /v1/metrics, never a result
+            graph: EvalGraph::new(),
+            requests: AtomicU64::new(0),
+            evals: AtomicU64::new(0),
+            patches: AtomicU64::new(0),
+        }
+    }
+
+    /// Takes the model lock and stamps when, so `/v1/metrics` can show an
+    /// evaluation that never lets go of it. A lock poisoned by a panicking
+    /// handler is recovered: [`ModelState::patch`] validates a clone
+    /// before swapping it in, so a panic never leaves a half-made edit.
+    fn lock_model(&self) -> ModelGuard<'_> {
+        let model = self.model.lock().unwrap_or_else(PoisonError::into_inner);
+        // At least 1, because 0 means free.
+        let now = self.micros().max(1);
+        self.model_locked_at.store(now, Ordering::Relaxed);
+        ModelGuard {
+            model,
+            locked_at: &self.model_locked_at,
+        }
+    }
+
+    /// How long the current holder has held the model lock; 0 when free.
+    fn model_lock_held_ms(&self) -> u64 {
+        match self.model_locked_at.load(Ordering::Relaxed) {
+            0 => 0,
+            at => self.micros().saturating_sub(at) / 1000,
+        }
+    }
+
+    fn micros(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+}
+
+/// The held model lock. Dropping it clears the lock stamp before the
+/// mutex unlocks, so the next holder's stamp is never overwritten.
+struct ModelGuard<'a> {
+    model: MutexGuard<'a, ModelState>,
+    locked_at: &'a AtomicU64,
+}
+
+impl Deref for ModelGuard<'_> {
+    type Target = ModelState;
+
+    fn deref(&self) -> &ModelState {
+        &self.model
+    }
+}
+
+impl DerefMut for ModelGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ModelState {
+        &mut self.model
+    }
+}
+
+impl Drop for ModelGuard<'_> {
+    fn drop(&mut self) {
+        self.locked_at.store(0, Ordering::Relaxed);
+    }
 }
 
 /// A bound, not-yet-running evaluator service.
@@ -153,13 +233,7 @@ impl Server {
             .map_err(|e| SdnavError::io(format!("cannot bind {}: {e}", config.addr())))?;
         Ok(Server {
             listener,
-            state: ServiceState {
-                model: Mutex::new(ModelState::paper(config.spec)),
-                graph: EvalGraph::new(),
-                requests: AtomicU64::new(0),
-                evals: AtomicU64::new(0),
-                patches: AtomicU64::new(0),
-            },
+            state: ServiceState::new(config.spec),
         })
     }
 
@@ -175,39 +249,66 @@ impl Server {
             .map_err(|e| SdnavError::io(format!("cannot read bound address: {e}")))
     }
 
-    /// Serves until `shutdown` is set: accepts connections, one handler
-    /// thread each, then drains in-flight requests to completion before
-    /// returning. In-flight responses are always written in full — the
-    /// flag only stops *new* work.
+    /// Serves until `shutdown` is set: blocks in `accept`, runs one handler
+    /// thread per connection, then drains in-flight requests to completion
+    /// before returning. In-flight responses are always written in full —
+    /// the flag only stops *new* work.
+    ///
+    /// A watcher thread reads the flag every 25 ms. Once it is set, the
+    /// watcher connects to the listener's own address (loopback when bound
+    /// to an unspecified address) to wake the blocked `accept`; the loop
+    /// drops that connection unanswered and stops.
     ///
     /// # Errors
     ///
-    /// Returns an `Io`-kind [`SdnavError`] when the listener cannot be
-    /// polled.
+    /// Returns an `Io`-kind [`SdnavError`] when the listener cannot report
+    /// the address the watcher wakes it on.
     pub fn run(&self, shutdown: &AtomicBool) -> Result<(), SdnavError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| SdnavError::io(format!("cannot poll listener: {e}")))?;
+        let wake = loopback(self.local_addr()?);
         std::thread::scope(|scope| {
-            let mut in_flight = Vec::new();
+            // The watcher stops once `accepting` drops: after the loop, or
+            // while a panic unwinds it.
+            let (accepting, accept_loop) = mpsc::channel::<()>();
+            scope.spawn(move || wake_on_shutdown(shutdown, &accept_loop, wake));
             while !shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
+                    // The watcher's wake-up, or a client that raced it.
+                    Ok(_) if shutdown.load(Ordering::SeqCst) => break,
                     Ok((stream, _)) => {
                         let state = &self.state;
-                        in_flight.push(scope.spawn(move || handle_connection(stream, state)));
+                        scope.spawn(move || handle_connection(stream, state));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    // Transient accept failure (e.g. aborted handshake):
-                    // keep serving.
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(POLL),
                 }
-                in_flight.retain(|handle| !handle.is_finished());
             }
-            // Drain: the scope joins remaining handlers on exit.
+            drop(accepting);
+            // Drain: the scope joins the watcher and every handler on exit.
         });
         Ok(())
+    }
+}
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `::`) replaced by the
+/// loopback address of the same family, so the server can connect to it.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Wakes the blocked accept loop once `shutdown` is set, by connecting to
+/// `addr` once per poll until the loop drops the sending end of
+/// `accept_loop`. A connect that fails (say, on a full backlog) is simply
+/// tried again.
+fn wake_on_shutdown(shutdown: &AtomicBool, accept_loop: &Receiver<()>, addr: SocketAddr) {
+    while let Err(RecvTimeoutError::Timeout) = accept_loop.recv_timeout(POLL) {
+        if shutdown.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&addr, POLL);
+        }
     }
 }
 
@@ -222,12 +323,26 @@ struct Request {
 fn handle_connection(mut stream: TcpStream, state: &ServiceState) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let outcome = read_request(&mut stream).and_then(|req| route(state, &req));
-    let (status, body) = match outcome {
+    let (status, body) = respond(|| read_request(&mut stream).and_then(|req| route(state, &req)));
+    let _ = write_response(&mut stream, status, &body);
+}
+
+/// Runs one request's work and returns its status and body: an error
+/// becomes its error document, and a panic a 500 `analysis` one, so a
+/// handler bug costs one request rather than the service.
+fn respond(work: impl FnOnce() -> Result<(u16, String), SdnavError>) -> (u16, String) {
+    // Unwind safety: the only state a handler shares is the model mutex,
+    // whose poisoning `lock_model` recovers from, plus the graph and
+    // counters, which a panic cannot leave half-updated.
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        Err(SdnavError::analysis(
+            "request handler panicked; the server's stderr has the message",
+        ))
+    });
+    match outcome {
         Ok(ok) => ok,
         Err(e) => (e.http_status(), error_body(&e)),
-    };
-    let _ = write_response(&mut stream, status, &body);
+    }
 }
 
 fn find_blank_line(buf: &[u8]) -> Option<usize> {
@@ -355,7 +470,7 @@ fn eval(state: &ServiceState, body: &str) -> Result<(u16, String), SdnavError> {
     // Hold the model lock across the evaluation: a concurrent PATCH must
     // not swap fingerprints mid-run, and serialized runs keep the graph's
     // hit/miss deltas attributable to one request at a time.
-    let model = state.model.lock().expect("model state");
+    let model = state.lock_model();
     let outcome = evaluate_incremental(&model, &grid, &state.graph)?;
     state.evals.fetch_add(1, Ordering::Relaxed);
     Ok((
@@ -406,7 +521,7 @@ fn chaos_generate(state: &ServiceState, body: &str) -> Result<(u16, String), Sdn
     })?;
     let topology_name = field(&doc, "topology", "small", Json::as_str)?;
 
-    let model = state.model.lock().expect("model state");
+    let model = state.lock_model();
     let topo = Topology::named(&model.spec, topology_name).ok_or_else(|| {
         SdnavError::model(format!(
             "topology must be \"small\", \"medium\" or \"large\", got {topology_name:?}"
@@ -448,7 +563,7 @@ fn patch(state: &ServiceState, body: &str) -> Result<(u16, String), SdnavError> 
         .and_then(Json::as_f64)
         .map_err(|e| e.ctx("value"))?;
 
-    let mut model = state.model.lock().expect("model state");
+    let mut model = state.lock_model();
     let effect = model.patch(&name, value)?;
     let invalidated = state
         .graph
@@ -479,7 +594,7 @@ fn patch(state: &ServiceState, body: &str) -> Result<(u16, String), SdnavError> 
 /// `sdnav sweep --dry-run` prints.
 fn plan(state: &ServiceState, query: &str) -> Result<(u16, String), SdnavError> {
     let grid = grid_from_query(query)?;
-    let model = state.model.lock().expect("model state");
+    let model = state.lock_model();
     let plan = sdnav_audit::SweepPlan::predict(&model.spec, &grid);
     Ok((200, format!("{}\n", sdnav_json::to_string_pretty(&plan))))
 }
@@ -510,6 +625,10 @@ fn metrics_body(state: &ServiceState) -> String {
             (
                 "patches",
                 Json::Num(state.patches.load(Ordering::Relaxed) as f64),
+            ),
+            (
+                "model_lock_held_ms",
+                Json::Num(state.model_lock_held_ms() as f64),
             ),
             (
                 "cache",
@@ -565,16 +684,10 @@ fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::R
     stream.flush()
 }
 
-// Keep ErrorKind referenced for the doc link above even though handlers
-// only construct errors through SdnavError helpers.
-#[allow(dead_code)]
-fn _kind_assert(k: ErrorKind) -> u16 {
-    k.http_status()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdnav_core::ErrorKind;
     use sdnav_grid::plan::Figure;
 
     #[test]
@@ -608,13 +721,7 @@ mod tests {
 
     #[test]
     fn eval_accepts_consensus_axes() {
-        let state = ServiceState {
-            model: Mutex::new(ModelState::paper(ControllerSpec::opencontrail_3x())),
-            graph: EvalGraph::new(),
-            requests: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
-        };
+        let state = test_state();
         let body = r#"{
             "figures": ["fig3"], "points": 2, "replications": 1,
             "sim_horizon_hours": 2000.0, "sim_accelerate": 500.0,
@@ -644,13 +751,41 @@ mod tests {
     }
 
     fn test_state() -> ServiceState {
-        ServiceState {
-            model: Mutex::new(ModelState::paper(ControllerSpec::opencontrail_3x())),
-            graph: EvalGraph::new(),
-            requests: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
-        }
+        ServiceState::new(ControllerSpec::opencontrail_3x())
+    }
+
+    #[test]
+    fn a_poisoned_model_lock_keeps_serving() {
+        let grid = r#"{"figures": ["fig3"], "points": 2}"#;
+        let (_, clean) = eval(&test_state(), grid).unwrap();
+
+        let state = test_state();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _model = state.lock_model();
+                panic!("a handler bug while holding the model lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(state.model.is_poisoned());
+        assert_eq!(state.model_lock_held_ms(), 0, "unwinding frees the lock");
+
+        let (status, body) = eval(&state, grid).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, clean);
+        let (status, _) =
+            patch(&state, r#"{"name": "sw.process.manual", "value": 0.9997}"#).unwrap();
+        assert_eq!(status, 200);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_a_500_error_document() {
+        let (status, body) = respond(|| panic!("handler bug"));
+        assert_eq!(status, 500);
+        let doc = Json::parse(&body).unwrap();
+        assert!(Envelope::expect(schema::SERVE_ERROR, &doc).is_ok());
+        assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "analysis");
+        assert_eq!(doc.field("status").unwrap().as_f64().unwrap(), 500.0);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! evaluation path, and drain-on-shutdown.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdnav_core::{ControllerSpec, ModelState};
 use sdnav_grid::{evaluate, evaluate_incremental, EvalGraph, GridSpec};
@@ -350,4 +350,116 @@ fn shutdown_drains_the_in_flight_request() {
         .handle
         .join()
         .expect("server thread exits after drain");
+}
+
+/// Reads `model_lock_held_ms` from `/v1/metrics`.
+fn scrape_lock_held_ms(addr: SocketAddr) -> u64 {
+    let (status, body) = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200);
+    let doc = Json::parse(&body).unwrap();
+    doc.field("model_lock_held_ms").unwrap().as_f64().unwrap() as u64
+}
+
+#[test]
+fn metrics_show_how_long_an_eval_has_held_the_model_lock() {
+    let server = Harness::start();
+    assert_eq!(scrape_lock_held_ms(server.addr), 0);
+
+    // The heavyweight eval `shutdown_drains_the_in_flight_request` drains.
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let body = r#"{"points": 9, "replications": 6, "threads": 2, "seed": 5}"#;
+    write!(
+        stream,
+        "POST /v1/eval HTTP/1.1\r\nhost: sdnav\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write request");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while scrape_lock_held_ms(server.addr) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the in-flight eval never showed as holding the model lock"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read eval response");
+    assert_eq!(parse_response(&raw).0, 200);
+    assert_eq!(
+        scrape_lock_held_ms(server.addr),
+        0,
+        "the lock is free again"
+    );
+    server.stop();
+}
+
+/// With no connection in flight, setting the flag must end `run` promptly:
+/// the watcher has to wake the blocked `accept` on every kind of bind
+/// address, the unspecified ones included.
+#[test]
+fn idle_shutdown_wakes_the_blocked_accept() {
+    let cases: [(&str, IpAddr); 3] = [
+        ("127.0.0.1:0", Ipv4Addr::LOCALHOST.into()),
+        ("0.0.0.0:0", Ipv4Addr::LOCALHOST.into()),
+        ("[::]:0", Ipv6Addr::LOCALHOST.into()),
+    ];
+    for (addr, loopback) in cases {
+        let config = sdnav_serve::ServeConfig::builder(ControllerSpec::opencontrail_3x())
+            .addr(addr)
+            .build()
+            .expect("paper spec validates");
+        let server = match sdnav_serve::Server::bind(config) {
+            Ok(server) => server,
+            Err(e) if loopback.is_ipv6() => {
+                eprintln!("skipping {addr}: this host cannot bind IPv6 ({e})");
+                continue;
+            }
+            Err(e) => panic!("cannot bind {addr}: {e}"),
+        };
+        let port = server.local_addr().expect("bound address").port();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let (done, returned) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = done.send(server.run(&flag));
+        });
+
+        // One finished round trip proves the loop is up and back in
+        // `accept` with nothing in flight.
+        let (status, _) = request(SocketAddr::new(loopback, port), "GET", "/v1/healthz", "");
+        assert_eq!(status, 200);
+
+        shutdown.store(true, Ordering::SeqCst);
+        returned
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("run on {addr} did not return within 2 s of the flag"))
+            .expect("serve loop");
+        handle.join().expect("server thread exits cleanly");
+    }
+}
+
+/// Sequential requests must not wait on a poll: the median healthz round
+/// trip stays under 5 ms, a fifth of the shutdown watcher's 25 ms period.
+#[test]
+fn back_to_back_requests_are_answered_without_an_accept_poll() {
+    let server = Harness::start();
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let sent = Instant::now();
+            assert_eq!(request(server.addr, "GET", "/v1/healthz", "").0, 200);
+            sent.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median healthz round trip {median:?} over 40 requests"
+    );
+    server.stop();
 }
