@@ -1,11 +1,13 @@
-//! Harness-less timing benches for the discrete-event simulator.
+//! Harness-less timing benches for both discrete-event engines: the
+//! availability simulator and the consensus DES.
 //!
 //! Run with `cargo bench -p sdnav-bench --bench simulator`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use sdnav_core::{ControllerSpec, Scenario, Topology};
+use sdnav_consensus::{ConsensusParams, ConsensusSim};
+use sdnav_core::{ConsensusSpec, ControllerSpec, FaultMix, Scenario, Topology};
 use sdnav_sim::{ConnectionModel, SimConfig, Simulation};
 
 /// A short, busy configuration so each iteration processes a comparable,
@@ -62,7 +64,37 @@ fn bench_failover_model() {
     );
 }
 
+/// A 5-node RAFT cluster with node failures accelerated as in a grid
+/// cell, over fixed seeds: the consensus engine's cost per event and per
+/// election.
+fn bench_consensus() {
+    let spec = ConsensusSpec {
+        cluster_size: 5,
+        fault_mix: FaultMix::crash_only(2),
+        ..ConsensusSpec::raft_defaults()
+    };
+    let params = ConsensusParams::accelerated(250_000.0, 100.0);
+    let sim = ConsensusSim::try_new(spec, params).unwrap();
+    let iters = 20u64;
+    let (mut events, mut elections) = (0, 0);
+    let start = Instant::now();
+    for seed in 1..=iters {
+        let outcome = black_box(sim.run(seed));
+        events += outcome.events;
+        elections += outcome.elections;
+    }
+    let elapsed = start.elapsed();
+    let ns = elapsed.as_nanos() as f64;
+    println!(
+        "consensus/raft5_250000h    {:>8.1} ns/event {:>8.1} ns/election  \
+         ({events} events, {elections} elections over {iters} runs, total {elapsed:.2?})",
+        ns / events as f64,
+        ns / elections as f64,
+    );
+}
+
 fn main() {
     bench_event_throughput();
     bench_failover_model();
+    bench_consensus();
 }

@@ -17,18 +17,19 @@
 //!   leader-targeted campaigns compile to; [`InjectTarget::Leader`]
 //!   resolves at fire time.
 //!
-//! Stale events are cancelled by generation counters (per node, and one
-//! for the election seat), exactly as the main simulator's epoch scheme
-//! works, on the shared [`EventQueue`]. All randomness flows from
-//! identity-seeded SplitMix64 streams: node `i` owns stream
-//! `seed ⊕ mix64(i+1)`, racks and the election seat own tagged streams
-//! of their own, so no draw ever depends on event arrival order or
-//! thread scheduling.
+//! The loop runs on [`Des`], the discrete-event core both engines share:
+//! each node and the election seat is a cancellation entity, and the core
+//! drops cancelled events, ends the run at the horizon and counts the
+//! events it delivers ([`ConsensusOutcome::events`]). All randomness
+//! flows from identity-seeded SplitMix64 streams: node `i` owns stream
+//! `seed ⊕ mix64(i+1)`, racks and the election seat own tagged streams of
+//! their own, so no draw ever depends on event arrival order or thread
+//! scheduling.
 
 use std::error::Error;
 use std::fmt;
 
-use sdnav_core::des::EventQueue;
+use sdnav_core::des::{Des, Event};
 use sdnav_core::hash::{mix64, GOLDEN_GAMMA};
 use sdnav_core::{ConsensusError, ConsensusSpec};
 
@@ -121,6 +122,9 @@ pub struct ConsensusOutcome {
     pub injected_kills: u64,
     /// Injected kills that fired on an empty seat or dead node.
     pub skipped_injections: u64,
+    /// Events processed: node and rack transitions, catch-ups, election
+    /// completions and injections, not counting cancelled ones.
+    pub events: u64,
     /// The measured horizon, hours.
     pub horizon_hours: f64,
 }
@@ -187,6 +191,22 @@ enum EventKind {
     Injected(usize),
 }
 
+/// The election seat's cancellation entity; node `i` is entity `1 + i`.
+const SEAT: usize = 0;
+
+/// Rack and injection events are never cancelled.
+impl Event for EventKind {
+    fn entity(&self) -> Option<usize> {
+        match *self {
+            EventKind::ElectionDone => Some(SEAT),
+            EventKind::NodeFail(i) | EventKind::NodeRepair(i) | EventKind::CatchUp(i) => {
+                Some(1 + i)
+            }
+            EventKind::RackFail(_) | EventKind::RackRepair(_) | EventKind::Injected(_) => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeState {
     Active,
@@ -211,17 +231,13 @@ pub struct ConsensusSim {
 }
 
 struct RunState {
-    /// Events tagged with the generation of the node (or election seat)
-    /// they belong to; rack and injection events carry 0, never checked.
-    queue: EventQueue<EventKind>,
+    des: Des<EventKind>,
     node_state: Vec<NodeState>,
-    node_gen: Vec<u64>,
     held_by_rack: Vec<bool>,
     node_streams: Vec<Stream>,
     election_stream: Stream,
     rack_streams: Vec<Stream>,
     phase: Phase,
-    election_gen: u64,
 }
 
 impl ConsensusSim {
@@ -323,9 +339,8 @@ impl ConsensusSim {
             .as_ref()
             .map_or(0, |r| r.placement.iter().max().map_or(0, |m| m + 1));
         let mut st = RunState {
-            queue: EventQueue::default(),
+            des: Des::new(1 + n, horizon),
             node_state: vec![NodeState::Active; n],
-            node_gen: vec![0; n],
             held_by_rack: vec![false; n],
             node_streams: (0..n).map(|i| Stream::new(seed, (i as u64) + 1)).collect(),
             election_stream: Stream::new(seed, ELECTION_TAG),
@@ -333,23 +348,22 @@ impl ConsensusSim {
                 .map(|r| Stream::new(seed, RACK_TAG ^ ((r as u64) << 8)))
                 .collect(),
             phase: Phase::Stall,
-            election_gen: 0,
         };
 
         // Seed the initial schedules: node failures, rack failures, and
-        // the injection plan (which fires regardless of generations).
+        // the injection plan (which is never cancelled).
         for i in 0..n {
             let t = st.node_streams[i].exp(lam);
-            st.queue.push(t, st.node_gen[i], EventKind::NodeFail(i));
+            st.des.schedule(t, EventKind::NodeFail(i));
         }
         if let Some(racks) = &self.racks {
             for r in 0..rack_count {
                 let t = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                st.queue.push(t, 0, EventKind::RackFail(r));
+                st.des.schedule(t, EventKind::RackFail(r));
             }
         }
         for (idx, inj) in injections.iter().enumerate() {
-            st.queue.push(inj.at_hours, 0, EventKind::Injected(idx));
+            st.des.schedule(inj.at_hours, EventKind::Injected(idx));
         }
 
         // The run opens with an already-settled leader: the measurement
@@ -379,26 +393,24 @@ impl ConsensusSim {
 
         macro_rules! account {
             ($t:expr) => {
-                let dt = $t - last_t;
+                let dt = $t - std::mem::replace(&mut last_t, $t);
                 match st.phase {
                     Phase::Led { .. } => leader_time += dt,
                     Phase::Electing => election_time += dt,
                     Phase::Stall => stall_time += dt,
                 }
-                last_t = $t;
             };
         }
         macro_rules! start_election {
             ($t:expr) => {
-                st.election_gen += 1;
+                st.des.cancel(SEAT);
                 let duration_ms = self
                     .spec
                     .election_latency
                     .sample_ms(st.election_stream.next_f64())
                     + self.spec.heartbeat_interval_ms;
-                let gen = st.election_gen;
-                st.queue
-                    .push($t + duration_ms / MS_PER_HOUR, gen, EventKind::ElectionDone);
+                st.des
+                    .schedule($t + duration_ms / MS_PER_HOUR, EventKind::ElectionDone);
                 st.phase = Phase::Electing;
             };
         }
@@ -407,34 +419,23 @@ impl ConsensusSim {
             ($t:expr) => {
                 let quorum_ok = honest_active(&st) >= quorum;
                 match st.phase {
-                    Phase::Led { leader } => {
-                        let leader_ok = st.node_state[leader] == NodeState::Active;
-                        if !quorum_ok {
-                            // CheckQuorum: the leader steps down the moment
-                            // it cannot reach a commit quorum.
-                            account!($t);
-                            st.election_gen += 1;
-                            st.phase = Phase::Stall;
-                            stalls += 1;
-                        } else if !leader_ok {
-                            account!($t);
-                            start_election!($t);
-                        }
+                    // CheckQuorum: the leader steps down the moment it
+                    // cannot reach a commit quorum; an election stops too.
+                    Phase::Led { .. } | Phase::Electing if !quorum_ok => {
+                        account!($t);
+                        st.des.cancel(SEAT);
+                        st.phase = Phase::Stall;
+                        stalls += 1;
                     }
-                    Phase::Electing => {
-                        if !quorum_ok {
-                            account!($t);
-                            st.election_gen += 1;
-                            st.phase = Phase::Stall;
-                            stalls += 1;
-                        }
+                    Phase::Led { leader } if st.node_state[leader] != NodeState::Active => {
+                        account!($t);
+                        start_election!($t);
                     }
-                    Phase::Stall => {
-                        if quorum_ok {
-                            account!($t);
-                            start_election!($t);
-                        }
+                    Phase::Stall if quorum_ok => {
+                        account!($t);
+                        start_election!($t);
                     }
+                    _ => {}
                 }
             };
         }
@@ -443,12 +444,11 @@ impl ConsensusSim {
         // brings the node back itself).
         macro_rules! kill_node {
             ($t:expr, $i:expr, $schedule_repair:expr) => {
-                st.node_gen[$i] += 1;
+                st.des.cancel(1 + $i);
                 st.node_state[$i] = NodeState::Down;
                 if $schedule_repair {
                     let dt = st.node_streams[$i].exp(mu);
-                    st.queue
-                        .push($t + dt, st.node_gen[$i], EventKind::NodeRepair($i));
+                    st.des.schedule($t + dt, EventKind::NodeRepair($i));
                 }
             };
         }
@@ -458,43 +458,31 @@ impl ConsensusSim {
             ($t:expr, $i:expr) => {
                 st.node_state[$i] = NodeState::CatchingUp;
                 st.held_by_rack[$i] = false;
-                let gen = st.node_gen[$i];
-                st.queue.push($t + catch_up_h, gen, EventKind::CatchUp($i));
+                st.des.schedule($t + catch_up_h, EventKind::CatchUp($i));
                 let ttf = st.node_streams[$i].exp(lam);
-                st.queue.push($t + ttf, gen, EventKind::NodeFail($i));
+                st.des.schedule($t + ttf, EventKind::NodeFail($i));
             };
         }
 
-        while let Some(ev) = st.queue.pop() {
-            if ev.time >= horizon {
-                break;
-            }
-            let t = ev.time;
-            match ev.kind {
+        // Kills cancel a node's pending events and quorum losses the
+        // election in flight, so no live event meets a stale target.
+        while let Some((t, kind)) = st.des.pop() {
+            match kind {
                 EventKind::NodeFail(i) => {
-                    if ev.epoch != st.node_gen[i] || st.node_state[i] == NodeState::Down {
-                        continue;
-                    }
+                    debug_assert_ne!(st.node_state[i], NodeState::Down);
                     kill_node!(t, i, true);
                     recheck!(t);
                 }
                 EventKind::NodeRepair(i) => {
-                    if ev.epoch != st.node_gen[i] {
-                        continue;
-                    }
                     revive_node!(t, i);
                 }
                 EventKind::CatchUp(i) => {
-                    if ev.epoch != st.node_gen[i] || st.node_state[i] != NodeState::CatchingUp {
-                        continue;
-                    }
+                    debug_assert_eq!(st.node_state[i], NodeState::CatchingUp);
                     st.node_state[i] = NodeState::Active;
                     recheck!(t);
                 }
                 EventKind::ElectionDone => {
-                    if ev.epoch != st.election_gen || st.phase != Phase::Electing {
-                        continue;
-                    }
+                    debug_assert_eq!(st.phase, Phase::Electing);
                     let candidates: Vec<usize> = (0..n - byz)
                         .filter(|&i| st.node_state[i] == NodeState::Active)
                         .collect();
@@ -510,15 +498,12 @@ impl ConsensusSim {
                 EventKind::RackFail(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let repair = st.rack_streams[r].exp(1.0 / racks.rack_mttr_hours);
-                    st.queue.push(t + repair, 0, EventKind::RackRepair(r));
+                    st.des.schedule(t + repair, EventKind::RackRepair(r));
+                    // A node already down for its own reasons stays down:
+                    // the rack outage supersedes its pending repair.
                     for i in 0..n {
-                        if racks.placement[i] == r && st.node_state[i] != NodeState::Down {
+                        if racks.placement[i] == r {
                             kill_node!(t, i, false);
-                            st.held_by_rack[i] = true;
-                        } else if racks.placement[i] == r && st.node_state[i] == NodeState::Down {
-                            // Already down for its own reasons: the rack
-                            // outage supersedes the pending repair.
-                            st.node_gen[i] += 1;
                             st.held_by_rack[i] = true;
                         }
                     }
@@ -527,7 +512,7 @@ impl ConsensusSim {
                 EventKind::RackRepair(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let next = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                    st.queue.push(t + next, 0, EventKind::RackFail(r));
+                    st.des.schedule(t + next, EventKind::RackFail(r));
                     for i in 0..n {
                         if racks.placement[i] == r && st.held_by_rack[i] {
                             revive_node!(t, i);
@@ -553,11 +538,7 @@ impl ConsensusSim {
                 }
             }
         }
-        match st.phase {
-            Phase::Led { .. } => leader_time += horizon - last_t,
-            Phase::Electing => election_time += horizon - last_t,
-            Phase::Stall => stall_time += horizon - last_t,
-        }
+        account!(horizon);
 
         Ok(ConsensusOutcome {
             availability: leader_time / horizon,
@@ -567,6 +548,7 @@ impl ConsensusSim {
             stalls,
             injected_kills,
             skipped_injections,
+            events: st.des.events(),
             horizon_hours: horizon,
         })
     }
@@ -618,31 +600,55 @@ mod tests {
         assert!((mean - ctmc).abs() < 5e-4, "DES {mean} vs CTMC {ctmc}");
     }
 
-    #[test]
-    fn leader_kills_cost_more_than_follower_kills() {
-        // 200 scheduled kills: leader-targeted ones force an election
-        // each time; fixed-node kills only do when they happen to hit
-        // the leader.
-        let spec = ConsensusSpec::raft_defaults();
+    /// A RAFT cluster whose own failures fall past the horizon, so only
+    /// injected kills move it.
+    fn kills_only() -> ConsensusSim {
         let params = ConsensusParams {
-            node_mtbf_hours: 1.0e9, // isolate the injected faults
+            node_mtbf_hours: 1.0e9,
             node_mttr_hours: 0.05,
             horizon_hours: 10_000.0,
         };
-        let sim = ConsensusSim::try_new(spec, params).unwrap();
-        let plan = |target| -> Vec<Injection> {
-            (0..200)
-                .map(|k| Injection {
-                    at_hours: 25.0 + 40.0 * f64::from(k),
-                    target,
-                })
-                .collect()
-        };
-        let leader = sim.run_injected(99, &plan(InjectTarget::Leader)).unwrap();
-        let node = sim.run_injected(99, &plan(InjectTarget::Node(2))).unwrap();
+        ConsensusSim::try_new(ConsensusSpec::raft_defaults(), params).unwrap()
+    }
+
+    /// 200 kills of `target`, one every 40 hours.
+    fn kill_plan(target: InjectTarget) -> Vec<Injection> {
+        (0..200)
+            .map(|k| Injection {
+                at_hours: 25.0 + 40.0 * f64::from(k),
+                target,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn leader_kills_cost_more_than_follower_kills() {
+        // Leader-targeted kills force an election each time; fixed-node
+        // kills only do when they happen to hit the leader.
+        let sim = kills_only();
+        let leader = sim
+            .run_injected(99, &kill_plan(InjectTarget::Leader))
+            .unwrap();
+        let node = sim
+            .run_injected(99, &kill_plan(InjectTarget::Node(2)))
+            .unwrap();
         assert_eq!(leader.injected_kills, 200);
         assert!(leader.elections >= 200);
         assert!(leader.availability < node.availability);
+    }
+
+    #[test]
+    fn a_leader_kill_is_four_events() {
+        // The kill, the repair, the catch-up and the election it forces;
+        // a kill that finds the seat empty is the injection alone.
+        let sim = kills_only();
+        for seed in [1, 99, 12345] {
+            let o = sim
+                .run_injected(seed, &kill_plan(InjectTarget::Leader))
+                .unwrap();
+            assert_eq!(o.events, 4 * o.injected_kills + o.skipped_injections);
+            assert_eq!(o.events, 800, "seed {seed}");
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! follower has caught up *and* a new leader has won. This crate models
 //! those dynamics as a first-class subsystem:
 //!
-//! * [`ConsensusSim`] — a discrete-event layer in the mold of the
-//!   `sdnav-sim` injection-hook engine: per-controller exponential
-//!   failure/repair processes, randomized (uniform) RAFT election
-//!   timeouts, leader failover latency, log-replication stall on quorum
-//!   loss (the leader steps down, as etcd's CheckQuorum does), and
+//! * [`ConsensusSim`] — a discrete-event layer on `sdnav_core::des::Des`,
+//!   the core the `sdnav-sim` injection-hook engine also runs on,
+//!   counting its events in [`ConsensusOutcome::events`]: per-controller
+//!   exponential failure/repair processes, randomized (uniform) RAFT
+//!   election timeouts, leader failover latency, log-replication stall on
+//!   quorum loss (the leader steps down, as etcd's CheckQuorum does), and
 //!   follower catch-up after repair. Every random draw comes from an
 //!   identity-seeded SplitMix64 stream (keyed by node index or the
 //!   election sequence, never by event arrival order), so results are

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sdnav_core::des::EventQueue;
+use sdnav_core::des::{Des, Event};
 use sdnav_core::{
     Component, ControllerSpec, ProcessElement, RestartMode, Scenario, Structure, Topology, UpState,
 };
@@ -67,9 +67,16 @@ enum EventKind {
     MaintEnd(usize),
 }
 
-/// Epoch value meaning "always valid" (events not tied to an element's
-/// failure/repair cycle: rediscovery, injections, maintenance ends).
-const EPOCH_ANY: u64 = u64::MAX;
+/// Only an element's fail/repair clock is ever cancelled: rediscovery,
+/// injections and maintenance ends always fire.
+impl Event for EventKind {
+    fn entity(&self) -> Option<usize> {
+        match *self {
+            EventKind::Fail(e) | EventKind::Repair(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// A runnable simulation of a controller spec on a topology.
 #[derive(Debug)]
@@ -198,22 +205,16 @@ struct QueuedRepair {
 /// Mutable per-run state.
 struct RunState<'p> {
     rng: SmallRng,
-    /// Pending events, each tagged with its target element's epoch when
-    /// it was scheduled ([`EPOCH_ANY`] for untargeted events).
-    queue: EventQueue<EventKind>,
+    /// Pending events. Only injections cancel an element's fail/repair
+    /// clock, so organic runs never drop an event.
+    des: Des<EventKind>,
     /// Up-state per [`Structure`] element, with the CP/DP tallies.
     up: UpState<'p>,
     /// Connected control-role node indices per compute host.
     connections: Vec<[usize; 2]>,
     rediscovery_pending: Vec<bool>,
-    events: u64,
     // --- Injection state (inert for an empty plan) ---
     plan: &'p InjectionPlan,
-    /// Per-element generation counters. An injection that forces an
-    /// element's state bumps its epoch, silently cancelling stale pending
-    /// events. With no injections every epoch stays 0, so organic
-    /// behavior is untouched.
-    epochs: Vec<u64>,
     /// Per-element maintenance-window end (0 = not under maintenance).
     maint_until: Vec<f64>,
     crew_busy: usize,
@@ -252,15 +253,13 @@ impl<'p> RunState<'p> {
         let nodes = sim.structure.nodes();
         let mut state = RunState {
             rng: SmallRng::seed_from_u64(seed),
-            queue: EventQueue::default(),
+            des: Des::new(elements, cfg.horizon_hours),
             up: sim.structure.up_state(),
             connections: (0..cfg.compute_hosts)
                 .map(|i| [i % nodes, (i + 1) % nodes])
                 .collect(),
             rediscovery_pending: vec![false; cfg.compute_hosts],
-            events: 0,
             plan,
-            epochs: vec![0; elements],
             maint_until: vec![0.0; elements],
             crew_busy: 0,
             crew_order: 0,
@@ -286,12 +285,12 @@ impl<'p> RunState<'p> {
         // Seed initial failure events, one per element in table order.
         for elem in 0..elements {
             let t = state.exp(sim.mtbf(elem));
-            state.push(t, EventKind::Fail(elem));
+            state.des.schedule(t, EventKind::Fail(elem));
         }
         // Merge the planned injection stream (time-sorted by the compiler;
         // same-time ties resolve by push order).
         for (i, ev) in plan.events.iter().enumerate() {
-            state.push(ev.time, EventKind::Injected(i));
+            state.des.schedule(ev.time, EventKind::Injected(i));
         }
         state
     }
@@ -313,16 +312,6 @@ impl<'p> RunState<'p> {
         }
     }
 
-    /// Schedules an event; only element fail/repair events carry the
-    /// element's epoch.
-    fn push(&mut self, time: f64, kind: EventKind) {
-        let epoch = match kind {
-            EventKind::Fail(e) | EventKind::Repair(e) => self.epochs[e],
-            _ => EPOCH_ANY,
-        };
-        self.queue.push(time, epoch, kind);
-    }
-
     /// Records that the current event took an element down (for outage
     /// attribution).
     fn note_down(&mut self) {
@@ -335,13 +324,13 @@ impl<'p> RunState<'p> {
     /// so crew contention never changes the RNG draw order.
     fn schedule_hw_repair(&mut self, elem: usize, rank: u8, duration: f64, now: f64) {
         let Some(pool) = self.plan.crews else {
-            self.push(now + duration, EventKind::Repair(elem));
+            self.des.schedule(now + duration, EventKind::Repair(elem));
             return;
         };
         if self.crew_busy < pool.crews {
             self.crew_busy += 1;
             self.crew_held[elem] = true;
-            self.push(now + duration, EventKind::Repair(elem));
+            self.des.schedule(now + duration, EventKind::Repair(elem));
         } else {
             self.crew_order += 1;
             self.crew_queue.push(QueuedRepair {
@@ -389,7 +378,8 @@ impl<'p> RunState<'p> {
         self.crew_busy += 1;
         self.crew_held[q.elem] = true;
         // Service starts now; the queueing delay stretches effective MTTR.
-        self.push(now + q.duration, EventKind::Repair(q.elem));
+        self.des
+            .schedule(now + q.duration, EventKind::Repair(q.elem));
     }
 
     /// Restart time for a process at the moment of its failure.
@@ -451,7 +441,8 @@ impl<'p> RunState<'p> {
                 (0..nodes).any(|n| self.up.block_up(grouped, n) && !connected.contains(&n));
             if dead_connection && replacement_exists {
                 self.rediscovery_pending[host] = true;
-                self.push(now + rediscovery_hours, EventKind::Rediscover(host));
+                self.des
+                    .schedule(now + rediscovery_hours, EventKind::Rediscover(host));
             }
         }
     }
@@ -497,7 +488,7 @@ impl<'p> RunState<'p> {
                     Some(t) => t,
                     None => self.restart_time(sim, p),
                 };
-                self.push(now + t, EventKind::Repair(elem));
+                self.des.schedule(now + t, EventKind::Repair(elem));
                 return;
             }
         };
@@ -513,7 +504,7 @@ impl<'p> RunState<'p> {
     fn restore(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
         self.up.set(elem, true);
         let t = self.exp(sim.mtbf(elem));
-        self.push(now + t, EventKind::Fail(elem));
+        self.des.schedule(now + t, EventKind::Fail(elem));
         self.release_crew(elem, now);
     }
 
@@ -554,8 +545,8 @@ impl<'p> RunState<'p> {
                     return;
                 }
                 // Cancel the pending organic failure clock; the repair
-                // scheduled next carries the new epoch.
-                self.epochs[elem] += 1;
+                // scheduled next stands.
+                self.des.cancel(elem);
                 self.fail(sim, elem, now, repair_hours);
                 self.injected_count += 1;
             }
@@ -566,7 +557,7 @@ impl<'p> RunState<'p> {
                 }
                 // Cancel whatever was pending (organic fail or an
                 // in-flight repair) — the window owns the element now.
-                self.epochs[elem] += 1;
+                self.des.cancel(elem);
                 if self.crew_held[elem] {
                     self.release_crew(elem, now);
                 } else {
@@ -574,7 +565,7 @@ impl<'p> RunState<'p> {
                 }
                 let end = (now + duration_hours).max(self.maint_until[elem]);
                 self.maint_until[elem] = end;
-                self.push(end, EventKind::MaintEnd(elem));
+                self.des.schedule(end, EventKind::MaintEnd(elem));
                 self.injected_count += 1;
             }
             InjectAction::Latent => {
@@ -614,9 +605,9 @@ impl<'p> RunState<'p> {
                     }
                     self.latent_armed[elem] = None;
                     self.up.set(elem, false);
-                    self.epochs[elem] += 1;
+                    self.des.cancel(elem);
                     let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
-                    self.push(now + t, EventKind::Repair(elem));
+                    self.des.schedule(now + t, EventKind::Repair(elem));
                     self.downs_this_event.push(Cause::Injection(inj));
                     self.revealed_count += 1;
                 }
@@ -650,28 +641,16 @@ impl<'p> RunState<'p> {
             }
         }
 
-        while let Some(event) = self.queue.pop() {
-            if event.time >= horizon {
-                break;
-            }
-            // Drop events cancelled by an injection (stale epoch). These
-            // never exist without injections, so the organic path is
-            // untouched.
-            if let EventKind::Fail(elem) | EventKind::Repair(elem) = event.kind {
-                if event.epoch != self.epochs[elem] {
-                    continue;
-                }
-            }
-            batches.add(now, event.time, cp_state, &dp_state);
-            self.accumulate_dp_ledger(now, event.time, &dp_state, warmup, horizon);
-            now = event.time;
-            self.events += 1;
+        while let Some((time, kind)) = self.des.pop() {
+            batches.add(now, time, cp_state, &dp_state);
+            self.accumulate_dp_ledger(now, time, &dp_state, warmup, horizon);
+            now = time;
             self.downs_this_event.clear();
-            self.event_cause = match event.kind {
+            self.event_cause = match kind {
                 EventKind::Injected(i) => Cause::Injection(self.plan.events[i].injection),
                 _ => Cause::Organic,
             };
-            self.apply(sim, event.kind, now);
+            self.apply(sim, kind, now);
             if self.track_latents {
                 self.reveal_latents(sim, now);
             }
@@ -792,7 +771,7 @@ impl<'p> RunState<'p> {
                 f64::INFINITY
             },
             cp_outage_durations,
-            events: self.events,
+            events: self.des.events(),
             simulated_hours: horizon,
             ledger: {
                 let injected = self.injected_count;
