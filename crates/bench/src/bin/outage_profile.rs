@@ -11,7 +11,7 @@
 use sdnav_bench::{header, spec};
 use sdnav_core::{Scenario, Topology};
 use sdnav_report::{Binning, Histogram, Table};
-use sdnav_sim::{percentile, RestartModel, SimConfig, Simulation};
+use sdnav_sim::{percentile, InjectionPlan, OutageRecord, RestartModel, SimConfig, Simulation};
 
 fn main() {
     let spec = spec();
@@ -36,12 +36,18 @@ fn main() {
         let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorRequired).accelerated(20.0);
         cfg.horizon_hours = 2_000_000.0;
         cfg.compute_hosts = 1;
-        cfg.record_outages = true;
         cfg.restart_model = RestartModel::AnalyticIndependence;
         let r = Simulation::try_new(&spec, &topo, cfg)
             .expect("valid simulation")
-            .run(4242);
-        let d = &r.cp_outage_durations;
+            .run_injected(4242, &InjectionPlan::empty());
+        let ledger = r.ledger.as_ref().expect("an injected run keeps a ledger");
+        let mut durations: Vec<f64> = ledger
+            .cp_outages
+            .iter()
+            .map(OutageRecord::duration)
+            .collect();
+        durations.sort_by(f64::total_cmp);
+        let d = &durations;
         let row = if d.is_empty() {
             vec![
                 topo.name().to_owned(),

@@ -685,21 +685,21 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     if args.has("resume") && checkpoint.is_none() {
         return Err(usage("--resume requires --checkpoint <file>"));
     }
-    let retry = RetryPolicy::builder()
-        .max_retries(args.value("retries", "an integer")?.unwrap_or(2))
-        .backoff_base_ms(args.value("backoff-ms", "an integer")?.unwrap_or(50))
-        .build();
+    let retry = RetryPolicy {
+        max_retries: args.value("retries", "an integer")?.unwrap_or(2),
+        backoff_base_ms: args.value("backoff-ms", "an integer")?.unwrap_or(50),
+    };
     let inject_panic = args.value("inject-panic", "an integer")?;
     let cancel_after_cells = args.value("cancel-after-cells", "an integer")?;
     signals::install();
-    let opts = SuperviseOptions::builder()
-        .retry(retry)
-        .checkpoint(checkpoint.as_deref())
-        .resume(args.has("resume"))
-        .shutdown(&signals::SHUTDOWN)
-        .inject_panic(inject_panic)
-        .cancel_after_cells(cancel_after_cells)
-        .build();
+    let opts = SuperviseOptions {
+        retry,
+        checkpoint: checkpoint.as_deref(),
+        resume: args.has("resume"),
+        shutdown: Some(&signals::SHUTDOWN),
+        inject_panic,
+        cancel_after_cells,
+    };
     let outcome =
         sdnav_grid::evaluate_supervised(spec, &grid, &opts).map_err(|e| failure(e.to_string()))?;
 

@@ -18,10 +18,12 @@
 //!    simulation rows in plan order, streaming simulation replications
 //!    through [`sdnav_sim::Welford`].
 //!
-//! [`evaluate`] is the single entry point; it returns the results plus a
-//! [`metrics::RunMetrics`] block (stage timings, cache hit rates,
-//! steals, throughput). Results are reproducible; metrics are not and are
-//! reported separately.
+//! Every entry point — [`evaluate`], [`evaluate_incremental`] and
+//! [`evaluate_supervised`] — runs these stages through one code path that
+//! executes each item under [`supervise`]'s panic isolation, and returns
+//! the results plus a [`metrics::RunMetrics`] block (stage timings, cache
+//! hit rates, steals, throughput). Results are reproducible; metrics are
+//! not and are reported separately.
 //!
 //! ```
 //! use sdnav_core::ControllerSpec;
@@ -40,7 +42,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 use sdnav_consensus::{ConsensusParams, ConsensusSim};
 use sdnav_core::sweep::{Fig3Row, SwSweepRow};
@@ -493,6 +494,8 @@ pub enum GridError {
     /// The checkpoint WAL could not be written, replayed, or matched
     /// against this run's identity (see [`checkpoint`]).
     Checkpoint(String),
+    /// A cell still panicked after its retries (see [`supervise`]).
+    Panicked(QuarantineRecord),
 }
 
 impl fmt::Display for GridError {
@@ -505,6 +508,11 @@ impl fmt::Display for GridError {
             GridError::Campaign(e) => write!(f, "cannot compile chaos campaign: {e}"),
             GridError::Consensus(e) => write!(f, "cannot evaluate consensus cell: {e}"),
             GridError::Checkpoint(e) => write!(f, "{e}"),
+            GridError::Panicked(r) => write!(
+                f,
+                "{} panicked on all {} attempts (seed {}): {}",
+                r.label, r.attempts, r.seed, r.panic_message
+            ),
         }
     }
 }
@@ -515,6 +523,7 @@ impl From<GridError> for SdnavError {
     fn from(e: GridError) -> Self {
         match &e {
             GridError::Checkpoint(_) => SdnavError::io(e.to_string()),
+            GridError::Panicked(_) => SdnavError::analysis(e.to_string()),
             _ => SdnavError::model(e.to_string()),
         }
     }
@@ -717,8 +726,7 @@ pub struct GridResults {
     pub consensus: Vec<ConsensusRow>,
     /// Whether the run stopped short (graceful shutdown) or quarantined
     /// cells, leaving rows missing. Complete runs leave this `false` and
-    /// omit the marker from the JSON, so complete output is byte-identical
-    /// to what the unsupervised evaluator emits.
+    /// omit the marker from the JSON.
     pub incomplete: bool,
 }
 
@@ -1159,13 +1167,14 @@ fn fold_output(results: &mut GridResults, output: ItemOutput) {
 impl RunMetrics {
     /// The metrics of one run, with the replication and event totals
     /// summed over every DES row of `results` (simulated, chaos and
-    /// consensus cells). The supervision counters start at zero.
+    /// consensus cells).
     fn from_run(
         results: &GridResults,
         items: usize,
         stages: StageTimings,
         stats: pool::PoolStats,
         (cache_hits, cache_misses): (u64, u64),
+        (retries, quarantined, restored): (u64, u64, u64),
     ) -> Self {
         let sim = results.sim.iter().map(|r| (r.replications, r.events));
         let chaos = results.chaos.iter().map(|r| (r.replications, r.events));
@@ -1190,9 +1199,9 @@ impl RunMetrics {
             steals: stats.steals,
             sim_replications,
             sim_events,
-            retries: 0,
-            quarantined: 0,
-            restored: 0,
+            retries,
+            quarantined,
+            restored,
         }
     }
 }
@@ -1200,19 +1209,17 @@ impl RunMetrics {
 /// Evaluates a grid: plans the items, executes them on the pool, and
 /// aggregates results in plan order.
 ///
-/// This is the plain complete-or-error evaluator: a panicking item unwinds
-/// through the pool. Long-running or interruption-tolerant callers should
-/// use [`evaluate_supervised`] instead, which isolates panics, journals a
-/// checkpoint, and emits partial results on shutdown. Service callers that
-/// want cross-request memoization use [`evaluate_incremental`] with a
-/// long-lived [`EvalGraph`]; this entry point is the one-shot special
-/// case (paper-default parameters, fresh graph) and produces byte-identical
-/// results to it.
+/// This is the one-shot form of [`evaluate_incremental`] (paper-default
+/// parameters, fresh graph) and produces byte-identical results to it.
+/// Long-running or interruption-tolerant callers use
+/// [`evaluate_supervised`], which also journals a checkpoint and emits
+/// partial results on shutdown.
 ///
 /// # Errors
 ///
 /// Returns the first [`GridError`] encountered (in plan order, regardless
-/// of execution order).
+/// of execution order), or [`GridError::Panicked`] for a cell that still
+/// panicked after its retries.
 pub fn evaluate(spec: &ControllerSpec, grid: &GridSpec) -> Result<GridOutcome, GridError> {
     let state = ModelState::paper(spec.clone());
     let graph = EvalGraph::new();
@@ -1231,46 +1238,28 @@ pub fn evaluate(spec: &ControllerSpec, grid: &GridSpec) -> Result<GridOutcome, G
 /// lifetime totals; concurrent runs sharing one graph would interleave
 /// deltas, so callers serialize evaluations per graph.
 ///
+/// Cells run under the default [`SuperviseOptions`]: a panicking cell is
+/// retried with backoff, and one still panicking after its retries fails
+/// the whole evaluation.
+///
 /// # Errors
 ///
 /// Returns the first [`GridError`] encountered (in plan order, regardless
-/// of execution order).
+/// of execution order), or [`GridError::Panicked`] naming the first
+/// quarantined cell.
 pub fn evaluate_incremental(
     state: &ModelState,
     grid: &GridSpec,
     graph: &EvalGraph,
 ) -> Result<GridOutcome, GridError> {
-    let threads = resolve_threads(grid);
-    let (hits0, misses0) = (graph.hits(), graph.misses());
-
-    let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let items = build_items(grid);
-    let ctx = build_ctx(state, grid, graph)?;
-    let plan_ms = plan_start.elapsed().as_secs_f64() * 1e3;
-
-    let execute_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let (outputs, stats) = pool::execute(threads, &items, |_, item| ctx.eval(item));
-    let execute_ms = execute_start.elapsed().as_secs_f64() * 1e3;
-
-    let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let mut results = GridResults::default();
-    for output in outputs {
-        fold_output(&mut results, output?);
+    let outcome = supervise::evaluate_with(state, grid, graph, &SuperviseOptions::default())?;
+    if let Some(record) = outcome.quarantine.records.into_iter().next() {
+        return Err(GridError::Panicked(record));
     }
-    let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
-
-    let metrics = RunMetrics::from_run(
-        &results,
-        items.len(),
-        StageTimings {
-            plan_ms,
-            execute_ms,
-            aggregate_ms,
-        },
-        stats,
-        (graph.hits() - hits0, graph.misses() - misses0),
-    );
-    Ok(GridOutcome { results, metrics })
+    Ok(GridOutcome {
+        results: outcome.results,
+        metrics: outcome.metrics,
+    })
 }
 
 #[cfg(test)]
@@ -1447,6 +1436,30 @@ mod tests {
             grid.validate().unwrap_err(),
             GridError::Spec("points must be at least 1")
         );
+    }
+
+    #[test]
+    fn a_seed_json_cannot_hold_exactly_is_a_decode_error() {
+        // 2^53 + 1 parses to 2^53, so decoding it would evaluate a seed
+        // other than the one `sdnav sweep --seed` takes.
+        let err = sdnav_json::from_str::<GridSpec>(r#"{"seed": 9007199254740993}"#).unwrap_err();
+        assert!(err.to_string().contains("seed"), "{err}");
+        assert_eq!(SdnavError::from(err).http_status(), 400);
+    }
+
+    #[test]
+    fn a_panicked_cell_is_an_analysis_error() {
+        let err = SdnavError::from(GridError::Panicked(QuarantineRecord {
+            index: 3,
+            label: "item 3: Sw".into(),
+            seed: 11,
+            attempts: 3,
+            panic_message: "boom".into(),
+        }));
+        assert_eq!(err.kind(), sdnav_core::ErrorKind::Analysis);
+        assert_eq!(err.http_status(), 500);
+        assert!(err.message().contains("item 3: Sw"), "{err}");
+        assert!(err.message().contains("boom"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! availability while an unsupervised one dominates downtime. The same
 //! holds for the analysis machinery itself: one panicking grid cell (or an
 //! interrupted CI job) must not throw away hours of Monte-Carlo work. This
-//! module wraps the work-stealing pool ([`crate::pool`]) in a supervisor:
+//! module wraps the work-stealing pool ([`crate::pool`]) in a supervisor,
+//! and every grid entry point evaluates through it:
 //!
 //! * every work item runs under [`std::panic::catch_unwind`];
 //! * a panicking item is retried with bounded exponential backoff
@@ -52,45 +53,10 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Starts a builder at the default policy (2 retries, 50 ms base).
-    pub fn builder() -> RetryPolicyBuilder {
-        RetryPolicyBuilder {
-            policy: RetryPolicy::default(),
-        }
-    }
-
     fn backoff_ms(&self, completed_attempts: u32) -> u64 {
         // Shift capped so a generous retry budget cannot overflow.
         self.backoff_base_ms
             .saturating_mul(1u64 << completed_attempts.min(16))
-    }
-}
-
-/// Step-by-step construction of a [`RetryPolicy`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "call `.build()` to obtain the RetryPolicy"]
-pub struct RetryPolicyBuilder {
-    policy: RetryPolicy,
-}
-
-impl RetryPolicyBuilder {
-    /// Sets the retries after the first failed attempt (0 = quarantine
-    /// immediately).
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.policy.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the base backoff in milliseconds (retry `n` sleeps
-    /// `base << (n - 1)`).
-    pub fn backoff_base_ms(mut self, backoff_base_ms: u64) -> Self {
-        self.policy.backoff_base_ms = backoff_base_ms;
-        self
-    }
-
-    /// Returns the policy (every combination of fields is valid).
-    pub fn build(self) -> RetryPolicy {
-        self.policy
     }
 }
 
@@ -204,67 +170,6 @@ pub struct SuperviseOptions<'a> {
     pub cancel_after_cells: Option<usize>,
 }
 
-impl<'a> SuperviseOptions<'a> {
-    /// Starts a builder at the defaults (default retry policy, no
-    /// checkpoint, no shutdown flag, no test hooks).
-    pub fn builder() -> SuperviseOptionsBuilder<'a> {
-        SuperviseOptionsBuilder {
-            opts: SuperviseOptions::default(),
-        }
-    }
-}
-
-/// Step-by-step construction of [`SuperviseOptions`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "call `.build()` to obtain the SuperviseOptions"]
-pub struct SuperviseOptionsBuilder<'a> {
-    opts: SuperviseOptions<'a>,
-}
-
-impl<'a> SuperviseOptionsBuilder<'a> {
-    /// Sets the retry/backoff budget for panicking items.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.opts.retry = retry;
-        self
-    }
-
-    /// Journals completed cells to this WAL path (`None` disables the
-    /// checkpoint).
-    pub fn checkpoint(mut self, path: Option<&'a std::path::Path>) -> Self {
-        self.opts.checkpoint = path;
-        self
-    }
-
-    /// Replays journaled cells from the WAL before executing the rest.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.opts.resume = resume;
-        self
-    }
-
-    /// Wires an externally owned shutdown flag (SIGINT/SIGTERM).
-    pub fn shutdown(mut self, flag: &'a AtomicBool) -> Self {
-        self.opts.shutdown = Some(flag);
-        self
-    }
-
-    /// Test/CI hook: the item at this plan index panics on every attempt.
-    pub fn inject_panic(mut self, index: Option<usize>) -> Self {
-        self.opts.inject_panic = index;
-        self
-    }
-
-    /// Test/CI hook: request shutdown after this many fresh cells.
-    pub fn cancel_after_cells(mut self, cells: Option<usize>) -> Self {
-        self.opts.cancel_after_cells = cells;
-        self
-    }
-
-    /// Returns the options (every combination of fields is valid).
-    pub fn build(self) -> SuperviseOptions<'a> {
-        self.opts
-    }
-}
-
 /// What a supervised grid run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedOutcome {
@@ -289,10 +194,10 @@ enum EvalCell {
     Skipped,
 }
 
-/// Evaluates a grid under supervision (see the module docs). This is the
-/// path `sdnav sweep` runs on; [`crate::evaluate`] remains the plain
-/// complete-or-error evaluator for embedders that want panics to
-/// propagate.
+/// Evaluates a grid under supervision (see the module docs) on the
+/// paper-default parameters and a fresh [`EvalGraph`]. This is the path
+/// `sdnav sweep` runs on; it shares its code path with
+/// [`crate::evaluate_incremental`].
 ///
 /// # Errors
 ///
@@ -304,19 +209,36 @@ pub fn evaluate_supervised(
     grid: &GridSpec,
     opts: &SuperviseOptions<'_>,
 ) -> Result<SupervisedOutcome, GridError> {
+    let state = ModelState::paper(spec.clone());
+    evaluate_with(&state, grid, &EvalGraph::new(), opts)
+}
+
+/// The one grid evaluator: plans the items, executes them on the pool under
+/// supervision, journals them to the optional WAL, folds the outputs in
+/// plan order and reports this run's metrics, with `graph`'s hit/miss
+/// deltas rather than its lifetime totals.
+///
+/// The WAL fingerprint covers the spec and the grid, not the HW/SW
+/// parameter sets, so only [`evaluate_supervised`]'s paper-default state
+/// journals.
+pub(crate) fn evaluate_with(
+    state: &ModelState,
+    grid: &GridSpec,
+    graph: &EvalGraph,
+    opts: &SuperviseOptions<'_>,
+) -> Result<SupervisedOutcome, GridError> {
     let threads = crate::resolve_threads(grid);
+    let (hits0, misses0) = (graph.hits(), graph.misses());
 
     let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let items = crate::build_items(grid);
-    let state = ModelState::paper(spec.clone());
-    let graph = EvalGraph::new();
-    let ctx = crate::build_ctx(&state, grid, &graph)?;
+    let ctx = crate::build_ctx(state, grid, graph)?;
 
     let mut restored_cells: Vec<Option<ItemOutput>> = Vec::new();
     restored_cells.resize_with(items.len(), || None);
     let mut wal = None;
     if let Some(path) = opts.checkpoint {
-        let stamp = fingerprint(spec, grid);
+        let stamp = fingerprint(&state.spec, grid);
         if opts.resume {
             let (handle, journaled) = CheckpointWal::resume(path, stamp)?;
             for (index, output) in journaled {
@@ -421,22 +343,18 @@ pub fn evaluate_supervised(
     }
     let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
 
-    let metrics = RunMetrics {
-        retries: run.retries,
-        quarantined: quarantine.len() as u64,
-        restored: restored_count as u64,
-        ..RunMetrics::from_run(
-            &results,
-            items.len(),
-            StageTimings {
-                plan_ms,
-                execute_ms,
-                aggregate_ms,
-            },
-            run.stats,
-            (graph.hits(), graph.misses()),
-        )
-    };
+    let metrics = RunMetrics::from_run(
+        &results,
+        items.len(),
+        StageTimings {
+            plan_ms,
+            execute_ms,
+            aggregate_ms,
+        },
+        run.stats,
+        (graph.hits() - hits0, graph.misses() - misses0),
+        (run.retries, quarantine.len() as u64, restored_count as u64),
+    );
 
     Ok(SupervisedOutcome {
         results,
@@ -551,6 +469,35 @@ mod tests {
         assert!(!outcome.interrupted, "quarantine is not an interrupt");
         let json = sdnav_json::to_string(&outcome.results);
         assert!(json.contains("\"incomplete\":true"));
+    }
+
+    #[test]
+    fn supervision_on_a_warm_graph_serves_every_surviving_cell_from_cache() {
+        use sdnav_json::to_string as json;
+        let state = ModelState::paper(spec());
+        let grid = small_grid(2);
+        let graph = EvalGraph::new();
+        let cold = crate::evaluate_incremental(&state, &grid, &graph).unwrap();
+        let opts = SuperviseOptions {
+            retry: fast_retry(),
+            inject_panic: Some(0),
+            ..SuperviseOptions::default()
+        };
+        let warm = evaluate_with(&state, &grid, &graph, &opts).unwrap();
+        assert_eq!(warm.quarantine.len(), 1);
+        assert_eq!(warm.quarantine.records[0].index, 0);
+        assert_eq!(warm.metrics.cache_misses, 0);
+        assert!(warm.metrics.cache_hits > 0);
+        // Item 0 is the first Fig. 4 cell. Rows compare as JSON because a
+        // one-replication `Estimate` has a NaN standard error.
+        assert_eq!(warm.results.fig4.len(), cold.results.fig4.len() - 1);
+        for (w, c) in warm.results.fig4.iter().zip(&cold.results.fig4[1..]) {
+            assert_eq!(json(w), json(c));
+        }
+        assert_eq!(warm.results.sim.len(), cold.results.sim.len());
+        for (w, c) in warm.results.sim.iter().zip(&cold.results.sim) {
+            assert_eq!(json(w), json(c));
+        }
     }
 
     #[test]

@@ -94,15 +94,19 @@ impl Json {
         Ok(n as u32)
     }
 
-    /// This value as a `usize` (rejecting fractions and negatives).
+    /// This value as a `usize` (rejecting fractions, negatives and values
+    /// from 2^53 up, where an `f64` no longer holds every integer, so the
+    /// text `9007199254740993` would read as 2^53).
     ///
     /// # Errors
     ///
-    /// Returns a decode error if this is not a non-negative integer.
+    /// Returns a decode error if this is not an integer in `[0, 2^53)`.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
         let n = self.as_f64()?;
-        if n.fract() != 0.0 || n < 0.0 || n > 2f64.powi(53) {
-            return Err(JsonError::decode(format!("expected an index, got {n}")));
+        if n.fract() != 0.0 || !(0.0..2f64.powi(53)).contains(&n) {
+            return Err(JsonError::decode(format!(
+                "expected an integer in [0, 2^53), got {n}"
+            )));
         }
         Ok(n as usize)
     }
@@ -827,6 +831,18 @@ mod tests {
         assert!(Json::Num(1.5).as_u32().is_err());
         assert!(Json::Num(-1.0).as_u32().is_err());
         assert_eq!(Json::Num(7.0).as_u32().unwrap(), 7);
+    }
+
+    #[test]
+    fn usize_decoding_accepts_only_exact_integers() {
+        assert_eq!(
+            from_str::<usize>("9007199254740991").unwrap(),
+            (1 << 53) - 1
+        );
+        // 2^53 itself, and 2^53 + 1, which parses to the same f64.
+        for text in ["9007199254740992", "9007199254740993"] {
+            assert!(from_str::<usize>(text).is_err(), "{text}");
+        }
     }
 
     #[test]

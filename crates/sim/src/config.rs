@@ -184,9 +184,6 @@ pub struct SimConfig {
     /// Distribution shape of every repair/restart time (failure times stay
     /// exponential).
     pub repair_shape: RepairShape,
-    /// Record individual CP outage durations into the result (off by
-    /// default; long runs can accumulate many).
-    pub record_outages: bool,
     /// Simulated horizon in hours.
     pub horizon_hours: f64,
     /// Initial fraction of the horizon discarded as warm-up.
@@ -224,7 +221,6 @@ impl SimConfig {
             connection: ConnectionModel::Analytic,
             restart_model: RestartModel::Faithful,
             repair_shape: RepairShape::Exponential,
-            record_outages: false,
             horizon_hours: 1_000_000.0,
             warmup_fraction: 0.05,
             batches: 20,
@@ -410,12 +406,6 @@ impl SimConfigBuilder {
     /// Sets the repair/restart time distribution shape.
     pub fn repair_shape(mut self, shape: RepairShape) -> Self {
         self.config.repair_shape = shape;
-        self
-    }
-
-    /// Records individual CP outage durations into the result.
-    pub fn record_outages(mut self, record: bool) -> Self {
-        self.config.record_outages = record;
         self
     }
 

@@ -41,9 +41,6 @@ pub struct SimResult {
     /// paper's fleet argument — "no rack downtime for many years followed
     /// by a highly-publicized extended outage".
     pub cp_mtbf_hours: f64,
-    /// Individual CP outage durations (hours), recorded only when
-    /// [`SimConfig::record_outages`] is set; sorted ascending.
-    pub cp_outage_durations: Vec<f64>,
     /// Number of events processed.
     pub events: u64,
     /// Hours of simulated time (the configured horizon).
@@ -633,7 +630,6 @@ impl<'p> RunState<'p> {
         let mut cp_outage_count = 0u64;
         let mut cp_outage_hours = 0.0_f64;
         let mut cp_down_since: Option<f64> = None;
-        let mut cp_outage_durations: Vec<f64> = Vec::new();
 
         if self.track_latents {
             for (ri, q) in sim.structure.cp().iter().enumerate() {
@@ -678,9 +674,6 @@ impl<'p> RunState<'p> {
                 if let Some(start) = cp_down_since.take() {
                     cp_outage_count += 1;
                     cp_outage_hours += now - start;
-                    if cfg.record_outages {
-                        cp_outage_durations.push(now - start);
-                    }
                     let root = self.open_root;
                     let contributors = std::mem::take(&mut self.open_contrib);
                     if let Some(ledger) = self.ledger.as_mut() {
@@ -735,9 +728,6 @@ impl<'p> RunState<'p> {
         if let Some(start) = cp_down_since.take() {
             cp_outage_count += 1;
             cp_outage_hours += horizon - start;
-            if cfg.record_outages {
-                cp_outage_durations.push(horizon - start);
-            }
             let root = self.open_root;
             let contributors = std::mem::take(&mut self.open_contrib);
             if let Some(ledger) = self.ledger.as_mut() {
@@ -749,7 +739,6 @@ impl<'p> RunState<'p> {
                 });
             }
         }
-        cp_outage_durations.sort_by(f64::total_cmp);
 
         let measured = horizon - warmup;
         let cp_estimate = Estimate::from_samples(&batches.fractions(&batches.cp));
@@ -770,7 +759,6 @@ impl<'p> RunState<'p> {
             } else {
                 f64::INFINITY
             },
-            cp_outage_durations,
             events: self.des.events(),
             simulated_hours: horizon,
             ledger: {
@@ -1223,30 +1211,6 @@ mod tests {
                     .sqrt();
             assert!(diff <= tol, "diff={diff:e} tol={tol:e}");
         }
-    }
-
-    #[test]
-    fn outage_durations_recorded_when_asked() {
-        let s = spec();
-        let topo = Topology::small(&s);
-        let mut cfg = fast_config(Scenario::SupervisorRequired);
-        cfg.horizon_hours = 50_000.0;
-        cfg.record_outages = true;
-        let r = Simulation::try_new(&s, &topo, cfg)
-            .expect("valid simulation")
-            .run(2);
-        assert_eq!(r.cp_outage_durations.len() as u64, r.cp_outage_count);
-        assert!(r.cp_outage_durations.windows(2).all(|w| w[0] <= w[1]));
-        let total: f64 = r.cp_outage_durations.iter().sum();
-        assert!((total / r.cp_outage_count as f64 - r.cp_outage_mean_hours).abs() < 1e-9);
-        // Off by default: nothing recorded.
-        let mut quiet = cfg;
-        quiet.record_outages = false;
-        let r = Simulation::try_new(&s, &topo, quiet)
-            .expect("valid simulation")
-            .run(2);
-        assert!(r.cp_outage_durations.is_empty());
-        assert!(r.cp_outage_count > 0);
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub struct ReplicatedResult {
 }
 
 /// Runs `replications` independent simulations (seeds `seed`,
-/// `seed+1`, …, wrapping past `u64::MAX`) in parallel threads and
-/// aggregates their means.
+/// `seed+1`, …, wrapping past `u64::MAX`) on at most one thread per
+/// available CPU and aggregates their means.
 ///
 /// # Panics
 ///
@@ -40,10 +40,15 @@ pub fn replicate(
 ) -> ReplicatedResult {
     assert!(replications > 0, "need at least one replication");
     let sim = Simulation::try_new(spec, topology, config).expect("valid simulation");
-    // Workers run in parallel; the join loop folds their results in seed
-    // order, so the Welford streams see a fixed sample order and the
-    // aggregate is deterministic regardless of completion order. Nothing is
-    // retained per replication — only the streaming accumulators.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(replications);
+    // Worker `w` runs the contiguous seed block starting at `first(w)`. The
+    // join loop folds the blocks in worker order, which is seed order, so
+    // the Welford streams see a fixed sample order and the aggregate is
+    // deterministic regardless of completion order or worker count.
+    let (per, extra) = (replications / workers, replications % workers);
+    let first = |w: usize| w * per + w.min(extra);
     let mut cp = Welford::new();
     let mut dp = Welford::new();
     let mut total_events = 0u64;
@@ -51,21 +56,27 @@ pub fn replicate(
     let mut cp_outages = 0u64;
     let mut outage_hours = 0.0f64;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..replications)
-            .map(|i| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
                 let sim = &sim;
-                scope.spawn(move || sim.run(seed.wrapping_add(i as u64)))
+                let block = first(w)..first(w + 1);
+                scope.spawn(move || {
+                    block
+                        .map(|i| sim.run(seed.wrapping_add(i as u64)))
+                        .collect::<Vec<_>>()
+                })
             })
             .collect();
         for h in handles {
-            let r = h.join().expect("replication worker panicked");
-            cp.push(r.cp_availability);
-            dp.push(r.dp_availability);
-            total_events += r.events;
-            total_hours += r.simulated_hours;
-            cp_outages += r.cp_outage_count;
-            if r.cp_outage_count > 0 {
-                outage_hours += r.cp_outage_mean_hours * r.cp_outage_count as f64;
+            for r in h.join().expect("replication worker panicked") {
+                cp.push(r.cp_availability);
+                dp.push(r.dp_availability);
+                total_events += r.events;
+                total_hours += r.simulated_hours;
+                cp_outages += r.cp_outage_count;
+                if r.cp_outage_count > 0 {
+                    outage_hours += r.cp_outage_mean_hours * r.cp_outage_count as f64;
+                }
             }
         }
     });
@@ -100,6 +111,37 @@ mod tests {
         assert!(r.total_events > 0);
         assert!((r.total_hours - 4.0 * 20_000.0).abs() < 1e-9);
         assert!(r.cp.mean > 0.9);
+    }
+
+    #[test]
+    fn parallel_blocks_fold_in_seed_order() {
+        let spec = ControllerSpec::opencontrail_3x();
+        let topo = Topology::small(&spec);
+        let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired).accelerated(200.0);
+        cfg.horizon_hours = 5_000.0;
+        cfg.compute_hosts = 2;
+        let r = replicate(&spec, &topo, cfg, 11, 7);
+
+        let sim = Simulation::try_new(&spec, &topo, cfg).expect("valid simulation");
+        let mut cp = Welford::new();
+        let mut dp = Welford::new();
+        let (mut events, mut outages, mut outage_hours) = (0u64, 0u64, 0.0f64);
+        for seed in 11..18 {
+            let run = sim.run(seed);
+            cp.push(run.cp_availability);
+            dp.push(run.dp_availability);
+            events += run.events;
+            outages += run.cp_outage_count;
+            if run.cp_outage_count > 0 {
+                outage_hours += run.cp_outage_mean_hours * run.cp_outage_count as f64;
+            }
+        }
+        assert_eq!(r.cp, cp.estimate());
+        assert_eq!(r.dp, dp.estimate());
+        assert_eq!(r.total_events, events);
+        assert_eq!(r.cp_outages, outages);
+        assert!(outages > 0);
+        assert_eq!(r.cp_outage_mean_hours, outage_hours / outages as f64);
     }
 
     #[test]
