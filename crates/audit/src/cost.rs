@@ -27,9 +27,7 @@ use std::collections::HashSet;
 use sdnav_chaos::MAX_OCCURRENCES;
 use sdnav_consensus::ConsensusParams;
 use sdnav_core::{ControllerSpec, Scenario, Topology};
-use sdnav_grid::plan::{
-    item_seed, plan_chaos_items, plan_consensus_items, plan_items, SimTopology, WorkItem,
-};
+use sdnav_grid::plan::{item_seed, plan_grid, SimTopology, WorkItem};
 use sdnav_grid::GridSpec;
 use sdnav_json::{Json, ToJson};
 use sdnav_sim::SimConfig;
@@ -214,26 +212,6 @@ fn cell_identity(item: &WorkItem) -> String {
     }
 }
 
-/// Expands the grid into the executor's canonical work-item order
-/// (figures, sim cells, then chaos cells when a campaign is set).
-fn expand_items(grid: &GridSpec) -> Vec<WorkItem> {
-    let mut items = plan_items(&grid.figures, grid.points, grid.replications);
-    if grid.chaos_campaign.is_some() {
-        items.extend(plan_chaos_items(
-            &grid.chaos_crew_counts,
-            &grid.chaos_ccf_probabilities,
-        ));
-    }
-    if grid.consensus.is_some() {
-        items.extend(plan_consensus_items(
-            &grid.consensus_election_timeouts_ms,
-            &grid.consensus_cluster_sizes,
-            &grid.consensus_fault_mixes,
-        ));
-    }
-    items
-}
-
 impl SweepPlan {
     /// Statically predicts the cost of evaluating `grid` against `spec`,
     /// without evaluating anything.
@@ -241,7 +219,7 @@ impl SweepPlan {
     pub fn predict(spec: &ControllerSpec, grid: &GridSpec) -> SweepPlan {
         let small = Topology::small(spec);
         let large = Topology::large(spec);
-        let items = expand_items(grid);
+        let items = plan_grid(grid);
         let occurrences = campaign_occurrences(grid);
 
         let mut seen: HashSet<(u8, u8, u64)> = HashSet::new();
@@ -435,7 +413,7 @@ impl ToJson for SweepPlan {
 #[must_use]
 pub fn audit_grid(spec: &ControllerSpec, grid: &GridSpec) -> AuditReport {
     let mut report = AuditReport::new();
-    let items = expand_items(grid);
+    let items = plan_grid(grid);
 
     let mut seen: HashSet<String> = HashSet::new();
     let mut duplicates: BTreeSet<String> = BTreeSet::new();

@@ -29,14 +29,15 @@
 //! outage *windows* must reproduce the per-cause DP host-hours they
 //! aggregate into.
 //!
-//! Replications execute on the supervised work-stealing pool
-//! ([`sdnav_grid::run_supervised`]): a panicking replication is retried
-//! with backoff and quarantined instead of killing the whole experiment.
+//! Replications execute on the work-stealing pool
+//! ([`sdnav_grid::pool::execute`]); results fold in item order so the
+//! output is thread-count invariant. The claims hold over all
+//! replications, so a panicking replication aborts the experiment.
 
 use sdnav_bench::{header, spec};
 use sdnav_chaos::{ChaosSpec, InjectionKind, InjectionSpec, TargetRef};
 use sdnav_core::{HostId, Scenario, Topology};
-use sdnav_grid::{run_supervised, Cell, CellMeta, RetryPolicy};
+use sdnav_grid::pool;
 use sdnav_sim::{SimConfig, Simulation, Welford};
 
 const HORIZON_HOURS: f64 = 20_000.0;
@@ -113,55 +114,37 @@ fn run_topology(topo: &Topology, name: &'static str) -> TopoResult {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps: Vec<usize> = (0..REPLICATIONS).collect();
     // Replications are independent; results are folded in item order below,
-    // so the supervised pool keeps the output thread-count invariant.
-    let run = run_supervised(
-        threads,
-        &reps,
-        RetryPolicy::default(),
-        |_, &r| CellMeta {
-            label: format!("{name} replication {r}"),
-            seed: 1000 + r as u64,
-        },
-        |_, &r| {
-            // Re-seed so cascade outcomes are resampled each replication.
-            let mut campaign = campaign.clone();
-            campaign.seed = 11 + r as u64;
-            let plan = sdnav_chaos::compile(&campaign, &sim).expect("campaign compiles");
-            let result = sim.run_injected(1000 + r as u64, &plan);
-            let ledger = result
-                .ledger
-                .as_ref()
-                .expect("injected runs carry a ledger");
-            let reported = if result.cp_outage_count == 0 {
-                0.0
-            } else {
-                result.cp_outage_mean_hours * result.cp_outage_count as f64
-            };
-            let ledger_gap = (ledger.cp_outage_hours() - reported).abs();
-            let window_gap = ledger
-                .dp_window_hours_by_cause()
-                .iter()
-                .zip(&ledger.dp_down_host_hours)
-                .fold(0.0_f64, |acc, (w, h)| acc.max((w - h).abs()));
-            (result.cp_availability, ledger_gap, window_gap)
-        },
-    );
+    // so the pool keeps the output thread-count invariant.
+    let (cells, _) = pool::execute(threads, &reps, |_, &r| {
+        // Re-seed so cascade outcomes are resampled each replication.
+        let mut campaign = campaign.clone();
+        campaign.seed = 11 + r as u64;
+        let plan = sdnav_chaos::compile(&campaign, &sim).expect("campaign compiles");
+        let result = sim.run_injected(1000 + r as u64, &plan);
+        let ledger = result
+            .ledger
+            .as_ref()
+            .expect("injected runs carry a ledger");
+        let reported = if result.cp_outage_count == 0 {
+            0.0
+        } else {
+            result.cp_outage_mean_hours * result.cp_outage_count as f64
+        };
+        let ledger_gap = (ledger.cp_outage_hours() - reported).abs();
+        let window_gap = ledger
+            .dp_window_hours_by_cause()
+            .iter()
+            .zip(&ledger.dp_down_host_hours)
+            .fold(0.0_f64, |acc, (w, h)| acc.max((w - h).abs()));
+        (result.cp_availability, ledger_gap, window_gap)
+    });
     let mut cp = Welford::new();
     let mut max_ledger_gap: f64 = 0.0;
     let mut max_window_gap: f64 = 0.0;
-    for cell in run.cells {
-        match cell {
-            Cell::Done((availability, ledger_gap, window_gap)) => {
-                cp.push(availability);
-                max_ledger_gap = max_ledger_gap.max(ledger_gap);
-                max_window_gap = max_window_gap.max(window_gap);
-            }
-            // The bench asserts claims over all replications; a replication
-            // that still panics after its retries invalidates them.
-            Cell::Quarantined(record) => {
-                panic!("replication quarantined: {record:?}")
-            }
-        }
+    for (availability, ledger_gap, window_gap) in cells {
+        cp.push(availability);
+        max_ledger_gap = max_ledger_gap.max(ledger_gap);
+        max_window_gap = max_window_gap.max(window_gap);
     }
     TopoResult {
         name,

@@ -23,14 +23,15 @@
 //!    relative to tolerating two crash faults on the same 5 nodes
 //!    (quorum 3) in the same environment, paired seeds again.
 //!
-//! Replications execute on the supervised work-stealing pool
-//! ([`sdnav_grid::run_supervised`]); results fold in item order so the
-//! output is thread-count invariant.
+//! Replications execute on the work-stealing pool
+//! ([`sdnav_grid::pool::execute`]); results fold in item order so the
+//! output is thread-count invariant, and a panicking replication aborts
+//! the experiment.
 
 use sdnav_bench::header;
 use sdnav_consensus::{ctmc_availability, ConsensusParams, ConsensusSim, RackConfig};
 use sdnav_core::{ConsensusSpec, FaultMix};
-use sdnav_grid::{run_supervised, Cell, CellMeta, RetryPolicy};
+use sdnav_grid::pool;
 use sdnav_sim::Welford;
 
 const REPLICATIONS: usize = 12;
@@ -62,22 +63,10 @@ fn cross_validate(cluster_size: u32) -> CrossValidation {
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps: Vec<usize> = (0..REPLICATIONS).collect();
-    let run = run_supervised(
-        threads,
-        &reps,
-        RetryPolicy::default(),
-        |_, &r| CellMeta {
-            label: format!("n={cluster_size} replication {r}"),
-            seed: 1 + r as u64,
-        },
-        |_, &r| sim.run(1 + r as u64).availability,
-    );
+    let (cells, _) = pool::execute(threads, &reps, |_, &r| sim.run(1 + r as u64).availability);
     let mut des = Welford::new();
-    for cell in run.cells {
-        match cell {
-            Cell::Done(availability) => des.push(availability),
-            Cell::Quarantined(record) => panic!("replication quarantined: {record:?}"),
-        }
+    for availability in cells {
+        des.push(availability);
     }
     CrossValidation {
         cluster_size,

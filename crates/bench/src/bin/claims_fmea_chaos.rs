@@ -23,12 +23,13 @@
 //!    ≈ 348.65 ms vs 225 ms) at identical seeds shifts the consensus
 //!    DES's election fraction in the direction of the distribution mean.
 //! 4. **Thread-count invariance.** Running the whole generate→verdict
-//!    pipeline on the supervised pool with 1 thread and with 4 threads
+//!    pipeline on the work-stealing pool with 1 thread and with 4 threads
 //!    yields byte-identical verdict documents.
 //!
-//! Replications execute on the supervised work-stealing pool
-//! ([`sdnav_grid::run_supervised`]); results fold in item order so the
-//! output is thread-count invariant.
+//! Replications execute on the work-stealing pool
+//! ([`sdnav_grid::pool::execute`]); results fold in item order so the
+//! output is thread-count invariant, and a panicking verdict aborts the
+//! experiment.
 
 use sdnav_bench::{header, spec};
 use sdnav_chaos::{
@@ -40,7 +41,7 @@ use sdnav_core::{
     ConsensusSpec, ControllerSpec, ElectionLatency, HostId, Scenario, SwParams, Topology,
 };
 use sdnav_fmea::{enumerate_filtered, Deployment, ElementKind};
-use sdnav_grid::{run_supervised, Cell, CellMeta, RetryPolicy};
+use sdnav_grid::pool;
 use sdnav_sim::{SimConfig, Simulation};
 
 const HORIZON_HOURS: f64 = 20_000.0;
@@ -66,51 +67,35 @@ fn sim_config() -> SimConfig {
         .expect("valid verdict config")
 }
 
-/// Generate→verdict for every topology on the supervised pool at the
+/// Generate→verdict for every topology on the work-stealing pool at the
 /// given thread count; returns `(compact verdict doc, report)` per
 /// topology, folded in item order.
 fn run_verdicts(s: &ControllerSpec, threads: usize) -> Vec<(String, VerdictReport)> {
     let names: Vec<&str> = TOPOLOGIES.to_vec();
-    let run = run_supervised(
-        threads,
-        &names,
-        RetryPolicy::default(),
-        |_, &name| CellMeta {
-            label: format!("verdict {name}"),
-            seed: SEED,
-        },
-        |_, &name| {
-            let topo = topology(s, name);
-            let deployment = Deployment::new(
-                s,
-                &topo,
-                SwParams::paper_defaults(),
-                Scenario::SupervisorNotRequired,
-            );
-            let generated = generate(&deployment, &GenerateConfig::default())
-                .expect("paper topologies have modes");
-            let sim = Simulation::try_new(s, &topo, sim_config()).expect("valid simulation");
-            let report = verdict(
-                &sim,
-                &generated,
-                SEED,
-                &VerdictConfig {
-                    replications: BASELINE_REPLICATIONS,
-                    z: 1.96,
-                },
-            )
-            .expect("generated campaign compiles");
-            (report.to_doc().to_compact(), report)
-        },
-    );
-    let mut out = Vec::new();
-    for cell in run.cells {
-        match cell {
-            Cell::Done(pair) => out.push(pair),
-            Cell::Quarantined(record) => panic!("verdict quarantined: {record:?}"),
-        }
-    }
-    out
+    let (verdicts, _) = pool::execute(threads, &names, |_, &name| {
+        let topo = topology(s, name);
+        let deployment = Deployment::new(
+            s,
+            &topo,
+            SwParams::paper_defaults(),
+            Scenario::SupervisorNotRequired,
+        );
+        let generated =
+            generate(&deployment, &GenerateConfig::default()).expect("paper topologies have modes");
+        let sim = Simulation::try_new(s, &topo, sim_config()).expect("valid simulation");
+        let report = verdict(
+            &sim,
+            &generated,
+            SEED,
+            &VerdictConfig {
+                replications: BASELINE_REPLICATIONS,
+                z: 1.96,
+            },
+        )
+        .expect("generated campaign compiles");
+        (report.to_doc().to_compact(), report)
+    });
+    verdicts
 }
 
 /// A hand-built one-mode genspec injecting rack 0 as a common-cause
@@ -199,7 +184,7 @@ fn main() {
     );
 
     // Fixed at 4 so the invariance arm is exercised even on small boxes —
-    // the supervised pool tolerates more threads than cores.
+    // the work-stealing pool tolerates more threads than cores.
     let threads = 4;
     let reports = run_verdicts(&s, threads);
     let single_threaded = run_verdicts(&s, 1);

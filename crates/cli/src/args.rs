@@ -2,10 +2,10 @@
 //!
 //! A [`Command`]'s help synopsis is also its option declaration: after the
 //! command words, `--name META` takes a value (the next token unless it
-//! starts with `--`, so `--retries -1` still reaches the integer check), a
-//! bare `--name` is a flag, and `--name [META]` takes an optional value.
-//! Brackets around a whole option carry no parse meaning; which options are
-//! required stays with the handlers.
+//! starts with `--`, so `--inject-panic -1` still reaches the integer
+//! check), a bare `--name` is a flag, and `--name [META]` takes an optional
+//! value. Brackets around a whole option carry no parse meaning; which
+//! options are required stays with the handlers.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;

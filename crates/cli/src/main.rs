@@ -14,7 +14,7 @@ use sdnav_core::{
 };
 use sdnav_fmea::{derive_table1, dominant_modes, enumerate_filtered, Deployment, ElementKind};
 use sdnav_grid::plan::Figure;
-use sdnav_grid::{GridSpec, GridSpecBuilder, RetryPolicy, SimRow, SuperviseOptions};
+use sdnav_grid::{GridSpec, GridSpecBuilder, SimRow, SuperviseOptions};
 use sdnav_report::{minutes_per_year, Chart, Series, Table};
 use sdnav_sim::{replicate, SimConfig};
 
@@ -82,8 +82,8 @@ const COMMANDS: &[Command] = &[
                    [--seed S] [--horizon H] [--accelerate F] [--compute-hosts N]\n\
                    [--campaign FILE] [--crews N,..] [--ccf P,..]\n\
                    [--election-timeout-ms MS,..] [--cluster-size N,..] [--fault-mix B:C,..]\n\
-                   [--checkpoint FILE] [--resume] [--retries N] [--backoff-ms MS]\n\
-                   [--quarantine-out FILE] [--format json] [--out FILE] [--dry-run]\n\
+                   [--checkpoint FILE] [--resume] [--quarantine-out FILE]\n\
+                   [--format json] [--out FILE] [--dry-run]\n\
                    [--inject-panic N] [--cancel-after-cells N]",
         about: "batch-evaluate a whole scenario grid (figures\n\
                 and optional simulation cells) in parallel;\n\
@@ -98,10 +98,10 @@ const COMMANDS: &[Command] = &[
                 cross-validated against the CTMC macro-state\n\
                 model.\n\
                 Cells run supervised: a panicking cell is\n\
-                retried --retries times with exponential\n\
-                backoff then quarantined (report to\n\
-                --quarantine-out or stderr) without killing\n\
-                the sweep. --checkpoint journals finished\n\
+                quarantined (report to --quarantine-out or\n\
+                stderr) without killing the sweep; cells are\n\
+                pure functions of their seeds, so none is\n\
+                retried. --checkpoint journals finished\n\
                 cells to an fsync'd WAL; --resume replays it\n\
                 and recomputes only the rest, byte-identical\n\
                 to an uninterrupted run. SIGINT/SIGTERM drain\n\
@@ -281,8 +281,8 @@ fn help(_: &Args) -> Result<(), SdnavError> {
 // statuses): bad invocations (unknown commands, malformed option values)
 // exit 2; well-formed requests that fail (unreadable files, invalid
 // models, lint findings) exit 1; a supervised sweep that still emitted
-// (partial) results — interrupted by SIGINT/SIGTERM, or with cells
-// quarantined after their retry budget — exits 3 so callers can
+// (partial) results — interrupted by SIGINT/SIGTERM, or with panicking
+// cells quarantined — exits 3 so callers can
 // distinguish "resume me" from "broken".
 
 fn usage(message: impl Into<String>) -> SdnavError {
@@ -685,15 +685,10 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     if args.has("resume") && checkpoint.is_none() {
         return Err(usage("--resume requires --checkpoint <file>"));
     }
-    let retry = RetryPolicy {
-        max_retries: args.value("retries", "an integer")?.unwrap_or(2),
-        backoff_base_ms: args.value("backoff-ms", "an integer")?.unwrap_or(50),
-    };
     let inject_panic = args.value("inject-panic", "an integer")?;
     let cancel_after_cells = args.value("cancel-after-cells", "an integer")?;
     signals::install();
     let opts = SuperviseOptions {
-        retry,
         checkpoint: checkpoint.as_deref(),
         resume: args.has("resume"),
         shutdown: Some(&signals::SHUTDOWN),
@@ -759,7 +754,7 @@ fn sweep(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
         }
         if !outcome.quarantine.is_empty() {
             reasons.push(format!(
-                "{} cell(s) quarantined after exhausting retries",
+                "{} cell(s) quarantined after a panic",
                 outcome.quarantine.len()
             ));
         }

@@ -62,17 +62,12 @@ pub mod supervise;
 
 use cache::SubModelKey;
 use metrics::{RunMetrics, StageTimings};
-use plan::{
-    item_seed, plan_chaos_items, plan_consensus_items, plan_items, Figure, SimTopology, WorkItem,
-};
+use plan::{item_seed, Figure, SimTopology, WorkItem};
 use sdnav_chaos::{ChaosSpec, CrewDiscipline, CrewSpec, InjectionKind};
 
 pub use cache::EvalGraph;
 pub use quarantine::{QuarantineRecord, QuarantineReport};
-pub use supervise::{
-    evaluate_supervised, run_supervised, Cell, CellMeta, RetryPolicy, SuperviseOptions,
-    SupervisedOutcome, SupervisedRun,
-};
+pub use supervise::{evaluate_supervised, SuperviseOptions, SupervisedOutcome};
 
 /// What a grid run should cover. Build one with [`GridSpec::builder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -138,6 +133,13 @@ impl GridSpec {
         }
         if self.sim_accelerate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(GridError::Spec("simulation acceleration must be positive"));
+        }
+        // An infinite horizon would never let a DES cell finish.
+        if !self.sim_horizon_hours.is_finite() {
+            return Err(GridError::Spec("simulation horizon must be finite"));
+        }
+        if !self.sim_accelerate.is_finite() {
+            return Err(GridError::Spec("simulation acceleration must be finite"));
         }
         if self.sim_compute_hosts == 0 {
             return Err(GridError::Spec("need at least one simulated compute host"));
@@ -494,7 +496,7 @@ pub enum GridError {
     /// The checkpoint WAL could not be written, replayed, or matched
     /// against this run's identity (see [`checkpoint`]).
     Checkpoint(String),
-    /// A cell still panicked after its retries (see [`supervise`]).
+    /// A cell panicked and was quarantined (see [`supervise`]).
     Panicked(QuarantineRecord),
 }
 
@@ -510,8 +512,8 @@ impl fmt::Display for GridError {
             GridError::Checkpoint(e) => write!(f, "{e}"),
             GridError::Panicked(r) => write!(
                 f,
-                "{} panicked on all {} attempts (seed {}): {}",
-                r.label, r.attempts, r.seed, r.panic_message
+                "{} panicked (seed {}): {}",
+                r.label, r.seed, r.panic_message
             ),
         }
     }
@@ -1107,26 +1109,6 @@ fn resolve_threads(grid: &GridSpec) -> usize {
     }
 }
 
-/// Expands the grid into the canonical work-item order (figures, sim
-/// cells, then chaos cells).
-fn build_items(grid: &GridSpec) -> Vec<WorkItem> {
-    let mut items = plan_items(&grid.figures, grid.points, grid.replications);
-    if grid.chaos_campaign.is_some() {
-        items.extend(plan_chaos_items(
-            &grid.chaos_crew_counts,
-            &grid.chaos_ccf_probabilities,
-        ));
-    }
-    if grid.consensus.is_some() {
-        items.extend(plan_consensus_items(
-            &grid.consensus_election_timeouts_ms,
-            &grid.consensus_cluster_sizes,
-            &grid.consensus_fault_mixes,
-        ));
-    }
-    items
-}
-
 /// Validates the base parameter sets and assembles the shared evaluation
 /// context, fingerprinting the state's HW and SW domains.
 fn build_ctx<'a>(
@@ -1174,7 +1156,7 @@ impl RunMetrics {
         stages: StageTimings,
         stats: pool::PoolStats,
         (cache_hits, cache_misses): (u64, u64),
-        (retries, quarantined, restored): (u64, u64, u64),
+        (quarantined, restored): (u64, u64),
     ) -> Self {
         let sim = results.sim.iter().map(|r| (r.replications, r.events));
         let chaos = results.chaos.iter().map(|r| (r.replications, r.events));
@@ -1199,7 +1181,6 @@ impl RunMetrics {
             steals: stats.steals,
             sim_replications,
             sim_events,
-            retries,
             quarantined,
             restored,
         }
@@ -1218,8 +1199,8 @@ impl RunMetrics {
 /// # Errors
 ///
 /// Returns the first [`GridError`] encountered (in plan order, regardless
-/// of execution order), or [`GridError::Panicked`] for a cell that still
-/// panicked after its retries.
+/// of execution order), or [`GridError::Panicked`] for a cell that
+/// panicked.
 pub fn evaluate(spec: &ControllerSpec, grid: &GridSpec) -> Result<GridOutcome, GridError> {
     let state = ModelState::paper(spec.clone());
     let graph = EvalGraph::new();
@@ -1239,8 +1220,7 @@ pub fn evaluate(spec: &ControllerSpec, grid: &GridSpec) -> Result<GridOutcome, G
 /// deltas, so callers serialize evaluations per graph.
 ///
 /// Cells run under the default [`SuperviseOptions`]: a panicking cell is
-/// retried with backoff, and one still panicking after its retries fails
-/// the whole evaluation.
+/// quarantined at once and fails the whole evaluation.
 ///
 /// # Errors
 ///
@@ -1453,7 +1433,6 @@ mod tests {
             index: 3,
             label: "item 3: Sw".into(),
             seed: 11,
-            attempts: 3,
             panic_message: "boom".into(),
         }));
         assert_eq!(err.kind(), sdnav_core::ErrorKind::Analysis);
@@ -1498,6 +1477,20 @@ mod tests {
         assert_eq!(
             GridSpec::builder().sim_accelerate(0.0).build().unwrap_err(),
             GridError::Spec("simulation acceleration must be positive")
+        );
+        assert_eq!(
+            GridSpec::builder()
+                .sim_horizon_hours(f64::INFINITY)
+                .build()
+                .unwrap_err(),
+            GridError::Spec("simulation horizon must be finite")
+        );
+        assert_eq!(
+            GridSpec::builder()
+                .sim_accelerate(f64::INFINITY)
+                .build()
+                .unwrap_err(),
+            GridError::Spec("simulation acceleration must be finite")
         );
         assert_eq!(
             GridSpec::builder()

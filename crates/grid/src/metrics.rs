@@ -47,9 +47,7 @@ pub struct RunMetrics {
     pub sim_replications: u64,
     /// Total simulation events processed.
     pub sim_events: u64,
-    /// Panicked item attempts that were retried by the supervisor.
-    pub retries: u64,
-    /// Items quarantined after exhausting their retry budget.
+    /// Items quarantined because their evaluation panicked.
     pub quarantined: u64,
     /// Items restored from the checkpoint WAL instead of recomputed.
     pub restored: u64,
@@ -69,7 +67,7 @@ impl RunMetrics {
              cache            : {} hits / {} misses\n  \
              steals           : {}\n  \
              sim              : {} replications, {} events\n  \
-             supervision      : {} retries, {} quarantined, {} restored\n",
+             supervision      : {} quarantined, {} restored\n",
             self.threads,
             self.items,
             self.items_per_sec,
@@ -81,7 +79,6 @@ impl RunMetrics {
             self.steals,
             self.sim_replications,
             self.sim_events,
-            self.retries,
             self.quarantined,
             self.restored,
         )
@@ -122,7 +119,6 @@ impl ToJson for RunMetrics {
             (
                 "supervision",
                 Json::obj(vec![
-                    ("retries", Json::Num(self.retries as f64)),
                     ("quarantined", Json::Num(self.quarantined as f64)),
                     ("restored", Json::Num(self.restored as f64)),
                 ]),
@@ -150,7 +146,6 @@ mod tests {
             steals: 3,
             sim_replications: 40,
             sim_events: 123_456,
-            retries: 2,
             quarantined: 1,
             restored: 5,
         }
@@ -166,7 +161,6 @@ mod tests {
             "88 misses",
             "steals",
             "replications",
-            "2 retries",
             "1 quarantined",
             "5 restored",
         ] {

@@ -5,6 +5,8 @@ use sdnav_core::hash::splitmix64;
 use sdnav_core::sweep::linspace;
 use sdnav_core::{FaultMix, Scenario};
 
+use crate::GridSpec;
+
 /// One of the paper's swept figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Figure {
@@ -194,6 +196,29 @@ pub fn plan_items(figures: &[Figure], points: usize, replications: usize) -> Vec
                 }
             }
         }
+    }
+    items
+}
+
+/// Expands a whole grid into the canonical work-item order: the figure and
+/// simulation cells of [`plan_items`], then the chaos cells when a campaign
+/// is set, then the consensus cells when a base consensus spec is set. The
+/// executor and the static cost model both walk this one expansion.
+#[must_use]
+pub fn plan_grid(grid: &GridSpec) -> Vec<WorkItem> {
+    let mut items = plan_items(&grid.figures, grid.points, grid.replications);
+    if grid.chaos_campaign.is_some() {
+        items.extend(plan_chaos_items(
+            &grid.chaos_crew_counts,
+            &grid.chaos_ccf_probabilities,
+        ));
+    }
+    if grid.consensus.is_some() {
+        items.extend(plan_consensus_items(
+            &grid.consensus_election_timeouts_ms,
+            &grid.consensus_cluster_sizes,
+            &grid.consensus_fault_mixes,
+        ));
     }
     items
 }

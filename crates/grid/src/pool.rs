@@ -23,8 +23,8 @@ pub struct PoolStats {
 /// count** — parallelism changes only the wall clock (and the steal
 /// counter).
 ///
-/// `threads == 0` is treated as 1. A worker panic propagates out of the
-/// enclosing thread scope.
+/// `threads == 0` is treated as 1. A panicking item propagates its panic to
+/// the caller, through the thread scope once the other workers finish.
 pub fn execute<I, T, F>(threads: usize, items: &[I], f: F) -> (Vec<T>, PoolStats)
 where
     I: Sync,
@@ -117,6 +117,16 @@ mod tests {
             assert_eq!(results, (0..97).map(|i| i * 3).collect::<Vec<_>>());
             assert!(stats.workers <= 16);
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn an_item_panic_propagates_to_the_caller() {
+        let items: Vec<usize> = (0..8).collect();
+        execute(2, &items, |_, &item| {
+            assert_ne!(item, 5, "item 5 panics");
+            item
+        });
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Structured quarantine reporting for supervised execution.
 //!
-//! A work item whose evaluation panics is retried (see
-//! [`crate::supervise::RetryPolicy`]); once the retry budget is exhausted
-//! the item is *quarantined* — recorded here with enough identity (plan
-//! index, human label, derived seed) to replay it in isolation — and the
-//! pool keeps running. The report serializes as `sdnav-quarantine/v1`.
+//! A work item whose evaluation panics is *quarantined* at once (see
+//! [`crate::supervise`]): recorded here with enough identity (plan index,
+//! human label, derived seed) to replay it in isolation, while the pool
+//! keeps running. The report serializes as `sdnav-quarantine/v1`.
 
 use sdnav_json::{Json, ToJson};
 
-/// One work item that exhausted its retry budget.
+/// One work item whose evaluation panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineRecord {
     /// Position of the item in the canonical plan order.
@@ -17,9 +16,7 @@ pub struct QuarantineRecord {
     pub label: String,
     /// The identity-derived RNG seed the item ran with, for replay.
     pub seed: u64,
-    /// Total execution attempts, including the first.
-    pub attempts: u32,
-    /// Panic payload of the final attempt (when it was a string).
+    /// The panic payload (when it was a string).
     pub panic_message: String,
 }
 
@@ -31,7 +28,6 @@ impl ToJson for QuarantineRecord {
             // Seeds use the full u64 range; serialize as a decimal string
             // so the f64-backed JSON layer cannot round them.
             ("seed", Json::str(self.seed.to_string())),
-            ("attempts", Json::Num(f64::from(self.attempts))),
             ("panic_message", Json::str(&self.panic_message)),
         ])
     }
@@ -86,7 +82,6 @@ mod tests {
                 index: 3,
                 label: "sim x=0 Small supervisor".into(),
                 seed: u64::MAX,
-                attempts: 3,
                 panic_message: "boom".into(),
             }],
         };
@@ -94,7 +89,7 @@ mod tests {
         assert_eq!(report.len(), 1);
         let json = sdnav_json::to_string(&report);
         assert!(json.contains("sdnav-quarantine/v1"));
-        assert!(json.contains("\"attempts\":3"));
+        assert!(json.contains("\"panic_message\":\"boom\""));
         // u64::MAX survives as a decimal string, not a rounded float.
         assert!(json.contains("\"18446744073709551615\""));
     }

@@ -1,5 +1,5 @@
-//! Supervised execution: panic isolation, retry with backoff, quarantine,
-//! checkpoint/resume, and graceful-shutdown partial results.
+//! Supervised execution: panic isolation, quarantine, checkpoint/resume,
+//! and graceful-shutdown partial results.
 //!
 //! The paper's §VI argues that a supervised process barely dents
 //! availability while an unsupervised one dominates downtime. The same
@@ -8,10 +8,11 @@
 //! module wraps the work-stealing pool ([`crate::pool`]) in a supervisor,
 //! and every grid entry point evaluates through it:
 //!
-//! * every work item runs under [`std::panic::catch_unwind`];
-//! * a panicking item is retried with bounded exponential backoff
-//!   ([`RetryPolicy`]) and, once the budget is spent, quarantined into a
-//!   structured [`QuarantineReport`] instead of killing the pool;
+//! * every work item runs once under [`std::panic::catch_unwind`], and a
+//!   panicking item is quarantined into a structured [`QuarantineReport`]
+//!   instead of killing the pool. There is no retry: a cell is a pure
+//!   function of the model state, the grid and its identity-derived seed,
+//!   so a second attempt would panic the same way;
 //! * completed cell outputs are journaled to an fsync'd checkpoint WAL
 //!   ([`crate::checkpoint`]) so a killed run resumes without recomputing;
 //! * a shutdown flag (wired to SIGINT/SIGTERM by the CLI) drains in-flight
@@ -21,73 +22,18 @@
 //! a resumed run is byte-identical to an uninterrupted one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdnav_core::{ControllerSpec, ModelState};
 
 use crate::cache::EvalGraph;
 use crate::checkpoint::{fingerprint, CheckpointWal};
 use crate::metrics::{RunMetrics, StageTimings};
-use crate::plan::item_seed;
+use crate::plan::{item_seed, plan_grid, WorkItem};
 use crate::quarantine::{QuarantineRecord, QuarantineReport};
 use crate::{pool, GridError, GridResults, GridSpec, ItemOutput};
-
-/// Bounded exponential backoff between retries of a panicked item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (0 = quarantine immediately).
-    pub max_retries: u32,
-    /// Sleep before retry `n` is `backoff_base_ms << (n - 1)` milliseconds.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base_ms: 50,
-        }
-    }
-}
-
-impl RetryPolicy {
-    fn backoff_ms(&self, completed_attempts: u32) -> u64 {
-        // Shift capped so a generous retry budget cannot overflow.
-        self.backoff_base_ms
-            .saturating_mul(1u64 << completed_attempts.min(16))
-    }
-}
-
-/// Identity attached to a quarantined item (see [`run_supervised`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellMeta {
-    /// Human-readable identity (grid coordinates, replication tag, …).
-    pub label: String,
-    /// RNG seed the item ran with, for replay in isolation.
-    pub seed: u64,
-}
-
-/// Outcome of one supervised work item.
-#[derive(Debug)]
-pub enum Cell<T> {
-    /// The item completed (possibly after retries).
-    Done(T),
-    /// The item panicked past its retry budget and was quarantined.
-    Quarantined(QuarantineRecord),
-}
-
-/// Everything [`run_supervised`] reports back.
-#[derive(Debug)]
-pub struct SupervisedRun<T> {
-    /// Per-item outcomes in item order.
-    pub cells: Vec<Cell<T>>,
-    /// Pool execution counters.
-    pub stats: pool::PoolStats,
-    /// Retries performed across all items.
-    pub retries: u64,
-}
 
 /// Extracts a displayable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -100,61 +46,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` over every item on the work-stealing pool with panic
-/// supervision: a panicking item is retried per `policy` and finally
-/// quarantined (with the identity `meta` reports) instead of unwinding
-/// through the pool. Results keep item order, so supervised execution is
-/// as thread-count-independent as the unsupervised pool.
-pub fn run_supervised<I, T, M, F>(
-    threads: usize,
-    items: &[I],
-    policy: RetryPolicy,
-    meta: M,
-    f: F,
-) -> SupervisedRun<T>
-where
-    I: Sync,
-    T: Send,
-    M: Fn(usize, &I) -> CellMeta + Sync,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let retries = AtomicU64::new(0);
-    let (cells, stats) = pool::execute(threads, items, |index, item| {
-        let mut attempts: u32 = 0;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-                Ok(value) => return Cell::Done(value),
-                Err(payload) => {
-                    attempts += 1;
-                    let message = panic_message(payload.as_ref());
-                    if attempts > policy.max_retries {
-                        let CellMeta { label, seed } = meta(index, item);
-                        return Cell::Quarantined(QuarantineRecord {
-                            index,
-                            label,
-                            seed,
-                            attempts,
-                            panic_message: message,
-                        });
-                    }
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(policy.backoff_ms(attempts - 1)));
-                }
-            }
-        }
-    });
-    SupervisedRun {
-        cells,
-        stats,
-        retries: retries.into_inner(),
-    }
-}
-
 /// Options for [`evaluate_supervised`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SuperviseOptions<'a> {
-    /// Retry/backoff budget for panicking items.
-    pub retry: RetryPolicy,
     /// Journal completed cells to this WAL path.
     pub checkpoint: Option<&'a std::path::Path>,
     /// Replay journaled cells from the WAL before executing the rest.
@@ -163,7 +57,7 @@ pub struct SuperviseOptions<'a> {
     /// it). Once set, not-yet-started cells are skipped; in-flight cells
     /// drain normally.
     pub shutdown: Option<&'a AtomicBool>,
-    /// Test/CI hook: the item at this plan index panics on every attempt.
+    /// Test/CI hook: the item at this plan index panics.
     pub inject_panic: Option<usize>,
     /// Test/CI hook: request shutdown after this many freshly computed
     /// cells, simulating an interrupt at a deterministic point.
@@ -192,6 +86,8 @@ enum EvalCell {
     Restored(ItemOutput),
     /// Skipped because shutdown was requested before the cell started.
     Skipped,
+    /// Panicked, so quarantined (cells are never retried).
+    Panicked(QuarantineRecord),
 }
 
 /// Evaluates a grid under supervision (see the module docs) on the
@@ -201,9 +97,9 @@ enum EvalCell {
 ///
 /// # Errors
 ///
-/// Returns the first [`GridError`] in plan order — model errors are
-/// deterministic, so unlike panics they are not retried — or a
-/// [`GridError::Checkpoint`] if the WAL cannot be written or replayed.
+/// Returns the first [`GridError`] in plan order — unlike a panic, a model
+/// error is not quarantined — or a [`GridError::Checkpoint`] if the WAL
+/// cannot be written or replayed.
 pub fn evaluate_supervised(
     spec: &ControllerSpec,
     grid: &GridSpec,
@@ -231,7 +127,7 @@ pub(crate) fn evaluate_with(
     let (hits0, misses0) = (graph.hits(), graph.misses());
 
     let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let items = crate::build_items(grid);
+    let items = plan_grid(grid);
     let ctx = crate::build_ctx(state, grid, graph)?;
 
     let mut restored_cells: Vec<Option<ItemOutput>> = Vec::new();
@@ -267,39 +163,40 @@ pub(crate) fn evaluate_with(
     };
 
     let execute_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let run = run_supervised(
-        threads,
-        &items,
-        opts.retry,
-        |index, item| CellMeta {
-            label: format!("item {index}: {item:?}"),
-            seed: item_seed(grid.seed, item),
-        },
-        |index, item| {
-            if let Some(output) = restored[index].lock().expect("restored slot lock").take() {
-                return EvalCell::Restored(output);
+    let cell = |index: usize, item: &WorkItem| {
+        if let Some(output) = restored[index].lock().expect("restored slot lock").take() {
+            return EvalCell::Restored(output);
+        }
+        if shutting_down() {
+            return EvalCell::Skipped;
+        }
+        if opts.inject_panic == Some(index) {
+            panic!("injected panic in work item {index}");
+        }
+        let result = ctx.eval(item);
+        if let (Ok(output), Some(wal)) = (&result, &wal) {
+            if let Err(e) = wal.lock().expect("wal lock").append_cell(index, output) {
+                return EvalCell::Fresh(Err(e));
             }
-            if shutting_down() {
-                return EvalCell::Skipped;
+        }
+        if result.is_ok() {
+            let done = fresh_done.fetch_add(1, Ordering::SeqCst) + 1;
+            if opts.cancel_after_cells.is_some_and(|k| done >= k) {
+                cancelled.store(true, Ordering::SeqCst);
             }
-            if opts.inject_panic == Some(index) {
-                panic!("injected panic in work item {index}");
-            }
-            let result = ctx.eval(item);
-            if let (Ok(output), Some(wal)) = (&result, &wal) {
-                if let Err(e) = wal.lock().expect("wal lock").append_cell(index, output) {
-                    return EvalCell::Fresh(Err(e));
-                }
-            }
-            if result.is_ok() {
-                let done = fresh_done.fetch_add(1, Ordering::SeqCst) + 1;
-                if opts.cancel_after_cells.is_some_and(|k| done >= k) {
-                    cancelled.store(true, Ordering::SeqCst);
-                }
-            }
-            EvalCell::Fresh(result)
-        },
-    );
+        }
+        EvalCell::Fresh(result)
+    };
+    let (cells, stats) = pool::execute(threads, &items, |index, item| {
+        catch_unwind(AssertUnwindSafe(|| cell(index, item))).unwrap_or_else(|payload| {
+            EvalCell::Panicked(QuarantineRecord {
+                index,
+                label: format!("item {index}: {item:?}"),
+                seed: item_seed(grid.seed, item),
+                panic_message: panic_message(payload.as_ref()),
+            })
+        })
+    });
     let execute_ms = execute_start.elapsed().as_secs_f64() * 1e3;
 
     let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
@@ -308,19 +205,19 @@ pub(crate) fn evaluate_with(
     let mut skipped = 0usize;
     let mut journaled_cells = 0u64;
     let mut first_error = None;
-    for cell in run.cells {
+    for cell in cells {
         match cell {
-            Cell::Done(EvalCell::Fresh(Ok(output))) | Cell::Done(EvalCell::Restored(output)) => {
+            EvalCell::Fresh(Ok(output)) | EvalCell::Restored(output) => {
                 journaled_cells += 1;
                 crate::fold_output(&mut results, output);
             }
-            Cell::Done(EvalCell::Fresh(Err(e))) => {
+            EvalCell::Fresh(Err(e)) => {
                 if first_error.is_none() {
                     first_error = Some(e);
                 }
             }
-            Cell::Done(EvalCell::Skipped) => skipped += 1,
-            Cell::Quarantined(record) => quarantine.records.push(record),
+            EvalCell::Skipped => skipped += 1,
+            EvalCell::Panicked(record) => quarantine.records.push(record),
         }
     }
     if let Some(e) = first_error {
@@ -351,9 +248,9 @@ pub(crate) fn evaluate_with(
             execute_ms,
             aggregate_ms,
         },
-        run.stats,
+        stats,
         (graph.hits() - hits0, graph.misses() - misses0),
-        (run.retries, quarantine.len() as u64, restored_count as u64),
+        (quarantine.len() as u64, restored_count as u64),
     );
 
     Ok(SupervisedOutcome {
@@ -387,13 +284,6 @@ mod tests {
             .unwrap()
     }
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base_ms: 1,
-        }
-    }
-
     fn temp_wal(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "sdnav-supervise-{tag}-{}-{:?}.wal",
@@ -414,7 +304,7 @@ mod tests {
         );
         assert!(!supervised.interrupted);
         assert!(supervised.quarantine.is_empty());
-        assert_eq!(supervised.metrics.retries, 0);
+        assert_eq!(supervised.metrics.quarantined, 0);
     }
 
     #[test]
@@ -445,11 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn panicking_item_is_retried_then_quarantined_without_killing_pool() {
+    fn panicking_item_is_quarantined_without_killing_pool() {
         let s = spec();
         let grid = small_grid(2);
         let opts = SuperviseOptions {
-            retry: fast_retry(),
             inject_panic: Some(1),
             ..SuperviseOptions::default()
         };
@@ -461,9 +350,7 @@ mod tests {
         assert_eq!(outcome.quarantine.len(), 1);
         let record = &outcome.quarantine.records[0];
         assert_eq!(record.index, 1);
-        assert_eq!(record.attempts, 3, "first attempt + 2 retries");
         assert!(record.panic_message.contains("injected panic"));
-        assert_eq!(outcome.metrics.retries, 2);
         assert_eq!(outcome.metrics.quarantined, 1);
         assert!(outcome.results.incomplete);
         assert!(!outcome.interrupted, "quarantine is not an interrupt");
@@ -479,7 +366,6 @@ mod tests {
         let graph = EvalGraph::new();
         let cold = crate::evaluate_incremental(&state, &grid, &graph).unwrap();
         let opts = SuperviseOptions {
-            retry: fast_retry(),
             inject_panic: Some(0),
             ..SuperviseOptions::default()
         };
@@ -568,48 +454,5 @@ mod tests {
         let err = evaluate_supervised(&s, &reseeded, &resume_opts).unwrap_err();
         assert!(matches!(err, GridError::Checkpoint(_)), "got {err:?}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn run_supervised_keeps_item_order_and_counts_retries() {
-        let items: Vec<usize> = (0..16).collect();
-        let policy = RetryPolicy {
-            max_retries: 1,
-            backoff_base_ms: 0,
-        };
-        let attempts = AtomicU64::new(0);
-        let run = run_supervised(
-            4,
-            &items,
-            policy,
-            |index, _| CellMeta {
-                label: format!("item {index}"),
-                seed: index as u64,
-            },
-            |_, &item| {
-                if item == 5 {
-                    // Panics on the first attempt only: the retry succeeds.
-                    if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("transient");
-                    }
-                }
-                if item == 9 {
-                    panic!("permanent");
-                }
-                item * 2
-            },
-        );
-        assert_eq!(run.cells.len(), 16);
-        for (i, cell) in run.cells.iter().enumerate() {
-            match cell {
-                Cell::Done(v) => assert_eq!(*v, i * 2),
-                Cell::Quarantined(record) => {
-                    assert_eq!(i, 9);
-                    assert_eq!(record.attempts, 2);
-                    assert_eq!(record.panic_message, "permanent");
-                }
-            }
-        }
-        assert!(run.retries >= 2, "one transient + one permanent retry");
     }
 }

@@ -40,7 +40,7 @@ pub const CHAOS_VERDICT: &str = "sdnav-chaos-verdict/v1";
 /// Checkpoint WAL header/cell/seal frames.
 pub const CHECKPOINT: &str = "sdnav-checkpoint/v1";
 
-/// Quarantine report for cells that exhausted their retry budget.
+/// Quarantine report for cells whose evaluation panicked.
 pub const QUARANTINE: &str = "sdnav-quarantine/v1";
 
 /// `sdnav serve` patch acknowledgement (`PATCH /v1/spec`).

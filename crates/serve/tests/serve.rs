@@ -268,6 +268,24 @@ fn errors_map_kinds_onto_http_statuses() {
     let doc = Json::parse(&body).unwrap();
     assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "model");
 
+    // A horizon that parses to +inf is a 422 too, not an evaluation that
+    // never returns while holding the model lock.
+    let (status, body) = request(
+        server.addr,
+        "POST",
+        "/v1/eval",
+        r#"{"figures": ["fig3"], "points": 1, "replications": 1, "sim_horizon_hours": 1e999}"#,
+    );
+    assert_eq!(status, 422);
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "model");
+    assert!(doc
+        .field("message")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("finite"));
+
     // Unknown patch target: 404 not_found, and the message lists the
     // patchable names.
     let (status, body) = request(

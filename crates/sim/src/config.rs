@@ -12,6 +12,9 @@ pub enum ConfigError {
     /// A time or rate that must be strictly positive is not (field name
     /// in human-readable form, e.g. `process MTBF`).
     NonPositive(&'static str),
+    /// A value that must be finite is infinite (field name in
+    /// human-readable form, e.g. `horizon`).
+    NonFinite(&'static str),
     /// `warmup_fraction` outside `[0, 1)`.
     BadWarmupFraction(f64),
     /// An availability outside `(0, 1]` (or NaN).
@@ -26,6 +29,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::NonPositive(what) => write!(f, "{what} must be positive"),
+            ConfigError::NonFinite(what) => write!(f, "{what} must be finite"),
             ConfigError::BadWarmupFraction(v) => {
                 write!(f, "warmup fraction must be in [0, 1), got {v}")
             }
@@ -287,6 +291,10 @@ impl SimConfig {
             if value.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                 return Err(ConfigError::NonPositive(what));
             }
+        }
+        // The event loop runs until the horizon, so it must be reachable.
+        if !self.horizon_hours.is_finite() {
+            return Err(ConfigError::NonFinite("horizon"));
         }
         if !(0.0..1.0).contains(&self.warmup_fraction) {
             return Err(ConfigError::BadWarmupFraction(self.warmup_fraction));
@@ -582,6 +590,14 @@ mod tests {
         assert_eq!(
             c.try_validate().unwrap_err().to_string(),
             "process MTBF must be positive"
+        );
+
+        let mut c = good;
+        c.horizon_hours = f64::INFINITY;
+        assert_eq!(c.try_validate(), Err(ConfigError::NonFinite("horizon")));
+        assert_eq!(
+            c.try_validate().unwrap_err().to_string(),
+            "horizon must be finite"
         );
 
         let mut c = good;
