@@ -4,11 +4,13 @@
 //! A sweep grid is itself a model — of the *work* a study will do — and it
 //! can be analyzed without running a single cell. [`SweepPlan::predict`]
 //! expands a [`GridSpec`] into its work items exactly as the executor
-//! would and walks them in plan order with a simulated sub-model cache, so
-//! it knows, before any evaluation:
+//! would and walks them in plan order through the sub-model keys each one
+//! reads ([`SubModelKey::of`], the executor's own list), so it knows,
+//! before any evaluation:
 //!
 //! * which cache lookups each cell performs and which of them hit (the
-//!   memoization the executor shares between Fig. 4 and Fig. 5),
+//!   memoization the executor shares between Fig. 4 and Fig. 5); the
+//!   totals equal a 1-thread run's by construction,
 //! * a relative cost per cell: one unit per memoized analytic model
 //!   evaluation, and a predicted event count for every simulated cell
 //!   (`2 × replications × horizon × acceleration × Σ element rates`, an
@@ -27,6 +29,7 @@ use std::collections::HashSet;
 use sdnav_chaos::MAX_OCCURRENCES;
 use sdnav_consensus::ConsensusParams;
 use sdnav_core::{ControllerSpec, Scenario, Topology};
+use sdnav_grid::cache::SubModelKey;
 use sdnav_grid::plan::{item_seed, plan_grid, SimTopology, WorkItem};
 use sdnav_grid::GridSpec;
 use sdnav_json::{Json, ToJson};
@@ -127,52 +130,24 @@ fn rate_sum(spec: &ControllerSpec, topo: &Topology, grid: &GridSpec, scenario: S
         + per(procs, config.process_mtbf)
 }
 
-/// Number of injection occurrences a campaign schedules inside the horizon
-/// (same expansion rule as the compiler, capped at [`MAX_OCCURRENCES`]).
+/// Number of injection occurrences a campaign schedules inside the horizon:
+/// the compiler's own expansion ([`sdnav_chaos::InjectionSpec::occurrences`]),
+/// capped at [`MAX_OCCURRENCES`]. An injection with a non-finite start,
+/// which the compiler rejects, schedules none.
 fn campaign_occurrences(grid: &GridSpec) -> usize {
     let Some(campaign) = &grid.chaos_campaign else {
         return 0;
     };
-    let horizon = grid.sim_horizon_hours;
-    let mut total = 0usize;
-    for inj in &campaign.injections {
-        if !inj.at.is_finite() || inj.at >= horizon {
-            continue;
-        }
-        match inj.every.filter(|e| e.is_finite() && *e > 0.0) {
-            None => total += 1,
-            Some(step) => {
-                let n = ((horizon - inj.at) / step).ceil() as usize;
-                total += n.clamp(1, MAX_OCCURRENCES);
-            }
-        }
-    }
-    total
-}
-
-/// The cache keys one work item looks up, in evaluation order. Mirrors the
-/// executor's `SubModelKey` derivation: one HW key per Fig. 3 point, four
-/// SW keys (topology × scenario) per Fig. 4/5 point.
-fn cache_keys(item: &WorkItem) -> Vec<(u8, u8, u64)> {
-    match item {
-        WorkItem::Fig3Point { a_c } => vec![(0, 0, a_c.to_bits())],
-        WorkItem::SwPoint { x, .. } => [
-            (SimTopology::Small, false),
-            (SimTopology::Small, true),
-            (SimTopology::Large, false),
-            (SimTopology::Large, true),
-        ]
-        .into_iter()
-        .map(|(topo, sup)| {
-            (
-                1 + u8::from(matches!(topo, SimTopology::Large)),
-                u8::from(sup),
-                x.to_bits(),
-            )
+    campaign
+        .injections
+        .iter()
+        .filter(|inj| inj.at.is_finite())
+        .map(|inj| {
+            inj.occurrences(grid.sim_horizon_hours)
+                .take(MAX_OCCURRENCES)
+                .count()
         })
-        .collect(),
-        _ => Vec::new(),
-    }
+        .sum()
 }
 
 /// A canonical identity string for duplicate detection — bit-exact on
@@ -222,7 +197,7 @@ impl SweepPlan {
         let items = plan_grid(grid);
         let occurrences = campaign_occurrences(grid);
 
-        let mut seen: HashSet<(u8, u8, u64)> = HashSet::new();
+        let mut seen: BTreeSet<SubModelKey> = BTreeSet::new();
         let mut cells = Vec::with_capacity(items.len());
         let mut cache = CachePrediction {
             lookups: 0,
@@ -231,17 +206,11 @@ impl SweepPlan {
         };
         let mut skippable = 0usize;
         for item in &items {
-            let keys = cache_keys(item);
+            // The executor's own key list: a key seen before is a hit.
+            let keys = SubModelKey::of(item);
             let lookups = keys.len();
-            let mut hits = 0usize;
-            let mut misses = 0usize;
-            for key in keys {
-                if seen.insert(key) {
-                    misses += 1;
-                } else {
-                    hits += 1;
-                }
-            }
+            let misses = keys.into_iter().filter(|&key| seen.insert(key)).count();
+            let hits = lookups - misses;
             cache.lookups += lookups;
             cache.hits += hits;
             cache.misses += misses;
@@ -489,7 +458,9 @@ pub fn audit_grid(spec: &ControllerSpec, grid: &GridSpec) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdnav_chaos::{ChaosSpec, InjectionKind, InjectionSpec, TargetRef};
     use sdnav_grid::plan::Figure;
+    use sdnav_sim::Simulation;
 
     fn spec() -> ControllerSpec {
         ControllerSpec::opencontrail_3x()
@@ -511,6 +482,67 @@ mod tests {
         // Every Fig. 5 cell is fully served from Fig. 4's computations.
         assert_eq!(plan.skippable_cells, 11);
         assert_eq!(plan.predicted_events, 0.0);
+    }
+
+    #[test]
+    fn predicted_cache_equals_a_one_thread_evaluation() {
+        let every_figure = GridSpec::builder().points(7).threads(1).build().unwrap();
+        let sw_figures = GridSpec::builder()
+            .figures(&[Figure::Fig4, Figure::Fig5])
+            .points(11)
+            .threads(1)
+            .build()
+            .unwrap();
+        for grid in [every_figure, sw_figures] {
+            let plan = SweepPlan::predict(&spec(), &grid);
+            let measured = sdnav_grid::evaluate(&spec(), &grid).unwrap().metrics;
+            let (hits, misses) = (measured.cache_hits, measured.cache_misses);
+            assert_eq!(plan.cache.lookups as u64, hits + misses, "{grid:?}");
+            assert_eq!(plan.cache.hits as u64, hits, "{grid:?}");
+            assert_eq!(plan.cache.misses as u64, misses, "{grid:?}");
+        }
+    }
+
+    #[test]
+    fn campaign_occurrences_follow_the_compiler() {
+        // Both settings sit on a float boundary where the closed form
+        // ceil((horizon − at)/every) miscounts: 2 + 490·10.2 is exactly
+        // 5000.0, so no occurrence lands there, and 1.5 + 355·0.7 rounds
+        // to just below 250, so one more does.
+        let spec = spec();
+        let small = Topology::small(&spec);
+        for (at, every, horizon) in [(2.0, 10.2, 5_000.0), (1.5, 0.7, 250.0)] {
+            let campaign = ChaosSpec {
+                name: "repeat".into(),
+                seed: 0,
+                crews: None,
+                injections: vec![InjectionSpec {
+                    label: "kill".into(),
+                    kind: InjectionKind::Fail {
+                        target: TargetRef::Rack(0),
+                        repair_hours: Some(0.1),
+                    },
+                    at,
+                    every: Some(every),
+                }],
+            };
+            let grid = GridSpec::builder()
+                .sim_horizon_hours(horizon)
+                .chaos_campaign(campaign.clone())
+                .build()
+                .unwrap();
+            let config = SimConfig::builder(Scenario::SupervisorNotRequired)
+                .horizon_hours(horizon)
+                .build()
+                .unwrap();
+            let sim = Simulation::try_new(&spec, &small, config).unwrap();
+            let compiled = sdnav_chaos::compile(&campaign, &sim).unwrap();
+            assert_eq!(
+                campaign_occurrences(&grid),
+                compiled.events.len(),
+                "at {at}, every {every}, horizon {horizon}"
+            );
+        }
     }
 
     #[test]

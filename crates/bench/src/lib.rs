@@ -1,5 +1,6 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
-//! tables and figures, and for the Criterion performance benches.
+//! tables and figures. The timing benches under `benches/` are
+//! harness-less `std::time::Instant` loops and do not use them.
 //!
 //! Each binary under `src/bin/` reproduces one artifact (see the experiment
 //! index in DESIGN.md) and prints both the measured values and, where the

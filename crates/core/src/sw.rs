@@ -5,7 +5,7 @@ use crate::eval::{role_availability, Enumerator};
 use crate::{ControllerSpec, Plane, SwParams, Topology};
 
 /// The two supervisor modes of operation analyzed in §VI.A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scenario {
     /// Optimistic upper bound: a node-role keeps operating after its
     /// supervisor fails (supervisor restarted at the next maintenance

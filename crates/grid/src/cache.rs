@@ -11,6 +11,13 @@
 //! per evaluation, so whichever figure reaches a point first pays for the
 //! enumeration and the other gets it for free.
 //!
+//! A cached value is a pure function of its key. [`SubModelKey::of`] lists
+//! the keys a work item reads, and the executor computes each value from
+//! the key's own fields and the domain's parameter set, nothing else. The
+//! static cost model (`sdnav_audit::SweepPlan::predict`) walks the same
+//! list, so its predicted hits and misses are a 1-thread run's by
+//! construction.
+//!
 //! What makes it a *graph* rather than a per-run cache is the first key
 //! component: every entry is addressed by `(domain fingerprint, sub-model
 //! key)`, where the domain fingerprint (`sdnav_core::state::ModelState`)
@@ -21,12 +28,19 @@
 //! sub-models; every HW entry is still addressable and hits. Entries under
 //! dead fingerprints are dropped by [`EvalGraph::retain_domains`], which
 //! is what the service's `invalidated` counter reports.
+//!
+//! The table and its counters sit behind one lock. Its traffic is small:
+//! evaluations on one graph are serialized, at most the grid's worker
+//! threads share it, and an evaluation looks up one key per Fig. 3 point
+//! and four per Fig. 4/5 point (369 on the 41-point paper grid), each hit
+//! one map probe under the lock.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use sdnav_core::hash::{fnv1a, FNV_OFFSET};
+use sdnav_core::Scenario;
+
+use crate::plan::{SimTopology, WorkItem};
 
 /// Key of one memoizable sub-model evaluation within a domain.
 ///
@@ -42,90 +56,93 @@ pub enum SubModelKey {
         /// `A_C.to_bits()`.
         a_c_bits: u64,
     },
-    /// SW-centric model at one sweep position; the value triple is
-    /// `[cp, shared_dp, host_dp]`.
+    /// SW-centric model of one §VI option at one sweep position; the value
+    /// triple is `[cp, shared_dp, host_dp]`.
     Sw {
-        /// Reference topology index (0 = Small, 1 = Large).
-        topology: u8,
-        /// Whether the supervisor-required scenario applies.
-        supervisor_required: bool,
+        /// Reference topology.
+        topology: SimTopology,
+        /// Supervisor mode of operation.
+        scenario: Scenario,
         /// Figure x-position, `x.to_bits()`.
         x_bits: u64,
     },
 }
 
-/// One lock-striped slice of the graph: full keys → availability triples.
-///
-/// Ordered map on purpose: shard layout and iteration order are functions
-/// of the keys alone, never of a per-process hasher seed (detlint DL001/
-/// DL004 — the service's metrics and eviction paths walk these maps).
-type Shard = Mutex<BTreeMap<(u64, SubModelKey), [f64; 3]>>;
-
-/// A sharded, counting memo table for `(domain, SubModelKey)` →
-/// availability triples (see the module docs).
-#[derive(Debug)]
-pub struct EvalGraph {
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated: AtomicU64,
+impl SubModelKey {
+    /// The keys `item` reads, in lookup order: one [`Hw`](Self::Hw) key
+    /// for a Fig. 3 point; for a Fig. 4/5 point the four §VI options as
+    /// [`Sw`](Self::Sw) keys — Small then Large, each without and then
+    /// with the supervisor required; none for simulated, chaos and
+    /// consensus cells.
+    #[must_use]
+    pub fn of(item: &WorkItem) -> Vec<SubModelKey> {
+        match *item {
+            WorkItem::Fig3Point { a_c } => vec![SubModelKey::Hw {
+                a_c_bits: a_c.to_bits(),
+            }],
+            WorkItem::SwPoint { x, .. } => [
+                (SimTopology::Small, Scenario::SupervisorNotRequired),
+                (SimTopology::Small, Scenario::SupervisorRequired),
+                (SimTopology::Large, Scenario::SupervisorNotRequired),
+                (SimTopology::Large, Scenario::SupervisorRequired),
+            ]
+            .map(|(topology, scenario)| SubModelKey::Sw {
+                topology,
+                scenario,
+                x_bits: x.to_bits(),
+            })
+            .to_vec(),
+            WorkItem::SimPoint { .. }
+            | WorkItem::ChaosPoint { .. }
+            | WorkItem::ConsensusPoint { .. } => Vec::new(),
+        }
+    }
 }
 
-impl Default for EvalGraph {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The graph's state: full keys → availability triples, and the lifetime
+/// counters.
+///
+/// Ordered map on purpose: iteration order is a function of the keys
+/// alone, never of a per-process hasher seed (detlint DL001/DL004 — the
+/// eviction path walks it).
+#[derive(Debug, Default)]
+struct Table {
+    entries: BTreeMap<(u64, SubModelKey), [f64; 3]>,
+    hits: u64,
+    misses: u64,
+    invalidated: u64,
+}
+
+/// A counting memo table for `(domain, SubModelKey)` → availability
+/// triples (see the module docs).
+#[derive(Debug, Default)]
+pub struct EvalGraph {
+    table: Mutex<Table>,
 }
 
 impl EvalGraph {
-    /// Number of independently locked shards (bounds contention, not
-    /// capacity).
-    const SHARDS: usize = 16;
-
     /// An empty graph.
     #[must_use]
     pub fn new() -> Self {
-        EvalGraph {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
-    /// Selects the shard for a key via the workspace's fixed-seed FNV-1a,
-    /// so the shard assignment (and with it lock-contention behavior and
-    /// per-shard layout) is identical in every process.
-    fn shard(&self, key: &(u64, SubModelKey)) -> &Shard {
-        let mut h = fnv1a(FNV_OFFSET, &key.0.to_le_bytes());
-        match key.1 {
-            SubModelKey::Hw { a_c_bits } => {
-                h = fnv1a(h, b"hw");
-                h = fnv1a(h, &a_c_bits.to_le_bytes());
-            }
-            SubModelKey::Sw {
-                topology,
-                supervisor_required,
-                x_bits,
-            } => {
-                h = fnv1a(h, b"sw");
-                h = fnv1a(h, &[topology, u8::from(supervisor_required)]);
-                h = fnv1a(h, &x_bits.to_le_bytes());
-            }
-        }
-        &self.shards[(h as usize) % Self::SHARDS]
+    /// The locked table. `compute` never runs under the lock, so a
+    /// panicking cell cannot poison it, and every update made under it (a
+    /// counter bump, an insert, a `retain`) leaves the table valid, so a
+    /// poisoned lock is taken over rather than propagated.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached triple for `key` under `domain`, computing and
     /// inserting it on a miss.
     ///
-    /// `compute` runs outside the shard lock, so two threads racing on the
-    /// same key may both evaluate; both then count as misses and the first
+    /// `compute` runs outside the lock, so two threads racing on the same
+    /// key may both evaluate; both then count as misses and the first
     /// insert wins. That costs a duplicated evaluation, never a wrong
-    /// answer: `compute` must be (and here is) a pure function of the key,
-    /// and the domain fingerprint covers every input it reads.
+    /// answer: `compute` must be (and in the grid is) a pure function of
+    /// the key, and the domain fingerprint covers every input it reads.
     pub fn get_or_compute(
         &self,
         domain: u64,
@@ -133,17 +150,18 @@ impl EvalGraph {
         compute: impl FnOnce() -> [f64; 3],
     ) -> [f64; 3] {
         let full = (domain, key);
-        if let Some(value) = self.shard(&full).lock().expect("graph shard").get(&full) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *value;
+        {
+            let mut table = self.table();
+            let cached = table.entries.get(&full).copied();
+            if let Some(value) = cached {
+                table.hits += 1;
+                return value;
+            }
         }
         let value = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.shard(&full)
-            .lock()
-            .expect("graph shard")
-            .entry(full)
-            .or_insert(value);
+        let mut table = self.table();
+        table.misses += 1;
+        table.entries.entry(full).or_insert(value);
         value
     }
 
@@ -157,43 +175,37 @@ impl EvalGraph {
     /// did that edit invalidate?" unanswerable. `PATCH /v1/spec` calls
     /// this with the post-edit fingerprints.
     pub fn retain_domains(&self, live: &[u64]) -> u64 {
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut map = shard.lock().expect("graph shard");
-            let before = map.len();
-            map.retain(|(domain, _), _| live.contains(domain));
-            dropped += (before - map.len()) as u64;
-        }
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+        let mut table = self.table();
+        let before = table.entries.len();
+        table.entries.retain(|(domain, _), _| live.contains(domain));
+        let dropped = (before - table.entries.len()) as u64;
+        table.invalidated += dropped;
         dropped
     }
 
     /// Lookups served from the table.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.table().hits
     }
 
     /// Lookups that had to evaluate.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.table().misses
     }
 
     /// Entries dropped by [`EvalGraph::retain_domains`] over the graph's
     /// lifetime.
     #[must_use]
     pub fn invalidated(&self) -> u64 {
-        self.invalidated.load(Ordering::Relaxed)
+        self.table().invalidated
     }
 
     /// Live memoized entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("graph shard").len())
-            .sum()
+        self.table().entries.len()
     }
 
     /// Whether the graph holds no entries.
@@ -205,6 +217,9 @@ impl EvalGraph {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
     use super::*;
 
     const DOM: u64 = 0xD0;
@@ -228,8 +243,8 @@ mod tests {
         let graph = EvalGraph::new();
         for (i, x) in [0.1f64, 0.2, 0.3].iter().enumerate() {
             let key = SubModelKey::Sw {
-                topology: 0,
-                supervisor_required: false,
+                topology: SimTopology::Small,
+                scenario: Scenario::SupervisorNotRequired,
                 x_bits: x.to_bits(),
             };
             let value = graph.get_or_compute(DOM, key, || [i as f64, 0.0, 0.0]);
@@ -242,16 +257,24 @@ mod tests {
     #[test]
     fn scenario_and_topology_partition_the_sw_keyspace() {
         let graph = EvalGraph::new();
-        let mk = |topology, required| SubModelKey::Sw {
+        let mk = |topology, scenario| SubModelKey::Sw {
             topology,
-            supervisor_required: required,
+            scenario,
             x_bits: 0.0f64.to_bits(),
         };
-        graph.get_or_compute(DOM, mk(0, false), || [1.0; 3]);
-        graph.get_or_compute(DOM, mk(0, true), || [2.0; 3]);
-        graph.get_or_compute(DOM, mk(1, false), || [3.0; 3]);
+        let (small, large) = (SimTopology::Small, SimTopology::Large);
+        let (free, required) = (
+            Scenario::SupervisorNotRequired,
+            Scenario::SupervisorRequired,
+        );
+        graph.get_or_compute(DOM, mk(small, free), || [1.0; 3]);
+        graph.get_or_compute(DOM, mk(small, required), || [2.0; 3]);
+        graph.get_or_compute(DOM, mk(large, free), || [3.0; 3]);
         assert_eq!(graph.misses(), 3);
-        assert_eq!(graph.get_or_compute(DOM, mk(0, true), || panic!())[0], 2.0);
+        assert_eq!(
+            graph.get_or_compute(DOM, mk(small, required), || panic!())[0],
+            2.0
+        );
     }
 
     #[test]
@@ -294,5 +317,50 @@ mod tests {
         assert!(!graph.is_empty());
         assert_eq!(graph.retain_domains(&[]), 1);
         assert!(graph.is_empty());
+    }
+
+    #[test]
+    fn racing_threads_both_miss_and_leave_one_entry() {
+        let graph = EvalGraph::new();
+        let key = SubModelKey::Hw {
+            a_c_bits: 0.999f64.to_bits(),
+        };
+        // Neither thread can finish computing until both are computing,
+        // so both looked the key up before either inserted it.
+        let barrier = Barrier::new(2);
+        let compute = || {
+            barrier.wait();
+            [1.0, 2.0, 3.0]
+        };
+        let values: Vec<[f64; 3]> = std::thread::scope(|s| {
+            let racers = [
+                s.spawn(|| graph.get_or_compute(DOM, key, compute)),
+                s.spawn(|| graph.get_or_compute(DOM, key, compute)),
+            ];
+            racers
+                .map(|racer| racer.join().expect("racer finishes"))
+                .to_vec()
+        });
+        assert_eq!(values, vec![[1.0, 2.0, 3.0]; 2]);
+        assert_eq!(graph.misses(), 2);
+        assert_eq!(graph.hits(), 0);
+        assert_eq!(graph.len(), 1);
+        let third = graph.get_or_compute(DOM, key, || panic!("must hit"));
+        assert_eq!(third, [1.0, 2.0, 3.0]);
+        assert_eq!(graph.hits(), 1);
+    }
+
+    #[test]
+    fn a_panicking_compute_leaves_the_table_usable() {
+        let graph = EvalGraph::new();
+        let key = SubModelKey::Hw { a_c_bits: 3 };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            graph.get_or_compute(DOM, key, || panic!("cell panicked"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(graph.misses(), 0);
+        assert!(graph.is_empty());
+        assert_eq!(graph.get_or_compute(DOM, key, || [4.0; 3]), [4.0; 3]);
+        assert_eq!(graph.misses(), 1);
     }
 }

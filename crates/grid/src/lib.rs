@@ -13,7 +13,10 @@
 //!    byte-identical for any `--threads` value.
 //! 3. **Memoize** ([`cache`]): grid axes overlap — Fig. 4 and Fig. 5 need
 //!    the same SW-model evaluations — so sub-model results are cached by
-//!    bit-pattern keys and shared across items.
+//!    bit-pattern keys and shared across items. An item reads its analytic
+//!    values through the keys [`cache::SubModelKey::of`] lists, and each
+//!    value is computed from its key alone, so the static cost model that
+//!    walks the same list knows every hit and miss in advance.
 //! 4. **Aggregate**: fold per-item outputs back into figure tables and
 //!    simulation rows in plan order, streaming simulation replications
 //!    through [`sdnav_sim::Welford`].
@@ -805,50 +808,60 @@ struct EvalCtx<'a> {
 }
 
 impl EvalCtx<'_> {
-    /// The memoized `[cp, shared_dp, host_dp]` triple of the SW-centric
-    /// model at one `(topology, scenario, x)` — the evaluation Fig. 4 and
-    /// Fig. 5 share.
-    fn sw_triple(&self, which: SimTopology, scenario: Scenario, x: f64) -> [f64; 3] {
-        let key = SubModelKey::Sw {
-            topology: match which {
-                SimTopology::Small => 0,
-                SimTopology::Large => 1,
-            },
-            supervisor_required: scenario == Scenario::SupervisorRequired,
-            x_bits: x.to_bits(),
-        };
-        self.graph.get_or_compute(self.sw_fp, key, || {
-            // Figure x = +1 means 10× less downtime → scale by 10^(−x).
-            let params = self.sw_base.scale_process_downtime(-x);
-            let topo = match which {
-                SimTopology::Small => &self.small,
-                SimTopology::Large => &self.large,
-            };
-            let model = SwModel::try_new(self.spec, topo, params, scenario)
-                .expect("base params validated before planning; scaling keeps them in range");
-            [
-                model.cp_availability(),
-                model.shared_dp_availability(),
-                model.host_dp_availability(),
-            ]
-        })
+    /// The deployment a simulated, chaos or SW cell runs on.
+    fn topology(&self, which: SimTopology) -> &Topology {
+        match which {
+            SimTopology::Small => &self.small,
+            SimTopology::Large => &self.large,
+        }
+    }
+
+    /// The memoized value of one sub-model, computed on a miss from the
+    /// key's own fields and the key kind's base parameters, whose domain
+    /// fingerprint addresses it: `[small, medium, large]` HW
+    /// availabilities for an HW key, `[cp, shared_dp, host_dp]` for an SW
+    /// key (the evaluation Fig. 4 and Fig. 5 share).
+    fn sub_model(&self, key: SubModelKey) -> [f64; 3] {
+        match key {
+            SubModelKey::Hw { a_c_bits } => self.graph.get_or_compute(self.hw_fp, key, || {
+                let p = self.hw_base.with_a_c(f64::from_bits(a_c_bits));
+                let avail = |topo: &Topology| {
+                    HwModel::try_new(self.spec, topo, p)
+                        .expect("base params validated before planning")
+                        .availability()
+                };
+                [avail(&self.small), avail(&self.medium), avail(&self.large)]
+            }),
+            SubModelKey::Sw {
+                topology,
+                scenario,
+                x_bits,
+            } => self.graph.get_or_compute(self.sw_fp, key, || {
+                // Figure x = +1 means 10× less downtime → scale by 10^(−x).
+                let params = self.sw_base.scale_process_downtime(-f64::from_bits(x_bits));
+                let model = SwModel::try_new(self.spec, self.topology(topology), params, scenario)
+                    .expect("base params validated before planning; scaling keeps them in range");
+                // The per-host DP is the shared DP times the local vRouter
+                // term (`host_dp_availability`), so the DP plane is
+                // enumerated once.
+                let shared_dp = model.shared_dp_availability();
+                [
+                    model.cp_availability(),
+                    shared_dp,
+                    shared_dp * model.local_dp_availability(),
+                ]
+            }),
+        }
     }
 
     fn eval(&self, item: &WorkItem) -> Result<ItemOutput, GridError> {
+        let values: Vec<[f64; 3]> = SubModelKey::of(item)
+            .into_iter()
+            .map(|key| self.sub_model(key))
+            .collect();
         match item {
             WorkItem::Fig3Point { a_c } => {
-                let key = SubModelKey::Hw {
-                    a_c_bits: a_c.to_bits(),
-                };
-                let [small, medium, large] = self.graph.get_or_compute(self.hw_fp, key, || {
-                    let p = self.hw_base.with_a_c(*a_c);
-                    let avail = |topo: &Topology| {
-                        HwModel::try_new(self.spec, topo, p)
-                            .expect("base params validated before planning")
-                            .availability()
-                    };
-                    [avail(&self.small), avail(&self.medium), avail(&self.large)]
-                });
+                let [small, medium, large] = values[0];
                 Ok(ItemOutput::Fig3(Fig3Row {
                     a_c: *a_c,
                     small,
@@ -858,18 +871,18 @@ impl EvalCtx<'_> {
             }
             WorkItem::SwPoint { figure, x } => {
                 // Fig. 4 reads the CP availability (triple slot 0), Fig. 5
-                // the per-host DP availability (slot 2).
+                // the per-host DP availability (slot 2), of the four §VI
+                // options in key order.
                 let slot = if *figure == Figure::Fig4 { 0 } else { 2 };
-                let pick = |which, scenario| self.sw_triple(which, scenario, *x)[slot];
                 Ok(ItemOutput::Sw(
                     *figure,
                     SwSweepRow {
                         x: *x,
                         a: self.sw_base.scale_process_downtime(-x).process.auto,
-                        small_no_sup: pick(SimTopology::Small, Scenario::SupervisorNotRequired),
-                        small_sup: pick(SimTopology::Small, Scenario::SupervisorRequired),
-                        large_no_sup: pick(SimTopology::Large, Scenario::SupervisorNotRequired),
-                        large_sup: pick(SimTopology::Large, Scenario::SupervisorRequired),
+                        small_no_sup: values[0][slot],
+                        small_sup: values[1][slot],
+                        large_no_sup: values[2][slot],
+                        large_sup: values[3][slot],
                     },
                 ))
             }
@@ -988,11 +1001,7 @@ impl EvalCtx<'_> {
             .compute_hosts(self.grid.sim_compute_hosts)
             .accelerate(self.grid.sim_accelerate)
             .build()?;
-        let topo = match topology {
-            SimTopology::Small => &self.small,
-            SimTopology::Large => &self.large,
-        };
-        let sim = Simulation::try_new(self.spec, topo, config)?;
+        let sim = Simulation::try_new(self.spec, self.topology(topology), config)?;
         let plan = sdnav_chaos::compile(&campaign, &sim)
             .map_err(|e| GridError::Campaign(e.to_string()))?;
 
@@ -1061,10 +1070,7 @@ impl EvalCtx<'_> {
             .compute_hosts(self.grid.sim_compute_hosts)
             .accelerate(self.grid.sim_accelerate)
             .build()?;
-        let topo = match topology {
-            SimTopology::Small => &self.small,
-            SimTopology::Large => &self.large,
-        };
+        let topo = self.topology(topology);
         let sim = Simulation::try_new(self.spec, topo, config)?;
 
         // Replications run sequentially inside the item with seeds derived

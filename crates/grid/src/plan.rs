@@ -43,7 +43,7 @@ impl Figure {
 
 /// Reference topology a simulation item runs on (the paper's §VI options
 /// simulate the Small and Large deployments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimTopology {
     /// The 1-rack, 3-host Small deployment.
     Small,
