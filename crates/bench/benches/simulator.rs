@@ -6,7 +6,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use sdnav_consensus::{ConsensusParams, ConsensusSim};
+use sdnav_consensus::{ConsensusParams, ConsensusSim, InjectTarget, Injection, RackConfig};
 use sdnav_core::{ConsensusSpec, ControllerSpec, FaultMix, Scenario, Topology};
 use sdnav_sim::{ConnectionModel, SimConfig, Simulation};
 
@@ -64,33 +64,69 @@ fn bench_failover_model() {
     );
 }
 
-/// A 5-node RAFT cluster with node failures accelerated as in a grid
-/// cell, over fixed seeds: the consensus engine's cost per event and per
-/// election.
-fn bench_consensus() {
-    let spec = ConsensusSpec {
-        cluster_size: 5,
-        fault_mix: FaultMix::crash_only(2),
-        ..ConsensusSpec::raft_defaults()
-    };
-    let params = ConsensusParams::accelerated(250_000.0, 100.0);
-    let sim = ConsensusSim::try_new(spec, params).unwrap();
-    let iters = 20u64;
+/// Runs seeds `1..=iters` of `sim` under `injections` and prints the
+/// consensus engine's cost per event and per election.
+fn time_consensus(name: &str, sim: &ConsensusSim, injections: &[Injection], iters: u64) {
     let (mut events, mut elections) = (0, 0);
     let start = Instant::now();
     for seed in 1..=iters {
-        let outcome = black_box(sim.run(seed));
+        let outcome = black_box(sim.run_injected(seed, injections).unwrap());
         events += outcome.events;
         elections += outcome.elections;
     }
     let elapsed = start.elapsed();
     let ns = elapsed.as_nanos() as f64;
     println!(
-        "consensus/raft5_250000h    {:>8.1} ns/event {:>8.1} ns/election  \
+        "consensus/{name:<26} {:>8.1} ns/event {:>8.1} ns/election  \
          ({events} events, {elections} elections over {iters} runs, total {elapsed:.2?})",
         ns / events as f64,
         ns / elections as f64,
     );
+}
+
+/// The consensus engine in both queue regimes. The first two cases keep
+/// at most about 2n+1 events pending, so their queue stays a scanned
+/// vector; the third opens with 40 kills pending, so its queue starts as
+/// a heap and falls back to the vector as the kills fire.
+fn bench_consensus() {
+    let raft = |cluster_size, crash| ConsensusSpec {
+        cluster_size,
+        fault_mix: FaultMix::crash_only(crash),
+        ..ConsensusSpec::raft_defaults()
+    };
+
+    // A 5-node RAFT cluster with node failures accelerated as in a grid
+    // cell.
+    let params = ConsensusParams::accelerated(250_000.0, 100.0);
+    let sim = ConsensusSim::try_new(raft(5, 2), params).unwrap();
+    time_consensus("raft5_250000h", &sim, &[], 20);
+
+    // The `consensus_sweep` benchmark's 7-node crash-2 cell at its
+    // 150 ms election-timeout floor.
+    let params = ConsensusParams::accelerated(2_500_000.0, 200.0);
+    let sim = ConsensusSim::try_new(raft(7, 2), params).unwrap();
+    time_consensus("raft7_crash2_sweep_cell", &sim, &[], 2);
+
+    // Five nodes split 3/2 over two racks, with forty leader kills one
+    // every 97 hours.
+    let params = ConsensusParams {
+        node_mtbf_hours: 150.0,
+        node_mttr_hours: 2.0,
+        horizon_hours: 4_000.0,
+    };
+    let racks = RackConfig {
+        placement: vec![0, 0, 0, 1, 1],
+        rack_mtbf_hours: 400.0,
+        rack_mttr_hours: 3.0,
+    };
+    let sim = ConsensusSim::with_racks(raft(5, 2), params, Some(racks)).unwrap();
+    let kills: Vec<Injection> = (0..40)
+        .map(|k| Injection {
+            at_hours: 30.0 + 97.0 * f64::from(k),
+            target: InjectTarget::Leader,
+        })
+        .collect();
+    time_consensus("raft5_racks_40_leader_kills", &sim, &kills, 2_000);
 }
 
 fn main() {

@@ -1025,6 +1025,59 @@ fn a_non_finite_horizon_is_rejected_instead_of_run_forever() {
     }
 }
 
+#[test]
+fn an_overflowing_fault_mix_is_an_unreachable_quorum() {
+    // Unchecked, `2 * 2147483648` overflows u32: a debug build panics in
+    // the cell (exit 3) and a release build wraps.
+    let out = sdnav_within(
+        60,
+        &[
+            "sweep",
+            "--figures",
+            "fig3",
+            "--points",
+            "1",
+            "--cluster-size",
+            "3",
+            "--fault-mix",
+            "2147483648:0",
+            "--election-timeout-ms",
+            "150",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("commit quorum exceeds the honest membership"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn consensus_cluster_sizes_stop_at_the_cap() {
+    // `--dry-run` validates the grid without building a chain or a DES.
+    let sweep = |size: &str| {
+        sdnav_within(
+            60,
+            &[
+                "sweep",
+                "--dry-run",
+                "--figures",
+                "fig3",
+                "--points",
+                "1",
+                "--cluster-size",
+                size,
+            ],
+        )
+    };
+    assert_eq!(sweep("255").status.code(), Some(0));
+    let out = sweep("256");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("at most 255 nodes"), "{stderr}");
+}
+
 /// `sdnav serve` boots, answers over HTTP byte-identically to the
 /// one-shot sweep path, and SIGTERM drains it to a clean exit 0.
 #[cfg(unix)]

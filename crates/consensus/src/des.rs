@@ -1,4 +1,4 @@
-//! The discrete-event consensus layer: an event-heap engine in the mold
+//! The discrete-event consensus layer: an event-queue engine in the mold
 //! of `sdnav-sim`'s injection-hook core, specialized to the controller
 //! cluster's coordination dynamics.
 //!
@@ -20,11 +20,16 @@
 //! The loop runs on [`Des`], the discrete-event core both engines share:
 //! each node and the election seat is a cancellation entity, and the core
 //! drops cancelled events, ends the run at the horizon and counts the
-//! events it delivers ([`ConsensusOutcome::events`]). All randomness
-//! flows from identity-seeded SplitMix64 streams: node `i` owns stream
-//! `seed ⊕ mix64(i+1)`, racks and the election seat own tagged streams of
-//! their own, so no draw ever depends on event arrival order or thread
-//! scheduling.
+//! events it delivers ([`ConsensusOutcome::events`]). A cluster of `n`
+//! nodes keeps about `2n + 1` events pending, so a cluster of a few nodes
+//! stays in the core's scanned-vector regime. The run keeps the count of Active honest nodes as nodes die and finish
+//! catching up: the quorum check reads it, and an election walks to the
+//! pick-th Active honest node instead of collecting candidates.
+//!
+//! All randomness flows from identity-seeded SplitMix64 streams: node `i`
+//! owns stream `seed ⊕ mix64(i+1)`, racks and the election seat own
+//! tagged streams of their own, so no draw ever depends on event arrival
+//! order or thread scheduling.
 
 use std::error::Error;
 use std::fmt;
@@ -233,6 +238,9 @@ pub struct ConsensusSim {
 struct RunState {
     des: Des<EventKind>,
     node_state: Vec<NodeState>,
+    /// Active nodes among the honest membership, the low `n - byz`
+    /// indices.
+    honest_active: usize,
     held_by_rack: Vec<bool>,
     node_streams: Vec<Stream>,
     election_stream: Stream,
@@ -327,7 +335,10 @@ impl ConsensusSim {
             }
         }
 
-        let byz = self.spec.fault_mix.byzantine as usize;
+        // The honest membership is the low `n - byz` indices: declared
+        // Byzantine seats are pinned to the high indices, hold cluster
+        // membership, but never vote usefully and are never electable.
+        let honest = n - self.spec.fault_mix.byzantine as usize;
         let quorum = self.spec.quorum() as usize;
         let horizon = self.params.horizon_hours;
         let lam = self.params.failure_rate();
@@ -341,6 +352,7 @@ impl ConsensusSim {
         let mut st = RunState {
             des: Des::new(1 + n, horizon),
             node_state: vec![NodeState::Active; n],
+            honest_active: honest,
             held_by_rack: vec![false; n],
             node_streams: (0..n).map(|i| Stream::new(seed, (i as u64) + 1)).collect(),
             election_stream: Stream::new(seed, ELECTION_TAG),
@@ -369,7 +381,7 @@ impl ConsensusSim {
         // The run opens with an already-settled leader: the measurement
         // is of steady-state behavior, not cluster bootstrap.
         st.phase = Phase::Led {
-            leader: (st.election_stream.next_u64() as usize) % (n - byz).max(1),
+            leader: (st.election_stream.next_u64() as usize) % honest.max(1),
         };
 
         let mut leader_time = 0.0;
@@ -380,16 +392,6 @@ impl ConsensusSim {
         let mut stalls = 0u64;
         let mut injected_kills = 0u64;
         let mut skipped_injections = 0u64;
-
-        // The honest membership is the low `n - byz` indices: declared
-        // Byzantine seats are pinned to the high indices, hold cluster
-        // membership, but never vote usefully and are never electable.
-        let honest_active = |st: &RunState| {
-            st.node_state[..n - byz]
-                .iter()
-                .filter(|&&s| s == NodeState::Active)
-                .count()
-        };
 
         macro_rules! account {
             ($t:expr) => {
@@ -417,7 +419,14 @@ impl ConsensusSim {
         // Re-derives the cluster phase after any membership change.
         macro_rules! recheck {
             ($t:expr) => {
-                let quorum_ok = honest_active(&st) >= quorum;
+                debug_assert_eq!(
+                    st.honest_active,
+                    st.node_state[..honest]
+                        .iter()
+                        .filter(|&&s| s == NodeState::Active)
+                        .count()
+                );
+                let quorum_ok = st.honest_active >= quorum;
                 match st.phase {
                     // CheckQuorum: the leader steps down the moment it
                     // cannot reach a commit quorum; an election stops too.
@@ -445,6 +454,9 @@ impl ConsensusSim {
         macro_rules! kill_node {
             ($t:expr, $i:expr, $schedule_repair:expr) => {
                 st.des.cancel(1 + $i);
+                if $i < honest && st.node_state[$i] == NodeState::Active {
+                    st.honest_active -= 1;
+                }
                 st.node_state[$i] = NodeState::Down;
                 if $schedule_repair {
                     let dt = st.node_streams[$i].exp(mu);
@@ -479,20 +491,22 @@ impl ConsensusSim {
                 EventKind::CatchUp(i) => {
                     debug_assert_eq!(st.node_state[i], NodeState::CatchingUp);
                     st.node_state[i] = NodeState::Active;
+                    if i < honest {
+                        st.honest_active += 1;
+                    }
                     recheck!(t);
                 }
                 EventKind::ElectionDone => {
                     debug_assert_eq!(st.phase, Phase::Electing);
-                    let candidates: Vec<usize> = (0..n - byz)
+                    // Electing implies the quorum is intact, so some
+                    // honest node is Active; the leader is the pick-th.
+                    let pick = (st.election_stream.next_u64() as usize) % st.honest_active;
+                    let leader = (0..honest)
                         .filter(|&i| st.node_state[i] == NodeState::Active)
-                        .collect();
-                    // Electing implies the quorum is intact, so the
-                    // candidate list is never empty.
-                    let pick = (st.election_stream.next_u64() as usize) % candidates.len();
+                        .nth(pick)
+                        .expect("pick is below the honest Active count");
                     account!(t);
-                    st.phase = Phase::Led {
-                        leader: candidates[pick],
-                    };
+                    st.phase = Phase::Led { leader };
                     elections += 1;
                 }
                 EventKind::RackFail(r) => {

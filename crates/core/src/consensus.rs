@@ -49,18 +49,26 @@ impl FaultMix {
     }
 
     /// MORPH's adaptive quorum threshold: `2·F_BFT + F_crash + 1` votes
-    /// are needed to commit under this declared mix.
+    /// are needed to commit under this declared mix. It saturates at
+    /// `u32::MAX`, a count no cluster reaches.
     #[must_use]
     pub fn quorum(&self) -> u32 {
-        2 * self.byzantine + self.crash + 1
+        self.byzantine
+            .saturating_mul(2)
+            .saturating_add(self.crash)
+            .saturating_add(1)
     }
 
     /// Minimum cluster size that can both form the quorum and survive the
     /// declared crash count: `2·F_BFT + 2·F_crash + 1` (the quorum plus one
-    /// spare per tolerated crash).
+    /// spare per tolerated crash). It saturates like
+    /// [`FaultMix::quorum`].
     #[must_use]
     pub fn min_cluster(&self) -> u32 {
-        2 * self.byzantine + 2 * self.crash + 1
+        self.byzantine
+            .saturating_mul(2)
+            .saturating_add(self.crash.saturating_mul(2))
+            .saturating_add(1)
     }
 
     /// The CLI/JSON spelling `B:C` (e.g. `0:1` for crash-only RAFT,
@@ -439,6 +447,12 @@ pub struct ConsensusSpec {
 }
 
 impl ConsensusSpec {
+    /// The largest cluster the consensus models accept. The macro-state
+    /// CTMC is a dense chain of `q + 2(n − q + 1)` states, at most
+    /// `2n + 1`, solved in cubic time; at 255 members that is at most 511
+    /// states and about 2 MB. Controller clusters have a handful.
+    pub const MAX_CLUSTER_SIZE: u32 = 255;
+
     /// RAFT-flavored defaults matching Sakic & Kellerer's measured etcd
     /// ranges: 150–300 ms randomized election timeout, 50 ms heartbeat,
     /// 3-node crash-only cluster.
@@ -476,11 +490,12 @@ impl ConsensusSpec {
     /// # Errors
     ///
     /// Returns a [`ConsensusError`] for non-finite or non-positive
-    /// durations, a malformed election-latency distribution, or an empty
-    /// cluster. Semantic misconfigurations (latency floor ≤ heartbeat,
-    /// cluster too small for the mix, quorum unreachable) are deliberately
-    /// *not* rejected here — they decode fine and are surfaced as
-    /// SA033–SA035 lint findings instead.
+    /// durations, a malformed election-latency distribution, an empty
+    /// cluster, or one above [`ConsensusSpec::MAX_CLUSTER_SIZE`]. Semantic
+    /// misconfigurations (latency floor ≤ heartbeat, cluster too small for
+    /// the mix, quorum unreachable) are deliberately *not* rejected here —
+    /// they decode fine and are surfaced as SA033–SA035 lint findings
+    /// instead.
     pub fn validate(&self) -> Result<(), ConsensusError> {
         let finite_positive = |v: f64| v.is_finite() && v > 0.0;
         self.election_latency.validate()?;
@@ -492,6 +507,9 @@ impl ConsensusSpec {
         }
         if self.cluster_size == 0 {
             return Err(ConsensusError::EmptyCluster);
+        }
+        if self.cluster_size > Self::MAX_CLUSTER_SIZE {
+            return Err(ConsensusError::ClusterTooLarge);
         }
         Ok(())
     }
@@ -570,6 +588,8 @@ pub enum ConsensusError {
     BadLogNormal,
     /// `cluster_size` was zero.
     EmptyCluster,
+    /// `cluster_size` exceeds [`ConsensusSpec::MAX_CLUSTER_SIZE`].
+    ClusterTooLarge,
 }
 
 impl fmt::Display for ConsensusError {
@@ -593,6 +613,11 @@ impl fmt::Display for ConsensusError {
             ConsensusError::EmptyCluster => {
                 write!(f, "consensus cluster must have at least one node")
             }
+            ConsensusError::ClusterTooLarge => write!(
+                f,
+                "consensus cluster must have at most {} nodes",
+                ConsensusSpec::MAX_CLUSTER_SIZE
+            ),
         }
     }
 }
@@ -632,6 +657,36 @@ mod tests {
             .min_cluster(),
             5
         );
+    }
+
+    #[test]
+    fn fault_mix_arithmetic_saturates() {
+        // Unchecked, `--fault-mix 2147483648:0` overflows `2 * byzantine`.
+        let huge = FaultMix {
+            byzantine: 1 << 31,
+            crash: 0,
+        };
+        assert_eq!(huge.quorum(), u32::MAX);
+        assert_eq!(huge.min_cluster(), u32::MAX);
+        let crashes = FaultMix::crash_only(u32::MAX);
+        assert_eq!(crashes.quorum(), u32::MAX);
+        assert_eq!(crashes.min_cluster(), u32::MAX);
+        let spec = ConsensusSpec {
+            fault_mix: huge,
+            ..ConsensusSpec::raft_defaults()
+        };
+        assert_eq!(spec.quorum(), u32::MAX);
+    }
+
+    #[test]
+    fn cluster_size_is_capped() {
+        let mut spec = ConsensusSpec::raft_defaults();
+        spec.cluster_size = ConsensusSpec::MAX_CLUSTER_SIZE;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.cluster_size += 1;
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, ConsensusError::ClusterTooLarge);
+        assert!(err.to_string().contains("at most 255 nodes"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,27 @@
 //! entity and that was pushed before the mark; events with no entity are
 //! never dropped. `pop` returns `None` at the first event at or past the
 //! horizon, and [`Des::events`] counts only the live events it returned.
+//!
+//! Each pending event carries one `u128` key: the `total_cmp` order bits
+//! of its time above its push-order number. The queue keeps those events
+//! in one of two regimes, chosen by how many are pending:
+//!
+//! * up to `SCAN_MAX` (16) they sit unordered in a vector, and `pop`
+//!   scans it for the least key. A consensus cell's few nodes, its
+//!   catch-ups and the election seat stay here;
+//! * above that they sit in a binary heap, as the simulator's one pending
+//!   event per element does.
+//!
+//! A push past the bound heapifies the vector in place and a pop back to
+//! it keeps the heap's buffer as the vector, so neither switch
+//! allocates. Both regimes compare the same keys, which are unique, so
+//! the pop order does not depend on the regime.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// The most pending events the queue keeps in its scanned vector.
+const SCAN_MAX: usize = 16;
 
 /// An event kind [`Des`] runs: it names the entity, if any, whose
 /// cancellation drops it.
@@ -21,16 +39,48 @@ pub trait Event {
     fn entity(&self) -> Option<usize>;
 }
 
+/// `time`'s bits remapped so that unsigned order is [`f64::total_cmp`]
+/// order: a negative value has every bit flipped, any other value only its
+/// sign bit.
+fn order_bits(time: f64) -> u64 {
+    let bits = time.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The time whose [`order_bits`] are `order`.
+fn time_of(order: u64) -> f64 {
+    f64::from_bits(if order >> 63 == 1 {
+        order & !(1 << 63)
+    } else {
+        !order
+    })
+}
+
 #[derive(Debug)]
 struct Entry<K> {
-    time: f64,
-    seq: u64,
+    /// [`order_bits`] of the time in the high 64 bits, the push-order
+    /// number in the low 64.
+    key: u128,
     kind: K,
+}
+
+impl<K> Entry<K> {
+    fn time(&self) -> f64 {
+        time_of((self.key >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64
+    }
 }
 
 impl<K> PartialEq for Entry<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key == other.key
     }
 }
 
@@ -43,12 +93,58 @@ impl<K> PartialOrd for Entry<K> {
 }
 
 impl<K> Ord for Entry<K> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
+    // Reversed: BinaryHeap is a max-heap, we want the least key first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
+    }
+}
+
+/// The pending events, in the regime their count calls for.
+#[derive(Debug)]
+enum Pending<K> {
+    /// At most `SCAN_MAX` events, unordered.
+    Scan(Vec<Entry<K>>),
+    /// More than `SCAN_MAX` events.
+    Heap(BinaryHeap<Entry<K>>),
+}
+
+impl<K> Pending<K> {
+    #[inline]
+    fn push(&mut self, entry: Entry<K>) {
+        match self {
+            Pending::Scan(vec) if vec.len() < SCAN_MAX => vec.push(entry),
+            Pending::Scan(vec) => {
+                let mut heap = BinaryHeap::from(std::mem::take(vec));
+                heap.push(entry);
+                *self = Pending::Heap(heap);
+            }
+            Pending::Heap(heap) => heap.push(entry),
+        }
+    }
+
+    /// Removes and returns the entry with the least key.
+    #[inline]
+    fn pop(&mut self) -> Option<Entry<K>> {
+        match self {
+            Pending::Scan(vec) => {
+                let mut least = vec.first()?.key;
+                let mut at = 0;
+                for (i, entry) in vec.iter().enumerate().skip(1) {
+                    if entry.key < least {
+                        least = entry.key;
+                        at = i;
+                    }
+                }
+                Some(vec.swap_remove(at))
+            }
+            Pending::Heap(heap) => {
+                let entry = heap.pop();
+                if heap.len() <= SCAN_MAX {
+                    *self = Pending::Scan(std::mem::take(heap).into_vec());
+                }
+                entry
+            }
+        }
     }
 }
 
@@ -56,7 +152,7 @@ impl<K> Ord for Entry<K> {
 /// cancellation, a horizon and a count of the events it delivered.
 #[derive(Debug)]
 pub struct Des<K> {
-    heap: BinaryHeap<Entry<K>>,
+    pending: Pending<K>,
     /// Push-order number of the next scheduled event.
     seq: u64,
     /// Per entity, `seq` at its last cancel: its events numbered below
@@ -73,7 +169,7 @@ impl<K: Event> Des<K> {
     #[must_use]
     pub fn new(entities: usize, horizon: f64) -> Self {
         Des {
-            heap: BinaryHeap::new(),
+            pending: Pending::Scan(Vec::new()),
             seq: 0,
             cancelled: vec![0; entities],
             horizon,
@@ -84,9 +180,9 @@ impl<K: Event> Des<K> {
     /// Schedules `kind` at `time`.
     #[inline]
     pub fn schedule(&mut self, time: f64, kind: K) {
-        let seq = self.seq;
+        let key = u128::from(order_bits(time)) << 64 | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Entry { time, seq, kind });
+        self.pending.push(Entry { key, kind });
     }
 
     /// Cancels every event pending for `entity`; events scheduled for it
@@ -102,13 +198,18 @@ impl<K: Event> Des<K> {
     #[inline]
     pub fn pop(&mut self) -> Option<(f64, K)> {
         loop {
-            let ev = self.heap.pop()?;
-            if ev.time >= self.horizon {
+            let ev = self.pending.pop()?;
+            let time = ev.time();
+            if time >= self.horizon {
                 return None;
             }
-            if ev.kind.entity().is_none_or(|e| ev.seq >= self.cancelled[e]) {
+            if ev
+                .kind
+                .entity()
+                .is_none_or(|e| ev.seq() >= self.cancelled[e])
+            {
                 self.events += 1;
-                return Some((ev.time, ev.kind));
+                return Some((time, ev.kind));
             }
         }
     }
@@ -210,5 +311,145 @@ mod tests {
         assert_eq!(des.events(), 2);
         assert_eq!(des.pop(), None);
         assert_eq!(des.events(), 2);
+    }
+
+    #[test]
+    fn order_bits_sort_like_total_cmp_and_invert() {
+        let times = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in times {
+            assert_eq!(time_of(order_bits(a)).to_bits(), a.to_bits());
+            for b in times {
+                assert_eq!(order_bits(a).cmp(&order_bits(b)), a.total_cmp(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn an_entry_with_a_two_word_kind_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 32);
+    }
+
+    /// A test event with an optional entity and a unique tag.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Tagged(Option<usize>, u64);
+
+    impl Event for Tagged {
+        fn entity(&self) -> Option<usize> {
+            self.0
+        }
+    }
+
+    /// The order `Des` promises, kept the naive way: every pending event
+    /// in one vector, scanned by `(f64::total_cmp, push order)` on each
+    /// pop, with the same cancel and horizon rules.
+    struct Reference {
+        pending: Vec<(f64, u64, Tagged)>,
+        seq: u64,
+        cancelled: Vec<u64>,
+        horizon: f64,
+        events: u64,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, time: f64, ev: Tagged) {
+            self.pending.push((time, self.seq, ev));
+            self.seq += 1;
+        }
+
+        fn cancel(&mut self, entity: usize) {
+            self.cancelled[entity] = self.seq;
+        }
+
+        fn pop(&mut self) -> Option<(f64, Tagged)> {
+            loop {
+                let at = (0..self.pending.len()).min_by(|&a, &b| {
+                    let (ta, sa, _) = self.pending[a];
+                    let (tb, sb, _) = self.pending[b];
+                    ta.total_cmp(&tb).then(sa.cmp(&sb))
+                })?;
+                let (time, seq, ev) = self.pending.remove(at);
+                if time >= self.horizon {
+                    return None;
+                }
+                if ev.0.is_none_or(|e| seq >= self.cancelled[e]) {
+                    self.events += 1;
+                    return Some((time, ev));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pops_match_a_scanned_reference_in_both_regimes() {
+        // Half the times come from this list, so same-time ties, -0.0
+        // against 0.0 and events at and past the horizon are common.
+        const TIMES: [f64; 8] = [-0.0, 0.0, 1.0, 2.5, 2.5, 7.0, 10.0, 12.0];
+        const HORIZON: f64 = 10.0;
+        // Heap-regime events seen, and switches to the heap and back.
+        let (mut heap_ops, mut to_heap, mut to_scan) = (0u32, 0u32, 0u32);
+        for seed in 1..=4u64 {
+            let mut state = seed;
+            let mut draw = |bound: u64| {
+                state = state.wrapping_add(crate::hash::GOLDEN_GAMMA);
+                crate::hash::mix64(state) % bound
+            };
+            let mut des = Des::new(3, HORIZON);
+            let mut reference = Reference {
+                pending: Vec::new(),
+                seq: 0,
+                cancelled: vec![0; 3],
+                horizon: HORIZON,
+                events: 0,
+            };
+            let mut was_heap = false;
+            for step in 0..1_500u64 {
+                // Phases of 100 steps alternately fill and drain the
+                // queue, so its pending count crosses SCAN_MAX both ways.
+                let (schedule, cancel) = if step / 100 % 2 == 0 { (7, 8) } else { (2, 3) };
+                let roll = draw(10);
+                if roll < schedule {
+                    let time = if draw(2) == 0 {
+                        TIMES[draw(8) as usize]
+                    } else {
+                        draw(1_200) as f64 / 100.0
+                    };
+                    let entity = match draw(4) {
+                        3 => None,
+                        e => Some(e as usize),
+                    };
+                    des.schedule(time, Tagged(entity, step));
+                    reference.schedule(time, Tagged(entity, step));
+                } else if roll < cancel {
+                    let entity = draw(3) as usize;
+                    des.cancel(entity);
+                    reference.cancel(entity);
+                } else {
+                    let got = des.pop().map(|(t, ev)| (t.to_bits(), ev));
+                    let want = reference.pop().map(|(t, ev)| (t.to_bits(), ev));
+                    assert_eq!(got, want, "seed {seed}, step {step}");
+                }
+                assert_eq!(des.events(), reference.events, "seed {seed}, step {step}");
+                let is_heap = matches!(des.pending, Pending::Heap(_));
+                assert_eq!(is_heap, reference.pending.len() > SCAN_MAX);
+                heap_ops += u32::from(is_heap);
+                to_heap += u32::from(is_heap && !was_heap);
+                to_scan += u32::from(was_heap && !is_heap);
+                was_heap = is_heap;
+            }
+        }
+        assert!(heap_ops > 1_000 && to_heap > 4 && to_scan > 4);
     }
 }

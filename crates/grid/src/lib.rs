@@ -187,6 +187,17 @@ impl GridSpec {
                     "consensus cluster sizes must be non-empty and positive",
                 ));
             }
+            // The literal is `ConsensusSpec::MAX_CLUSTER_SIZE`; a unit test
+            // keeps the two in step.
+            if self
+                .consensus_cluster_sizes
+                .iter()
+                .any(|&n| n > ConsensusSpec::MAX_CLUSTER_SIZE)
+            {
+                return Err(GridError::Spec(
+                    "consensus cluster sizes must be at most 255 nodes",
+                ));
+            }
             if self.consensus_fault_mixes.is_empty() {
                 return Err(GridError::Spec("consensus fault mixes must be non-empty"));
             }
@@ -1695,6 +1706,22 @@ mod tests {
                 .unwrap_err(),
             GridError::Spec("consensus cluster sizes must be non-empty and positive")
         );
+        let max = sdnav_core::ConsensusSpec::MAX_CLUSTER_SIZE;
+        assert!(GridSpec::builder()
+            .consensus(base.clone())
+            .consensus_cluster_sizes(&[3, max])
+            .build()
+            .is_ok());
+        let err = GridSpec::builder()
+            .consensus(base.clone())
+            .consensus_cluster_sizes(&[3, max + 1])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            GridError::Spec("consensus cluster sizes must be at most 255 nodes")
+        );
+        assert!(err.to_string().contains(&format!("at most {max} nodes")));
         assert_eq!(
             GridSpec::builder()
                 .consensus(base.clone())

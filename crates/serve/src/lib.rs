@@ -750,6 +750,35 @@ mod tests {
         assert!(Json::parse(&plain).unwrap().field("consensus").is_err());
     }
 
+    #[test]
+    fn eval_rejects_consensus_clusters_above_the_cap() {
+        // Uncapped, one such request asks the CTMC for a dense
+        // `states × states` matrix: about 180 GB at 100 000 members.
+        let state = test_state();
+        let body = |base_size: u32, sizes: &str| {
+            format!(
+                r#"{{"figures": ["fig3"], "points": 1,
+                    "consensus": {{
+                        "election_timeout_min_ms": 150.0,
+                        "election_timeout_max_ms": 300.0,
+                        "heartbeat_interval_ms": 50.0,
+                        "cluster_size": {base_size},
+                        "fault_mix": {{"byzantine": 0, "crash": 1}}
+                    }},
+                    "consensus_cluster_sizes": {sizes}}}"#
+            )
+        };
+        let max = sdnav_core::ConsensusSpec::MAX_CLUSTER_SIZE;
+        for body in [
+            body(3, &format!("[{}]", max + 1)),
+            body(3, "[3, 100000]"),
+            body(100_000, "[3]"),
+        ] {
+            let err = eval(&state, &body).unwrap_err();
+            assert_eq!(err.http_status(), 422, "{err}");
+        }
+    }
+
     fn test_state() -> ServiceState {
         ServiceState::new(ControllerSpec::opencontrail_3x())
     }
