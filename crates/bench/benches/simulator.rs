@@ -46,6 +46,28 @@ fn bench_event_throughput() {
     }
 }
 
+/// One `sim_sweep` benchmark cell at the paper's process availability:
+/// Large, supervisor required, ×200, 2 compute hosts, 10 000 h, and its 4
+/// replications as seeds 1..=4.
+fn bench_sim_sweep_cell() {
+    let spec = ControllerSpec::opencontrail_3x();
+    let topo = Topology::large(&spec);
+    let cfg = SimConfig::builder(Scenario::SupervisorRequired)
+        .accelerate(200.0)
+        .horizon_hours(10_000.0)
+        .compute_hosts(2)
+        .build()
+        .unwrap();
+    let sim = Simulation::try_new(&spec, &topo, cfg).unwrap();
+    let iters = 4u64;
+    let (elapsed, events) = time_runs(&sim, iters);
+    let per_event = elapsed.as_nanos() as f64 / events as f64;
+    println!(
+        "simulator/sim_sweep/large    {per_event:>8.1} ns/event  \
+         ({events} events over {iters} runs, total {elapsed:.2?})"
+    );
+}
+
 fn bench_failover_model() {
     let spec = ControllerSpec::opencontrail_3x();
     let topo = Topology::small(&spec);
@@ -131,6 +153,7 @@ fn bench_consensus() {
 
 fn main() {
     bench_event_throughput();
+    bench_sim_sweep_cell();
     bench_failover_model();
     bench_consensus();
 }

@@ -890,6 +890,17 @@ fn sweep_supervision_flags_are_usage_checked() {
     assert_eq!(sdnav_code(&["sweep", "--inject-panic", "abc"]), 2);
 }
 
+/// Whether checkpoint WAL `bytes` hold a record after the header: each
+/// record is a little-endian `u32` payload length, a `u32` checksum and
+/// the payload, and only cells are appended before the final seal.
+#[cfg(unix)]
+fn wal_has_a_cell(bytes: &[u8]) -> bool {
+    bytes.get(..4).is_some_and(|len| {
+        let header = 8 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        bytes.len() > header
+    })
+}
+
 #[cfg(unix)]
 #[test]
 fn sweep_sigint_drains_seals_wal_and_exits_partial() {
@@ -919,7 +930,17 @@ fn sweep_sigint_drains_seals_wal_and_exits_partial() {
         ])
         .spawn()
         .expect("binary spawns");
-    std::thread::sleep(std::time::Duration::from_millis(1500));
+    // Interrupt once the WAL holds a cell record beyond its header: the
+    // handler is installed and the sweep is under way, with most of it
+    // left to run.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !std::fs::read(&wal).is_ok_and(|bytes| wal_has_a_cell(&bytes)) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no cell was journaled within 60 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     let interrupted = Command::new("kill")
         .args(["-INT", &child.id().to_string()])
         .status()
@@ -1076,6 +1097,50 @@ fn consensus_cluster_sizes_stop_at_the_cap() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("at most 255 nodes"), "{stderr}");
+}
+
+#[test]
+fn large_consensus_clusters_solve_at_paper_rates() {
+    // Unscaled, the consensus CTMC's weights outgrew f64 near 93 nodes at
+    // the paper's MTBF 2000 h and MTTR 1 h (×1), and the cell failed.
+    let sweep = |size: &str| {
+        sdnav_within(
+            60,
+            &[
+                "sweep",
+                "--figures",
+                "fig3",
+                "--points",
+                "1",
+                "--cluster-size",
+                size,
+                "--election-timeout-ms",
+                "150",
+                "--accelerate",
+                "1",
+                "--horizon",
+                "1000",
+                "--format",
+                "json",
+            ],
+        )
+    };
+    let out = sweep("90");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"ctmc_availability\": 0.9999999618055572"),
+        "{stdout}"
+    );
+    for size in ["101", "255"] {
+        let out = sweep(size);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{size}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 /// `sdnav serve` boots, answers over HTTP byte-identically to the

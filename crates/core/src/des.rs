@@ -24,6 +24,16 @@
 //! it keeps the heap's buffer as the vector, so neither switch
 //! allocates. Both regimes compare the same keys, which are unique, so
 //! the pop order does not depend on the regime.
+//!
+//! In the heap regime `pop` copies the top out and leaves it in place,
+//! marked taken; the next `schedule` overwrites it and sifts the new
+//! event down once, and the next `pop` removes it first. A simulator
+//! event pops one event and schedules the element's next one, so each
+//! such pair costs one sift instead of a pop's and a push's. The taken
+//! top is no longer pending: it still counts towards the heap's length,
+//! so the switch back to the vector waits for the `pop` that removes it.
+//! The vector regime removes at once; deferring there too made the
+//! consensus engine slower.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,7 +70,7 @@ fn time_of(order: u64) -> f64 {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<K> {
     /// [`order_bits`] of the time in the high 64 bits, the push-order
     /// number in the low 64.
@@ -104,48 +114,8 @@ impl<K> Ord for Entry<K> {
 enum Pending<K> {
     /// At most `SCAN_MAX` events, unordered.
     Scan(Vec<Entry<K>>),
-    /// More than `SCAN_MAX` events.
+    /// More than `SCAN_MAX` events, counting a taken top.
     Heap(BinaryHeap<Entry<K>>),
-}
-
-impl<K> Pending<K> {
-    #[inline]
-    fn push(&mut self, entry: Entry<K>) {
-        match self {
-            Pending::Scan(vec) if vec.len() < SCAN_MAX => vec.push(entry),
-            Pending::Scan(vec) => {
-                let mut heap = BinaryHeap::from(std::mem::take(vec));
-                heap.push(entry);
-                *self = Pending::Heap(heap);
-            }
-            Pending::Heap(heap) => heap.push(entry),
-        }
-    }
-
-    /// Removes and returns the entry with the least key.
-    #[inline]
-    fn pop(&mut self) -> Option<Entry<K>> {
-        match self {
-            Pending::Scan(vec) => {
-                let mut least = vec.first()?.key;
-                let mut at = 0;
-                for (i, entry) in vec.iter().enumerate().skip(1) {
-                    if entry.key < least {
-                        least = entry.key;
-                        at = i;
-                    }
-                }
-                Some(vec.swap_remove(at))
-            }
-            Pending::Heap(heap) => {
-                let entry = heap.pop();
-                if heap.len() <= SCAN_MAX {
-                    *self = Pending::Scan(std::mem::take(heap).into_vec());
-                }
-                entry
-            }
-        }
-    }
 }
 
 /// A time-ordered event queue with push-order tie-breaking, per-entity
@@ -153,6 +123,10 @@ impl<K> Pending<K> {
 #[derive(Debug)]
 pub struct Des<K> {
     pending: Pending<K>,
+    /// The heap's top is the entry `pop` last took out (returned, or met
+    /// at the horizon), left for the next `schedule` to overwrite. Only
+    /// ever set in the heap regime.
+    taken: bool,
     /// Push-order number of the next scheduled event.
     seq: u64,
     /// Per entity, `seq` at its last cancel: its events numbered below
@@ -164,12 +138,13 @@ pub struct Des<K> {
 
 // The per-event methods are `#[inline]` so large engine loops keep them
 // inline.
-impl<K: Event> Des<K> {
+impl<K: Event + Copy> Des<K> {
     /// An empty run up to `horizon` over entities `0..entities`.
     #[must_use]
     pub fn new(entities: usize, horizon: f64) -> Self {
         Des {
             pending: Pending::Scan(Vec::new()),
+            taken: false,
             seq: 0,
             cancelled: vec![0; entities],
             horizon,
@@ -177,12 +152,27 @@ impl<K: Event> Des<K> {
         }
     }
 
-    /// Schedules `kind` at `time`.
+    /// Schedules `kind` at `time`. In the heap regime, right after a
+    /// [`Des::pop`], the new event takes the popped one's place at the
+    /// top and sifts down.
     #[inline]
     pub fn schedule(&mut self, time: f64, kind: K) {
         let key = u128::from(order_bits(time)) << 64 | u128::from(self.seq);
         self.seq += 1;
-        self.pending.push(Entry { key, kind });
+        let entry = Entry { key, kind };
+        match &mut self.pending {
+            Pending::Scan(vec) if vec.len() < SCAN_MAX => vec.push(entry),
+            Pending::Scan(vec) => {
+                let mut heap = BinaryHeap::from(std::mem::take(vec));
+                heap.push(entry);
+                self.pending = Pending::Heap(heap);
+            }
+            Pending::Heap(heap) if self.taken => {
+                *heap.peek_mut().expect("the taken top is in the heap") = entry;
+                self.taken = false;
+            }
+            Pending::Heap(heap) => heap.push(entry),
+        }
     }
 
     /// Cancels every event pending for `entity`; events scheduled for it
@@ -195,10 +185,38 @@ impl<K: Event> Des<K> {
     /// Removes and returns the earliest live event (ties: first
     /// scheduled), dropping cancelled ones on the way. Returns `None` when
     /// the queue is empty or its next event is at or past the horizon.
+    ///
+    /// In the heap regime the returned (or horizon-ending) event stays at
+    /// the heap's top, taken: the next [`Des::schedule`] overwrites it, or
+    /// the next `pop` removes it first.
     #[inline]
     pub fn pop(&mut self) -> Option<(f64, K)> {
         loop {
-            let ev = self.pending.pop()?;
+            let ev = match &mut self.pending {
+                Pending::Scan(vec) => {
+                    let mut least = vec.first()?.key;
+                    let mut at = 0;
+                    for (i, entry) in vec.iter().enumerate().skip(1) {
+                        if entry.key < least {
+                            least = entry.key;
+                            at = i;
+                        }
+                    }
+                    vec.swap_remove(at)
+                }
+                Pending::Heap(heap) => {
+                    if self.taken {
+                        heap.pop();
+                        if heap.len() <= SCAN_MAX {
+                            self.taken = false;
+                            self.pending = Pending::Scan(std::mem::take(heap).into_vec());
+                            continue;
+                        }
+                    }
+                    self.taken = true;
+                    *heap.peek().expect("the heap regime holds events")
+                }
+            };
             let time = ev.time();
             if time >= self.horizon {
                 return None;
@@ -392,20 +410,47 @@ mod tests {
         }
     }
 
+    /// Seeded draws for the randomized test.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(crate::hash::GOLDEN_GAMMA);
+            crate::hash::mix64(self.0) % bound
+        }
+
+        /// Half the times come from a list, so same-time ties, -0.0
+        /// against 0.0 and events at and past the horizon are common; the
+        /// rest are uniform on [0, 12) in steps of 0.01.
+        fn time(&mut self) -> f64 {
+            const TIMES: [f64; 8] = [-0.0, 0.0, 1.0, 2.5, 2.5, 7.0, 10.0, 12.0];
+            if self.below(2) == 0 {
+                TIMES[self.below(8) as usize]
+            } else {
+                self.below(1_200) as f64 / 100.0
+            }
+        }
+
+        fn entity(&mut self) -> Option<usize> {
+            match self.below(4) {
+                3 => None,
+                e => Some(e as usize),
+            }
+        }
+    }
+
     #[test]
     fn pops_match_a_scanned_reference_in_both_regimes() {
-        // Half the times come from this list, so same-time ties, -0.0
-        // against 0.0 and events at and past the horizon are common.
-        const TIMES: [f64; 8] = [-0.0, 0.0, 1.0, 2.5, 2.5, 7.0, 10.0, 12.0];
         const HORIZON: f64 = 10.0;
-        // Heap-regime events seen, and switches to the heap and back.
+        // Heap-regime steps seen, and switches to the heap and back.
         let (mut heap_ops, mut to_heap, mut to_scan) = (0u32, 0u32, 0u32);
+        // Schedules that overwrote a taken top: all of them, and those
+        // with a key below every pending one, right after a cancel, or
+        // right after a pop that met the horizon.
+        let (mut overwrites, mut below_all, mut after_cancel, mut after_horizon) =
+            (0u32, 0u32, 0u32, 0u32);
         for seed in 1..=4u64 {
-            let mut state = seed;
-            let mut draw = |bound: u64| {
-                state = state.wrapping_add(crate::hash::GOLDEN_GAMMA);
-                crate::hash::mix64(state) % bound
-            };
+            let mut draw = Draws(seed);
             let mut des = Des::new(3, HORIZON);
             let mut reference = Reference {
                 pending: Vec::new(),
@@ -414,36 +459,76 @@ mod tests {
                 horizon: HORIZON,
                 events: 0,
             };
+            let pop = |des: &mut Des<Tagged>, reference: &mut Reference, step| {
+                let got = des.pop();
+                let want = reference.pop();
+                assert_eq!(
+                    got.map(|(t, ev)| (t.to_bits(), ev)),
+                    want.map(|(t, ev)| (t.to_bits(), ev)),
+                    "seed {seed}, step {step}"
+                );
+                got.map(|(t, _)| t)
+            };
             let mut was_heap = false;
             for step in 0..1_500u64 {
-                // Phases of 100 steps alternately fill and drain the
-                // queue, so its pending count crosses SCAN_MAX both ways.
-                let (schedule, cancel) = if step / 100 % 2 == 0 { (7, 8) } else { (2, 3) };
-                let roll = draw(10);
-                if roll < schedule {
-                    let time = if draw(2) == 0 {
-                        TIMES[draw(8) as usize]
-                    } else {
-                        draw(1_200) as f64 / 100.0
+                // Phases of 100 steps fill the queue, run it the way an
+                // engine does and drain it, so its pending count crosses
+                // SCAN_MAX both ways.
+                let phase = step / 100 % 3;
+                if phase == 1 {
+                    // Engine-shaped: a pop, sometimes a cancel, then one
+                    // schedule a little after the popped event.
+                    let popped = pop(&mut des, &mut reference, step);
+                    let cancelled = draw.below(4) == 0;
+                    if cancelled {
+                        let entity = draw.below(3) as usize;
+                        des.cancel(entity);
+                        reference.cancel(entity);
+                    }
+                    let time = match popped {
+                        Some(now) => now + draw.below(300) as f64 / 100.0,
+                        None => draw.time(),
                     };
-                    let entity = match draw(4) {
-                        3 => None,
-                        e => Some(e as usize),
-                    };
+                    if des.taken {
+                        overwrites += 1;
+                        below_all += u32::from(
+                            reference
+                                .pending
+                                .iter()
+                                .all(|p| time.total_cmp(&p.0).is_lt()),
+                        );
+                        after_cancel += u32::from(cancelled);
+                        after_horizon += u32::from(popped.is_none());
+                    }
+                    let entity = draw.entity();
                     des.schedule(time, Tagged(entity, step));
                     reference.schedule(time, Tagged(entity, step));
-                } else if roll < cancel {
-                    let entity = draw(3) as usize;
-                    des.cancel(entity);
-                    reference.cancel(entity);
                 } else {
-                    let got = des.pop().map(|(t, ev)| (t.to_bits(), ev));
-                    let want = reference.pop().map(|(t, ev)| (t.to_bits(), ev));
-                    assert_eq!(got, want, "seed {seed}, step {step}");
+                    let (schedule, cancel) = if phase == 0 { (7, 8) } else { (2, 3) };
+                    let roll = draw.below(10);
+                    if roll < schedule {
+                        let time = draw.time();
+                        let entity = draw.entity();
+                        des.schedule(time, Tagged(entity, step));
+                        reference.schedule(time, Tagged(entity, step));
+                    } else if roll < cancel {
+                        let entity = draw.below(3) as usize;
+                        des.cancel(entity);
+                        reference.cancel(entity);
+                    } else {
+                        pop(&mut des, &mut reference, step);
+                    }
                 }
                 assert_eq!(des.events(), reference.events, "seed {seed}, step {step}");
+                // The heap still holds a taken top, which is no longer
+                // pending.
                 let is_heap = matches!(des.pending, Pending::Heap(_));
-                assert_eq!(is_heap, reference.pending.len() > SCAN_MAX);
+                assert_eq!(
+                    is_heap,
+                    reference.pending.len() + usize::from(des.taken) > SCAN_MAX,
+                    "seed {seed}, step {step}"
+                );
+                assert!(is_heap || !des.taken);
                 heap_ops += u32::from(is_heap);
                 to_heap += u32::from(is_heap && !was_heap);
                 to_scan += u32::from(was_heap && !is_heap);
@@ -451,5 +536,7 @@ mod tests {
             }
         }
         assert!(heap_ops > 1_000 && to_heap > 4 && to_scan > 4);
+        assert!(overwrites > 500, "{overwrites} overwrites");
+        assert!(below_all > 0 && after_cancel > 0 && after_horizon > 0);
     }
 }

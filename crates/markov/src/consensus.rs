@@ -252,6 +252,20 @@ mod tests {
     }
 
     #[test]
+    fn large_clusters_solve_at_paper_rates() {
+        // At MTBF 2000 h and MTTR 1 h the weights anchored at the all-down
+        // state grow like 2000^n and pass f64's range near n = 93.
+        for n in [101, 255] {
+            let mut s = spec();
+            s.cluster_size = n;
+            let model = ConsensusCtmc::new(&s, 1.0 / 2000.0, 1.0).unwrap();
+            let pi = model.ctmc().steady_state().unwrap();
+            assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12, "n = {n}");
+            assert!(model.availability().unwrap() > 0.999_999, "n = {n}");
+        }
+    }
+
+    #[test]
     fn slower_elections_cost_availability() {
         let lam = 1.0 / 1000.0;
         let mu = 1.0 / 10.0;

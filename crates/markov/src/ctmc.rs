@@ -7,6 +7,14 @@ use sdnav_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::linalg;
 
+/// 2^-512 (the literal is 2^512 exactly): what [`Ctmc::steady_state`]
+/// scales its weights by when the next one overflows.
+const SCALE_DOWN: f64 = 1.0 / 1.340_780_792_994_259_7e154;
+
+/// 2^-16: what [`Ctmc::steady_state`] scales its weights by when only their
+/// sum overflows.
+const TOTAL_SCALE_DOWN: f64 = 1.0 / 65_536.0;
+
 /// A finite continuous-time Markov chain, described by its off-diagonal
 /// transition rates.
 ///
@@ -119,17 +127,38 @@ impl Ctmc {
                 }
             }
         }
-        // Back-substitute unnormalized stationary weights.
-        let mut pi = vec![0.0; n];
-        pi[0] = 1.0;
-        for k in 1..n {
+        // Back-substitute unnormalized stationary weights. A weight can
+        // outgrow f64 when state 0 is far less likely than later states
+        // (an all-down state at high availability); then the weights so
+        // far are scaled by 2^-512 and it is recomputed. Power-of-two
+        // scaling is exact, so the ratios are kept, and a chain whose
+        // weights stay finite takes the plain arithmetic.
+        let weight = |pi: &[f64], k: usize| {
             let mut acc = 0.0;
             for i in 0..k {
                 acc += pi[i] * q[i][k];
             }
-            pi[k] = acc;
+            acc
+        };
+        let mut pi = vec![0.0; n];
+        pi[0] = 1.0;
+        for k in 1..n {
+            pi[k] = weight(&pi, k);
+            if !pi[k].is_finite() {
+                for p in &mut pi[..k] {
+                    *p *= SCALE_DOWN;
+                }
+                pi[k] = weight(&pi, k);
+            }
         }
-        let total: f64 = pi.iter().sum();
+        let mut total: f64 = pi.iter().sum();
+        if total == f64::INFINITY {
+            // Every weight is finite but their sum is not.
+            for p in &mut pi {
+                *p *= TOTAL_SCALE_DOWN;
+            }
+            total = pi.iter().sum();
+        }
         if !(total.is_finite() && total > 0.0) {
             return Err(CtmcError::NotIrreducible { state: 0 });
         }
@@ -493,6 +522,44 @@ mod tests {
         for (k, p) in pi.iter().enumerate() {
             assert!((p - rho.powi(k as i32) / norm).abs() < 1e-14, "k={k}");
         }
+    }
+
+    #[test]
+    fn birth_death_weights_beyond_f64_range_still_solve() {
+        // π_k ∝ 20^k over 300 states: anchored at state 0 the weights reach
+        // 20^299 ≈ 1e389, past f64. Checked against the closed form in log
+        // space; the states it puts below f64's normal range may read 0.
+        const N: usize = 300;
+        let mut c = Ctmc::new(N);
+        for k in 0..N - 1 {
+            c.add_transition(k, k + 1, 20.0);
+            c.add_transition(k + 1, k, 1.0);
+        }
+        let pi = c.steady_state().unwrap();
+        let ln_ratio = 20f64.ln();
+        // ln of each weight over the largest, and of their sum.
+        let ln_rel = |k: usize| (k as f64 - (N - 1) as f64) * ln_ratio;
+        let ln_norm = (0..N).map(|k| ln_rel(k).exp()).sum::<f64>().ln();
+        for (k, &p) in pi.iter().enumerate() {
+            let want = (ln_rel(k) - ln_norm).exp();
+            assert!(
+                (p - want).abs() <= 1e-12 * want + f64::MIN_POSITIVE,
+                "k={k}: {p} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn weights_whose_sum_overflows_still_normalize() {
+        // π ∝ (1, 1e308, 1e308): each weight is finite, their sum is not.
+        let mut c = Ctmc::new(3);
+        c.add_transition(0, 1, 1e300);
+        c.add_transition(1, 0, 1e-8);
+        c.add_transition(1, 2, 1.0);
+        c.add_transition(2, 1, 1.0);
+        let pi = c.steady_state().unwrap();
+        assert!((pi[1] - 0.5).abs() < 1e-15 && (pi[2] - 0.5).abs() < 1e-15);
+        assert!(pi[0] < 1e-307);
     }
 
     #[test]
