@@ -9,7 +9,10 @@ use std::time::Instant;
 
 use sdnav_blocks::kofn::{k_of_n, k_of_n_heterogeneous};
 use sdnav_blocks::{Block, System};
-use sdnav_core::{ControllerSpec, HwModel, HwParams, Scenario, SwModel, SwParams, Topology};
+use sdnav_core::{
+    ControllerSpec, HwModel, HwParams, ModelState, Scenario, SwModel, SwParams, Topology,
+};
+use sdnav_grid::{EvalGraph, GridSpec};
 use sdnav_markov::repairable::KOfNRepairable;
 use sdnav_markov::Ctmc;
 
@@ -102,6 +105,13 @@ fn bench_models() {
             },
         );
     }
+    let five = spec.scaled_cluster(5);
+    let topo = Topology::small(&five);
+    bench("sw_model/cp/small_5_nodes/supervisor_required", 100, || {
+        SwModel::try_new(&five, &topo, black_box(sw), Scenario::SupervisorRequired)
+            .unwrap()
+            .cp_availability()
+    });
 }
 
 fn bench_figures() {
@@ -114,6 +124,13 @@ fn bench_figures() {
     });
     bench("figures/fig5_11_points", 100, || {
         sdnav_core::sweep::fig5(&spec, SwParams::paper_defaults(), 11)
+    });
+    // The analytic half of a `sdnav serve` cold eval: every sub-model of
+    // the paper grid at 41 points misses a fresh graph.
+    let state = ModelState::paper(spec.clone());
+    let grid = GridSpec::builder().points(41).threads(1).build().unwrap();
+    bench("grid/cold_eval_41_points", 100, || {
+        sdnav_grid::evaluate_incremental(&state, black_box(&grid), &EvalGraph::new()).unwrap()
     });
 }
 

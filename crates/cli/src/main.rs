@@ -16,7 +16,7 @@ use sdnav_fmea::{derive_table1, dominant_modes, enumerate_filtered, Deployment, 
 use sdnav_grid::plan::Figure;
 use sdnav_grid::{GridSpec, GridSpecBuilder, SimRow, SuperviseOptions};
 use sdnav_report::{minutes_per_year, Chart, Series, Table};
-use sdnav_sim::{replicate, SimConfig};
+use sdnav_sim::{replicate, Estimate, SimConfig};
 
 /// `print!`/`println!` for every handler below: a closed stdout
 /// (`sdnav sweep … | head -1`) ends the process quietly with exit 0
@@ -532,6 +532,16 @@ fn sw_table(rows: &[SwSweepRow]) -> Table {
     table
 }
 
+/// A simulated estimate as `mean ±std_error`. One replication has no
+/// standard error, so a non-finite one prints as `±n/a`.
+fn estimate(e: &Estimate) -> String {
+    if e.std_error.is_finite() {
+        format!("{:.6} ±{:.6}", e.mean, e.std_error)
+    } else {
+        format!("{:.6} ±n/a", e.mean)
+    }
+}
+
 fn sim_table(rows: &[SimRow]) -> Table {
     let mut table = Table::new(vec![
         "x",
@@ -551,9 +561,9 @@ fn sim_table(rows: &[SimRow]) -> Table {
             } else {
                 "not-required".to_owned()
             },
-            format!("{:.6} ±{:.6}", r.cp.mean, r.cp.std_error),
+            estimate(&r.cp),
             format!("{:.6}", r.analytic_cp),
-            format!("{:.6} ±{:.6}", r.dp.mean, r.dp.std_error),
+            estimate(&r.dp),
             format!("{:.6}", r.analytic_dp),
         ]);
     }
@@ -576,8 +586,8 @@ fn chaos_table(rows: &[sdnav_grid::ChaosRow]) -> Table {
             r.crew_count.to_string(),
             format!("{:.2}", r.ccf_probability),
             r.topology.to_owned(),
-            format!("{:.6} ±{:.6}", r.cp.mean, r.cp.std_error),
-            format!("{:.6} ±{:.6}", r.dp.mean, r.dp.std_error),
+            estimate(&r.cp),
+            estimate(&r.dp),
             format!("{:.2}", r.injected_cp_hours_mean),
             format!("{:.2}", r.organic_cp_hours_mean),
             r.injected_events.to_string(),
@@ -604,10 +614,7 @@ fn consensus_table(rows: &[sdnav_grid::ConsensusRow]) -> Table {
             r.cluster_size.to_string(),
             format!("{}:{}", r.byzantine, r.crash),
             r.quorum.to_string(),
-            format!(
-                "{:.6} ±{:.6}",
-                r.availability.mean, r.availability.std_error
-            ),
+            estimate(&r.availability),
             format!("{:.6}", r.ctmc_availability),
             format!("{:.2e}", r.election_fraction_mean),
             format!("{:.2e}", r.stall_fraction_mean),

@@ -1100,6 +1100,61 @@ fn consensus_cluster_sizes_stop_at_the_cap() {
 }
 
 #[test]
+fn one_replication_estimates_print_without_nan() {
+    // One replication has no standard error: the human tables mark it
+    // `±n/a` instead of printing `±NaN`, and the JSON keeps `null`.
+    let sim: &[&str] = &[
+        "sweep",
+        "--figures",
+        "fig3",
+        "--points",
+        "1",
+        "--replications",
+        "1",
+        "--horizon",
+        "200",
+        "--accelerate",
+        "50",
+    ];
+    let consensus: &[&str] = &[
+        "sweep",
+        "--figures",
+        "fig3",
+        "--points",
+        "1",
+        "--cluster-size",
+        "90",
+        "--election-timeout-ms",
+        "150",
+        "--accelerate",
+        "1",
+        "--horizon",
+        "1000",
+    ];
+    for (args, null_fields) in [
+        (
+            sim,
+            &["\"cp_std_error\": null", "\"dp_std_error\": null"][..],
+        ),
+        (consensus, &["\"availability_std_error\": null"][..]),
+    ] {
+        let out = sdnav_within(60, args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let table = String::from_utf8_lossy(&out.stdout);
+        assert!(!table.contains("NaN"), "{table}");
+        assert!(table.contains("±n/a"), "{table}");
+
+        let out = sdnav_within(60, &[args, &["--format", "json"]].concat());
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let json = String::from_utf8_lossy(&out.stdout);
+        assert!(!json.contains("NaN"), "{json}");
+        for field in null_fields {
+            assert!(json.contains(field), "{field} in {json}");
+        }
+    }
+}
+
+#[test]
 fn large_consensus_clusters_solve_at_paper_rates() {
     // Unscaled, the consensus CTMC's weights outgrew f64 near 93 nodes at
     // the paper's MTBF 2000 h and MTTR 1 h (×1), and the cell failed.

@@ -2,7 +2,7 @@
 
 use sdnav_blocks::kofn::k_of_n_heterogeneous;
 
-use crate::eval::Enumerator;
+use crate::eval::{Enumerator, PatternMemo};
 use crate::{ControllerSpec, HwParams, Topology};
 
 /// The paper's HW-centric controller availability model.
@@ -65,16 +65,19 @@ impl<'a> HwModel<'a> {
             .map(|&ri| self.spec.roles[ri].hw_quorum())
             .collect();
         let a_c = self.params.a_c;
+        let mut memo: Vec<PatternMemo> = quorums.iter().map(|_| self.enumerator.memo()).collect();
         let mut instance = Vec::with_capacity(nodes);
-        self.enumerator.evaluate(|q| {
+        self.enumerator.evaluate(|q, up| {
             let mut avail = 1.0;
             for (r, &m) in quorums.iter().enumerate() {
                 if m == 0 {
                     continue;
                 }
-                instance.clear();
-                instance.extend(q[r * nodes..(r + 1) * nodes].iter().map(|&p| p * a_c));
-                avail *= k_of_n_heterogeneous(m as usize, &instance);
+                avail *= memo[r].get_or_insert_with(up[r], || {
+                    instance.clear();
+                    instance.extend(q[r * nodes..(r + 1) * nodes].iter().map(|&p| p * a_c));
+                    k_of_n_heterogeneous(m as usize, &instance)
+                });
                 if avail == 0.0 {
                     break;
                 }

@@ -1,7 +1,7 @@
 //! SW-centric availability analysis (§VI): process-level quorums, the
 //! supervisor scenarios, and separate control-plane / data-plane results.
 
-use crate::eval::{role_availability, Enumerator};
+use crate::eval::{quorum_table, role_availability, Enumerator, PatternMemo};
 use crate::{ControllerSpec, Plane, SwParams, Topology};
 
 /// The two supervisor modes of operation analyzed in §VI.A.
@@ -148,16 +148,19 @@ impl<'a> SwModel<'a> {
     fn plane_availability(&self, plane: Plane) -> f64 {
         let nodes = self.enumerator.nodes();
         let reqs = self.spec.requirements(plane);
-        // Per covered role: list of (m, instance availability).
-        let role_reqs: Vec<Vec<(u32, f64)>> = self
+        // Per covered role: its quorum term by up count, or `None` when the
+        // plane places no requirement on the role.
+        let by_up: Vec<Option<Vec<f64>>> = self
             .enumerator
             .role_indices()
             .iter()
             .map(|&ri| {
-                reqs.iter()
+                let role_reqs: Vec<(u32, f64)> = reqs
+                    .iter()
                     .filter(|r| r.role_index == ri)
                     .map(|r| (r.required, r.instance_availability(&self.params.process)))
-                    .collect()
+                    .collect();
+                (!role_reqs.is_empty()).then(|| quorum_table(nodes, &role_reqs))
             })
             .collect();
         // In the supervisor-required scenario a node-role block survives
@@ -178,17 +181,20 @@ impl<'a> SwModel<'a> {
             })
             .collect();
 
+        let mut memo: Vec<PatternMemo> = by_up.iter().map(|_| self.enumerator.memo()).collect();
         let mut probs = vec![0.0; nodes];
-        self.enumerator.evaluate(|q| {
+        self.enumerator.evaluate(|q, up| {
             let mut avail = 1.0;
-            for (r, reqs) in role_reqs.iter().enumerate() {
-                if reqs.is_empty() {
+            for (r, by_up) in by_up.iter().enumerate() {
+                let Some(by_up) = by_up else {
                     continue;
-                }
-                for (i, p) in probs.iter_mut().enumerate() {
-                    *p = q[r * nodes + i] * sup_factor[r];
-                }
-                avail *= role_availability(&probs, reqs);
+                };
+                avail *= memo[r].get_or_insert_with(up[r], || {
+                    for (i, p) in probs.iter_mut().enumerate() {
+                        *p = q[r * nodes + i] * sup_factor[r];
+                    }
+                    role_availability(&probs, by_up)
+                });
                 if avail == 0.0 {
                     break;
                 }
