@@ -1464,6 +1464,31 @@ mod tests {
     }
 
     #[test]
+    fn latent_on_a_vrouter_process_is_inert() {
+        // Latents arm on controller processes only: a vRouter process is
+        // in no CP quorum, so no failover could ever reveal it.
+        let s = spec();
+        let topo = Topology::small(&s);
+        let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+        cfg.horizon_hours = 5_000.0;
+        cfg.compute_hosts = 2;
+        let sim = Simulation::try_new(&s, &topo, cfg).expect("valid simulation");
+        let plan = crate::InjectionPlan {
+            labels: vec!["latent-vrouter".into()],
+            events: vec![crate::PlannedEvent {
+                time: 1_000.0,
+                injection: 0,
+                target: crate::InjectTarget::VProc(0, 0),
+                action: crate::InjectAction::Latent,
+            }],
+            crews: None,
+        };
+        let ledger = sim.run_injected(13, &plan).ledger.expect("ledger recorded");
+        assert_eq!(ledger.injected_events, 0);
+        assert_eq!(ledger.revealed_latents, 0);
+    }
+
+    #[test]
     fn rack_outage_shows_up_in_small_topology() {
         // Make racks terrible: CP availability must crater in Small.
         let s = spec();
