@@ -15,7 +15,7 @@
 //! window-based check is delegated to [`crate::schedule::audit_schedule`]
 //! over the [`ScheduleIr`] built once per campaign.
 
-use sdnav_chaos::{resolve_target, ChaosSpec, InjectionKind, TargetRef};
+use sdnav_chaos::{ChaosSpec, InjectionKind, TargetRef};
 use sdnav_sim::Simulation;
 
 use crate::ir::ScheduleIr;
@@ -55,10 +55,10 @@ pub fn audit_campaign(campaign: &ChaosSpec, sim: &Simulation<'_>) -> AuditReport
         let mut check = |target: &TargetRef| {
             // `leader` resolves at event time inside a consensus run, not
             // against the static deployment — never a SA020.
-            if matches!(target, TargetRef::Leader) {
+            let TargetRef::Element(element) = target else {
                 return;
-            }
-            if resolve_target(target, sim).is_err() {
+            };
+            if sim.structure().element(element).is_none() {
                 report.push(Diagnostic::error(
                     "SA020",
                     &path,

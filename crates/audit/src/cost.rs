@@ -459,6 +459,7 @@ pub fn audit_grid(spec: &ControllerSpec, grid: &GridSpec) -> AuditReport {
 mod tests {
     use super::*;
     use sdnav_chaos::{ChaosSpec, InjectionKind, InjectionSpec, TargetRef};
+    use sdnav_core::ElementRef;
     use sdnav_grid::plan::Figure;
     use sdnav_sim::Simulation;
 
@@ -519,7 +520,7 @@ mod tests {
                 injections: vec![InjectionSpec {
                     label: "kill".into(),
                     kind: InjectionKind::Fail {
-                        target: TargetRef::Rack(0),
+                        target: TargetRef::Element(ElementRef::Rack(0)),
                         repair_hours: Some(0.1),
                     },
                     at,

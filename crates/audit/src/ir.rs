@@ -19,10 +19,10 @@
 //!   horizon. Consumed by the SA022 quorum check and the SA027–SA029
 //!   schedule-interference checks in [`crate::schedule`].
 
-use sdnav_chaos::{resolve_target, ChaosSpec, InjectionKind, MAX_OCCURRENCES};
+use sdnav_chaos::{ChaosSpec, InjectionKind, TargetRef, MAX_OCCURRENCES};
 use sdnav_core::{ControllerSpec, HwParams, Scenario, SwParams, Topology};
 use sdnav_markov::Ctmc;
-use sdnav_sim::{InjectTarget, SimConfig, Simulation};
+use sdnav_sim::{SimConfig, Simulation};
 
 use crate::rbd::{cp_rbd, dp_rbd};
 
@@ -134,8 +134,8 @@ pub struct ScheduleWindow {
     pub end: f64,
     /// Maintenance or fixed-duration repair.
     pub kind: WindowKind,
-    /// The resolved element the window takes down.
-    pub target: InjectTarget,
+    /// Element-table index of the resolved element the window takes down.
+    pub element: usize,
     /// Distinct `(requirement, node)` CP member blocks the target takes
     /// down, from [`sdnav_core::Structure::cp_blocks_downed_by`].
     pub blocks: Vec<(usize, usize)>,
@@ -149,7 +149,7 @@ pub struct ScheduleWindow {
 pub struct ScheduleIr {
     /// Per-injection resolved primary target (`None` when unresolvable —
     /// an SA020 finding, reported separately).
-    pub resolved: Vec<Option<InjectTarget>>,
+    pub resolved: Vec<Option<usize>>,
     /// All provable down-windows, in injection order then occurrence order.
     pub windows: Vec<ScheduleWindow>,
 }
@@ -160,14 +160,19 @@ impl ScheduleIr {
     #[must_use]
     pub fn build(campaign: &ChaosSpec, sim: &Simulation<'_>) -> Self {
         let horizon = sim.config().horizon_hours;
+        let structure = sim.structure();
+        let resolve = |target: &TargetRef| match target {
+            TargetRef::Leader => None,
+            TargetRef::Element(element) => structure.element(element),
+        };
         let mut resolved = Vec::with_capacity(campaign.injections.len());
         let mut windows = Vec::new();
         for (i, inj) in campaign.injections.iter().enumerate() {
             let primary = match &inj.kind {
                 InjectionKind::Fail { target, .. }
                 | InjectionKind::Maintenance { target, .. }
-                | InjectionKind::Latent { target } => resolve_target(target, sim).ok(),
-                InjectionKind::CommonCause { trigger, .. } => resolve_target(trigger, sim).ok(),
+                | InjectionKind::Latent { target } => resolve(target),
+                InjectionKind::CommonCause { trigger, .. } => resolve(trigger),
             };
             resolved.push(primary);
             let (kind, duration) = match &inj.kind {
@@ -182,23 +187,20 @@ impl ScheduleIr {
                 }
                 InjectionKind::Latent { .. } => continue,
             };
-            let (Some(target), Some(duration)) = (primary, duration) else {
+            let (Some(element), Some(duration)) = (primary, duration) else {
                 continue;
             };
             if !inj.at.is_finite() || !duration.is_finite() || duration <= 0.0 {
                 continue;
             }
-            let structure = sim.structure();
-            let blocks = target
-                .element(structure)
-                .map_or_else(Vec::new, |elem| structure.cp_blocks_downed_by(elem));
+            let blocks = structure.cp_blocks_downed_by(element);
             for start in inj.occurrences(horizon).take(MAX_OCCURRENCES) {
                 windows.push(ScheduleWindow {
                     injection: i,
                     start,
                     end: start + duration,
                     kind,
-                    target,
+                    element,
                     blocks: blocks.clone(),
                 });
             }

@@ -25,7 +25,8 @@
 use std::collections::BTreeSet;
 
 use sdnav_chaos::ChaosSpec;
-use sdnav_sim::{InjectTarget, Simulation};
+use sdnav_core::Component;
+use sdnav_sim::Simulation;
 
 use crate::ir::{ScheduleIr, ScheduleWindow, WindowKind};
 use crate::{AuditReport, Diagnostic};
@@ -34,13 +35,10 @@ fn overlaps(a: &ScheduleWindow, b: &ScheduleWindow) -> bool {
     a.start < b.end && b.start < a.end
 }
 
-fn is_hardware(target: InjectTarget) -> bool {
+fn is_hardware(sim: &Simulation<'_>, element: usize) -> bool {
     // Repair crews serve hardware repairs only; process/vProc restarts are
     // software recovery and never queue on the crew pool.
-    matches!(
-        target,
-        InjectTarget::Rack(_) | InjectTarget::Host(_) | InjectTarget::Vm(_)
-    )
+    !matches!(sim.structure().component(element), Component::Process(_))
 }
 
 /// Runs every window-based check (SA022, SA027–SA029) over a campaign's
@@ -59,7 +57,7 @@ pub fn audit_schedule(
     let mut conflicting: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (ai, a) in sched.windows.iter().enumerate() {
         for b in &sched.windows[ai + 1..] {
-            if a.injection != b.injection && a.target == b.target && overlaps(a, b) {
+            if a.injection != b.injection && a.element == b.element && overlaps(a, b) {
                 conflicting.insert((a.injection.min(b.injection), a.injection.max(b.injection)));
             }
         }
@@ -150,7 +148,7 @@ pub fn audit_schedule(
             let hw: Vec<&ScheduleWindow> = sched
                 .windows
                 .iter()
-                .filter(|w| w.kind == WindowKind::Repair && is_hardware(w.target))
+                .filter(|w| w.kind == WindowKind::Repair && is_hardware(sim, w.element))
                 .collect();
             let peak = hw
                 .iter()

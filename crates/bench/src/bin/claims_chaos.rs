@@ -36,7 +36,7 @@
 
 use sdnav_bench::{header, spec};
 use sdnav_chaos::{ChaosSpec, InjectionKind, InjectionSpec, TargetRef};
-use sdnav_core::{HostId, Scenario, Topology};
+use sdnav_core::{ElementRef, HostId, Scenario, Topology};
 use sdnav_grid::pool;
 use sdnav_sim::{SimConfig, Simulation, Welford};
 
@@ -57,17 +57,17 @@ fn rack_ccf_campaign(topo: &Topology) -> ChaosSpec {
         let members: Vec<TargetRef> = (0..racks)
             .filter(|&other| other != rack)
             .filter_map(first_host_of)
-            .map(TargetRef::Host)
+            .map(|h| TargetRef::Element(ElementRef::Host(h)))
             .collect();
         // A single-rack deployment has no cascade targets: plain fault.
         let kind = if members.is_empty() {
             InjectionKind::Fail {
-                target: TargetRef::Rack(rack),
+                target: TargetRef::Element(ElementRef::Rack(rack)),
                 repair_hours: Some(REPAIR_HOURS),
             }
         } else {
             InjectionKind::CommonCause {
-                trigger: TargetRef::Rack(rack),
+                trigger: TargetRef::Element(ElementRef::Rack(rack)),
                 members,
                 probability: CASCADE_P,
                 repair_hours: Some(REPAIR_HOURS),

@@ -38,9 +38,10 @@ use sdnav_chaos::{
 };
 use sdnav_consensus::{ConsensusParams, ConsensusSim};
 use sdnav_core::{
-    ConsensusSpec, ControllerSpec, ElectionLatency, HostId, Scenario, SwParams, Topology,
+    ConsensusSpec, ControllerSpec, ElectionLatency, ElementRef, HostId, Scenario, SwParams,
+    Topology,
 };
-use sdnav_fmea::{enumerate_filtered, Deployment, ElementKind};
+use sdnav_fmea::{enumerate_filtered, Deployment};
 use sdnav_grid::pool;
 use sdnav_sim::{SimConfig, Simulation};
 
@@ -103,14 +104,14 @@ fn run_verdicts(s: &ControllerSpec, threads: usize) -> Vec<(String, VerdictRepor
 fn rack_probe(topo: &Topology) -> sdnav_chaos::GeneratedCampaign {
     let members: Vec<TargetRef> = (0..topo.host_count())
         .filter(|&h| topo.rack_of(HostId(h)).0 == 0)
-        .map(TargetRef::Host)
+        .map(|h| TargetRef::Element(ElementRef::Host(h)))
         .collect();
     let campaign = ChaosSpec::builder(format!("rack-probe-{}", topo.name()))
         .seed(SEED)
         .injection(InjectionSpec {
             label: "mode0-rack:0".to_owned(),
             kind: InjectionKind::CommonCause {
-                trigger: TargetRef::Rack(0),
+                trigger: TargetRef::Element(ElementRef::Rack(0)),
                 members,
                 probability: 1.0,
                 repair_hours: Some(48.0),
@@ -231,7 +232,7 @@ fn main() {
                 .any(|e| e.targets.iter().any(|t| t.starts_with("rack:"))),
         );
         rack_spof_count
-            .push(enumerate_filtered(&deployment, 1, |e| e.kind() == ElementKind::Rack).len());
+            .push(enumerate_filtered(&deployment, 1, |e| matches!(e, ElementRef::Rack(_))).len());
     }
 
     // Claim 2, dynamic half: the Medium rack mode is an attributed CP

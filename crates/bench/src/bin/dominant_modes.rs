@@ -2,8 +2,8 @@
 //! enumeration at low / default / high process availability.
 
 use sdnav_bench::{header, spec, sw_params};
-use sdnav_core::{Scenario, Topology};
-use sdnav_fmea::{dominant_modes, enumerate_filtered, Deployment, ElementKind};
+use sdnav_core::{ElementRef, Scenario, Topology};
+use sdnav_fmea::{dominant_modes, enumerate_filtered, Deployment};
 
 fn main() {
     let spec = spec();
@@ -28,7 +28,7 @@ fn main() {
         ] {
             let dep = Deployment::new(&spec, &topo, params, scenario);
             let modes = enumerate_filtered(&dep, 2, |e| {
-                matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+                matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
             });
             println!("  {scenario:?}:");
             println!("    CP:");

@@ -9,7 +9,8 @@ use sdnav_report::Table;
 fn main() {
     let spec = spec();
     let cost = CostModel::ballpark();
-    let points = evaluate_candidates(&spec, sw_params(), &cost);
+    let points =
+        evaluate_candidates(&spec, sw_params(), &cost).expect("paper topologies are enumerable");
 
     header(
         "PLAN",

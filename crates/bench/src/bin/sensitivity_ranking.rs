@@ -28,7 +28,7 @@ fn main() {
         Topology::medium(&spec),
         Topology::large(&spec),
     ] {
-        for s in hw(&spec, &topo, hw_params()) {
+        for s in hw(&spec, &topo, hw_params()).expect("paper topology is enumerable") {
             table.row(vec![
                 topo.name().to_owned(),
                 s.parameter,
@@ -58,7 +58,9 @@ fn main() {
                 sw_params(),
                 Scenario::SupervisorRequired,
                 metric,
-            ) {
+            )
+            .expect("paper topology is enumerable")
+            {
                 table.row(vec![
                     topo.name().to_owned(),
                     plane.to_owned(),

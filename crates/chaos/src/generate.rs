@@ -31,8 +31,8 @@ use std::error::Error;
 use std::fmt;
 
 use sdnav_core::hash::{fnv1a, splitmix64, FNV_OFFSET};
-use sdnav_core::HostId;
-use sdnav_fmea::{dominant_modes, enumerate, Deployment, Element, FailureMode, PlaneImpact};
+use sdnav_core::{ElementRef, HostId};
+use sdnav_fmea::{dominant_modes, enumerate, Deployment, FailureMode, PlaneImpact};
 use sdnav_json::{schema, Envelope, FromJson, Json, JsonError, ToJson};
 
 use crate::{ChaosError, ChaosSpec, CrewSpec, InjectionKind, InjectionSpec, TargetRef};
@@ -340,16 +340,14 @@ pub fn generate(
         let mode_label = format!("mode{index}");
         let mut injection_labels = Vec::with_capacity(mode.elements.len());
         for element in &mode.elements {
-            let target_text = element.target_str();
-            let target =
-                TargetRef::parse(&target_text).expect("element target grammar is parseable");
-            let label = format!("{mode_label}-{target_text}");
+            let label = format!("{mode_label}-{element}");
+            let target = TargetRef::Element(element.clone());
             let kind = match element {
-                Element::Rack { index } => InjectionKind::CommonCause {
+                ElementRef::Rack(rack) => InjectionKind::CommonCause {
                     trigger: target,
-                    members: rack_hosts(topology, *index)
+                    members: rack_hosts(topology, *rack)
                         .into_iter()
-                        .map(TargetRef::Host)
+                        .map(|host| TargetRef::Element(ElementRef::Host(host)))
                         .collect(),
                     probability: 1.0,
                     repair_hours: Some(config.repair_hours),
@@ -370,7 +368,7 @@ pub fn generate(
         expectations.push(ModeExpectation {
             label: mode_label,
             impact: mode.impact,
-            targets: mode.elements.iter().map(Element::target_str).collect(),
+            targets: mode.elements.iter().map(ToString::to_string).collect(),
             injection_labels,
             probability: mode.probability,
             order: mode.order(),
@@ -388,27 +386,20 @@ pub fn generate(
         // before the first window so every failover inside a window lands
         // on damaged spares.
         let latent_at = config.start_hours * 0.5;
-        let mut seen: Vec<String> = Vec::new();
-        for mode in &selected {
-            for element in &mode.elements {
-                if !matches!(element, Element::Process { .. }) {
-                    continue;
-                }
-                let target_text = element.target_str();
-                if seen.contains(&target_text) {
-                    continue;
-                }
-                seen.push(target_text.clone());
-                builder = builder.injection(InjectionSpec {
-                    label: format!("latent-{target_text}"),
-                    kind: InjectionKind::Latent {
-                        target: TargetRef::parse(&target_text)
-                            .expect("element target grammar is parseable"),
-                    },
-                    at: latent_at,
-                    every: None,
-                });
+        let mut seen: Vec<&ElementRef> = Vec::new();
+        for element in selected.iter().flat_map(|mode| &mode.elements) {
+            if !matches!(element, ElementRef::Proc { .. }) || seen.contains(&element) {
+                continue;
             }
+            seen.push(element);
+            builder = builder.injection(InjectionSpec {
+                label: format!("latent-{element}"),
+                kind: InjectionKind::Latent {
+                    target: TargetRef::Element(element.clone()),
+                },
+                at: latent_at,
+                every: None,
+            });
         }
     }
 
@@ -464,7 +455,7 @@ mod tests {
         else {
             unreachable!()
         };
-        assert_eq!(*trigger, TargetRef::Rack(0));
+        assert_eq!(*trigger, TargetRef::Element(ElementRef::Rack(0)));
         // Every host sits in the single rack.
         assert_eq!(members.len(), topo.host_count());
         assert!((probability - 1.0).abs() < 1e-15);

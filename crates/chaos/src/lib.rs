@@ -61,10 +61,9 @@ use std::error::Error;
 use std::fmt;
 
 use sdnav_core::hash::splitmix64;
+use sdnav_core::ElementRef;
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
-use sdnav_sim::{
-    CrewPool, InjectAction, InjectTarget, InjectionPlan, PlannedEvent, SimResult, Simulation,
-};
+use sdnav_sim::{CrewPool, InjectAction, InjectionPlan, PlannedEvent, SimResult, Simulation};
 
 pub use sdnav_sim::{AttributionLedger, Cause, CrewDiscipline, OutageRecord};
 
@@ -76,16 +75,10 @@ pub const MAX_OCCURRENCES: usize = 100_000;
 /// A named injection target, resolved against the simulation at compile
 /// time.
 ///
-/// The textual grammar (used in campaign JSON) is:
-///
-/// | form | meaning |
-/// |---|---|
-/// | `rack:IDX` | rack by topology index |
-/// | `host:IDX` | host by topology index |
-/// | `vm:IDX` | VM by topology index |
-/// | `proc:ROLE/NODE/PROCESS` | controller process instance |
-/// | `vproc:HOST/PROCESS` | vRouter process on a compute host |
-/// | `leader` | whichever controller holds the consensus lease at fire time |
+/// The textual grammar (used in campaign JSON) is the
+/// [`ElementRef`] grammar (`rack:IDX`, `host:IDX`, `vm:IDX`,
+/// `proc:ROLE/NODE/PROCESS`, `vproc:HOST/PROCESS`) plus `leader`: whichever
+/// controller holds the consensus lease at fire time.
 ///
 /// `leader` is special: it names a *dynamic* element, so it only resolves
 /// inside a consensus run (`sdnav chaos run --consensus-spec`), where the
@@ -95,28 +88,8 @@ pub const MAX_OCCURRENCES: usize = 100_000;
 pub enum TargetRef {
     /// `leader` — resolved at event time by the consensus DES.
     Leader,
-    /// `rack:IDX`
-    Rack(usize),
-    /// `host:IDX`
-    Host(usize),
-    /// `vm:IDX`
-    Vm(usize),
-    /// `proc:ROLE/NODE/PROCESS`
-    Proc {
-        /// Controller role name (e.g. `Control`).
-        role: String,
-        /// Node index within the role.
-        node: usize,
-        /// Process name within the role.
-        process: String,
-    },
-    /// `vproc:HOST/PROCESS`
-    VProc {
-        /// Compute-host index.
-        host: usize,
-        /// vRouter process name.
-        process: String,
-    },
+    /// A deployment element.
+    Element(ElementRef),
 }
 
 impl TargetRef {
@@ -127,43 +100,14 @@ impl TargetRef {
     /// Returns [`ChaosError::BadTarget`] when the string does not match
     /// the grammar.
     pub fn parse(text: &str) -> Result<TargetRef, ChaosError> {
-        let bad = || ChaosError::BadTarget {
-            target: text.to_owned(),
-        };
         if text == "leader" {
             return Ok(TargetRef::Leader);
         }
-        let (kind, rest) = text.split_once(':').ok_or_else(bad)?;
-        match kind {
-            "rack" => rest.parse().map(TargetRef::Rack).map_err(|_| bad()),
-            "host" => rest.parse().map(TargetRef::Host).map_err(|_| bad()),
-            "vm" => rest.parse().map(TargetRef::Vm).map_err(|_| bad()),
-            "proc" => {
-                let mut parts = rest.splitn(3, '/');
-                let role = parts.next().ok_or_else(bad)?;
-                let node = parts.next().ok_or_else(bad)?;
-                let process = parts.next().ok_or_else(bad)?;
-                if role.is_empty() || process.is_empty() {
-                    return Err(bad());
-                }
-                Ok(TargetRef::Proc {
-                    role: role.to_owned(),
-                    node: node.parse().map_err(|_| bad())?,
-                    process: process.to_owned(),
-                })
-            }
-            "vproc" => {
-                let (host, process) = rest.split_once('/').ok_or_else(bad)?;
-                if process.is_empty() {
-                    return Err(bad());
-                }
-                Ok(TargetRef::VProc {
-                    host: host.parse().map_err(|_| bad())?,
-                    process: process.to_owned(),
-                })
-            }
-            _ => Err(bad()),
-        }
+        ElementRef::parse(text)
+            .map(TargetRef::Element)
+            .ok_or_else(|| ChaosError::BadTarget {
+                target: text.to_owned(),
+            })
     }
 }
 
@@ -171,15 +115,7 @@ impl fmt::Display for TargetRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TargetRef::Leader => write!(f, "leader"),
-            TargetRef::Rack(i) => write!(f, "rack:{i}"),
-            TargetRef::Host(i) => write!(f, "host:{i}"),
-            TargetRef::Vm(i) => write!(f, "vm:{i}"),
-            TargetRef::Proc {
-                role,
-                node,
-                process,
-            } => write!(f, "proc:{role}/{node}/{process}"),
-            TargetRef::VProc { host, process } => write!(f, "vproc:{host}/{process}"),
+            TargetRef::Element(element) => element.fmt(f),
         }
     }
 }
@@ -481,7 +417,7 @@ impl ChaosSpec {
                     check_dur(Some(*duration_hours))?;
                 }
                 InjectionKind::Latent { target } => {
-                    if !matches!(target, TargetRef::Proc { .. }) {
+                    if !matches!(target, TargetRef::Element(ElementRef::Proc { .. })) {
                         return Err(ChaosError::LatentNotProc { label });
                     }
                 }
@@ -776,41 +712,6 @@ impl From<ChaosError> for CompileError {
     }
 }
 
-/// Resolves a named target against a prepared simulation.
-///
-/// # Errors
-///
-/// Returns `Err(())` when the target's index or names do not exist in the
-/// deployment; callers attach their own context (compile errors, SA020
-/// diagnostics). [`TargetRef::Leader`] always errs here: the lease is a
-/// consensus-run concept with no static counterpart in the deployment.
-#[allow(clippy::result_unit_err)]
-pub fn resolve_target(target: &TargetRef, sim: &Simulation<'_>) -> Result<InjectTarget, ()> {
-    let s = sim.structure();
-    match target {
-        TargetRef::Leader => Err(()),
-        TargetRef::Rack(i) => s.rack(*i).map(|_| InjectTarget::Rack(*i)).ok_or(()),
-        TargetRef::Host(i) => s.host(*i).map(|_| InjectTarget::Host(*i)).ok_or(()),
-        TargetRef::Vm(i) => s.vm(*i).map(|_| InjectTarget::Vm(*i)).ok_or(()),
-        TargetRef::Proc {
-            role,
-            node,
-            process,
-        } => s
-            .process_index(role, *node, process)
-            .map(InjectTarget::Proc)
-            .ok_or(()),
-        TargetRef::VProc { host, process } => {
-            if *host >= sim.config().compute_hosts {
-                return Err(());
-            }
-            s.host_process_index(process)
-                .map(|idx| InjectTarget::VProc(*host, idx))
-                .ok_or(())
-        }
-    }
-}
-
 /// Deterministic Bernoulli draw for common-cause member `member` of
 /// occurrence `occurrence` of injection `injection`, keyed only by
 /// identity — never by position in the final event stream.
@@ -849,16 +750,20 @@ fn ccf_member_fails(
 pub fn compile(spec: &ChaosSpec, sim: &Simulation<'_>) -> Result<InjectionPlan, CompileError> {
     spec.try_validate()?;
     let horizon = sim.config().horizon_hours;
-    let resolve = |label: &str, t: &TargetRef| -> Result<InjectTarget, CompileError> {
-        if matches!(t, TargetRef::Leader) {
-            return Err(CompileError::LeaderTarget {
+    let resolve = |label: &str, t: &TargetRef| -> Result<usize, CompileError> {
+        match t {
+            TargetRef::Leader => Err(CompileError::LeaderTarget {
                 label: label.to_owned(),
-            });
+            }),
+            TargetRef::Element(element) => {
+                sim.structure()
+                    .element(element)
+                    .ok_or_else(|| CompileError::UnknownTarget {
+                        label: label.to_owned(),
+                        target: t.to_string(),
+                    })
+            }
         }
-        resolve_target(t, sim).map_err(|()| CompileError::UnknownTarget {
-            label: label.to_owned(),
-            target: t.to_string(),
-        })
     };
     let mut events: Vec<PlannedEvent> = Vec::new();
     for (i, inj) in spec.injections.iter().enumerate() {
@@ -872,11 +777,11 @@ pub fn compile(spec: &ChaosSpec, sim: &Simulation<'_>) -> Result<InjectionPlan, 
                 });
             }
             let label = &inj.label;
-            let mut emit = |target, action| {
+            let mut emit = |element, action| {
                 events.push(PlannedEvent {
                     time,
                     injection: i,
-                    target,
+                    element,
                     action,
                 });
             };
@@ -1172,6 +1077,12 @@ mod tests {
             ),
             (
                 r#"{"name": "x", "injections": [
+                    {"label": "a", "kind": "latent", "target": "vproc:0/vrouter-agent",
+                     "at": 0.0}]}"#,
+                "latent on a vRouter process",
+            ),
+            (
+                r#"{"name": "x", "injections": [
                     {"label": "a", "kind": "fail", "target": "rack:0", "at": 0.0},
                     {"label": "a", "kind": "fail", "target": "rack:0", "at": 1.0}]}"#,
                 "duplicate label",
@@ -1231,43 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn fmea_elements_resolve_to_the_simulator_elements_they_name() {
-        // Generated campaigns target FMEA elements by `target_str()`; the
-        // verdict gate relies on each naming the same simulator element.
-        let spec = ControllerSpec::opencontrail_3x();
-        for topo in Topology::paper(&spec) {
-            let deployment = sdnav_fmea::Deployment::new(
-                &spec,
-                &topo,
-                sdnav_core::SwParams::paper_defaults(),
-                Scenario::SupervisorNotRequired,
-            );
-            let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
-            cfg.compute_hosts = 3;
-            let sim = Simulation::try_new(&spec, &topo, cfg).expect("valid simulation");
-            let (mut process, mut host_process) = (0, 0);
-            for element in deployment.elements() {
-                let target = TargetRef::parse(&element.target_str()).expect("target grammar");
-                let resolved = resolve_target(&target, &sim).expect("element resolves");
-                let expected = match element {
-                    sdnav_fmea::Element::Rack { index } => InjectTarget::Rack(index),
-                    sdnav_fmea::Element::Host { index } => InjectTarget::Host(index),
-                    sdnav_fmea::Element::Vm { index } => InjectTarget::Vm(index),
-                    sdnav_fmea::Element::Process { .. } => {
-                        process += 1;
-                        InjectTarget::Proc(process - 1)
-                    }
-                    sdnav_fmea::Element::HostProcess { .. } => {
-                        host_process += 1;
-                        InjectTarget::VProc(0, host_process - 1)
-                    }
-                };
-                assert_eq!(resolved, expected, "{} on {}", element, topo.name());
-            }
-        }
-    }
-
-    #[test]
     fn compile_rejects_leader_target_with_pointed_error() {
         let (spec, topo) = sim_small();
         let sim = small_sim(&spec, &topo, 1_000.0);
@@ -1318,7 +1192,10 @@ mod tests {
             .iter()
             .find(|e| e.time == 50.0)
             .expect("first occurrence");
-        assert_eq!(first_at_50.target, InjectTarget::Host(0));
+        assert_eq!(
+            Some(first_at_50.element),
+            sim.structure().element(&ElementRef::Host(0))
+        );
     }
 
     #[test]

@@ -9,10 +9,10 @@ use std::process::ExitCode;
 use args::{Args, Command, Run};
 use sdnav_core::sweep::{Fig3Row, SwSweepRow};
 use sdnav_core::{
-    ConsensusSpec, ControllerSpec, ErrorKind, FaultMix, HwModel, HwParams, Plane, Scenario,
-    SdnavError, SwModel, SwParams, Topology,
+    ConsensusSpec, ControllerSpec, ElementRef, ErrorKind, FaultMix, HwModel, HwParams, Plane,
+    Scenario, SdnavError, SwModel, SwParams, Topology,
 };
-use sdnav_fmea::{derive_table1, dominant_modes, enumerate_filtered, Deployment, ElementKind};
+use sdnav_fmea::{derive_table1, dominant_modes, enumerate_filtered, Deployment};
 use sdnav_grid::plan::Figure;
 use sdnav_grid::{GridSpec, GridSpecBuilder, SimRow, SuperviseOptions};
 use sdnav_report::{minutes_per_year, Chart, Series, Table};
@@ -794,7 +794,7 @@ fn fmea(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let sw_only = args.has("sw-only");
     let dep = Deployment::new(spec, &topo, SwParams::paper_defaults(), scenario);
     let modes = enumerate_filtered(&dep, order, |e| {
-        !sw_only || matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+        !sw_only || matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
     });
     println!(
         "{} minimal failure modes up to order {order} ({}, {:?}):",
@@ -819,7 +819,7 @@ fn importance(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let order = args.get_usize("order", 2)?;
     let dep = Deployment::new(spec, &topo, SwParams::paper_defaults(), scenario);
     let modes = enumerate_filtered(&dep, order, |e| {
-        matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+        matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
     });
     let ranking = sdnav_fmea::rank_elements(&modes);
     println!(
@@ -830,7 +830,7 @@ fn importance(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     let mut table = Table::new(vec!["element", "CP share", "DP share"]);
     for c in ranking.iter().take(15) {
         table.row(vec![
-            c.element.to_string(),
+            c.element.label(),
             format!("{:5.1}%", c.cp_share * 100.0),
             format!("{:5.1}%", c.dp_share * 100.0),
         ]);
@@ -845,7 +845,7 @@ fn sensitivity(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     use sdnav_core::sensitivity::{hw as hw_sens, sw as sw_sens, SwMetric};
     println!("HW-centric parameter sensitivity ({}):\n", topo.name());
     let mut table = Table::new(vec!["parameter", "value", "dA/dA_p", "downtime share"]);
-    for s in hw_sens(spec, &topo, HwParams::paper_defaults()) {
+    for s in hw_sens(spec, &topo, HwParams::paper_defaults()).map_err(|e| failure(e.to_string()))? {
         table.row(vec![
             s.parameter,
             format!("{:.5}", s.value),
@@ -860,7 +860,9 @@ fn sensitivity(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     ] {
         println!("\nSW-centric sensitivity, {label} ({:?}):\n", scenario);
         let mut table = Table::new(vec!["parameter", "value", "dA/dA_p", "downtime share"]);
-        for s in sw_sens(spec, &topo, SwParams::paper_defaults(), scenario, metric) {
+        for s in sw_sens(spec, &topo, SwParams::paper_defaults(), scenario, metric)
+            .map_err(|e| failure(e.to_string()))?
+        {
             table.row(vec![
                 s.parameter,
                 format!("{:.5}", s.value),
@@ -875,7 +877,8 @@ fn sensitivity(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
 
 fn plan(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     use sdnav_core::planner::{cheapest_meeting, evaluate_candidates, pareto_frontier, CostModel};
-    let points = evaluate_candidates(spec, SwParams::paper_defaults(), &CostModel::ballpark());
+    let points = evaluate_candidates(spec, SwParams::paper_defaults(), &CostModel::ballpark())
+        .map_err(|e| failure(e.to_string()))?;
     println!("Pareto frontier (cost vs CP downtime):\n");
     let mut table = Table::new(vec![
         "cost",
@@ -954,10 +957,9 @@ fn simulate(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> {
     }
     let seed = args.get_usize("seed", 1)? as u64;
 
+    let model = SwModel::try_new(spec, &topo, config.analytic_params(), scenario)
+        .map_err(|e| failure(e.to_string()))?;
     let result = replicate(spec, &topo, config, seed, replications);
-    let params = config.analytic_params();
-    let model =
-        SwModel::try_new(spec, &topo, params, scenario).map_err(|e| failure(e.to_string()))?;
     println!(
         "simulated {} replications × {:.0} h on {} ({:?}, rates ×{accel})",
         replications,
@@ -1221,7 +1223,9 @@ fn chaos_consensus(
         let target = match &inj.kind {
             sdnav_chaos::InjectionKind::Fail { target, .. } => match target {
                 sdnav_chaos::TargetRef::Leader => sdnav_consensus::InjectTarget::Leader,
-                sdnav_chaos::TargetRef::Host(i) => sdnav_consensus::InjectTarget::Node(*i),
+                sdnav_chaos::TargetRef::Element(ElementRef::Host(i)) => {
+                    sdnav_consensus::InjectTarget::Node(*i)
+                }
                 other => {
                     return Err(failure(format!(
                         "injection {:?}: target {other} is not representable in a consensus \

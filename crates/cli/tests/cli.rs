@@ -181,6 +181,51 @@ fn nodes_flag_scales_cluster() {
     assert!(stderr.contains("odd"));
 }
 
+/// Runs `command` at 11 nodes, where the Small layout shares 2N + 1 = 23
+/// hardware elements, and checks that it exits 1 naming the shared count
+/// and the exact-enumeration limit instead of panicking.
+fn refuses_past_the_enumeration_limit(command: &str) {
+    let out = sdnav_raw(&[command, "--nodes", "11"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+    assert!(
+        stderr.contains("23 shared elements") && stderr.contains("at most 20"),
+        "{command}: {stderr}"
+    );
+}
+
+#[test]
+fn hw_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit("hw");
+}
+
+#[test]
+fn sw_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit("sw");
+}
+
+#[test]
+fn simulate_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit("simulate");
+}
+
+#[test]
+fn sensitivity_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit("sensitivity");
+}
+
+#[test]
+fn plan_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit("plan");
+}
+
+#[test]
+fn fmea_runs_past_the_enumeration_limit() {
+    // The FMEA flips elements of the table; it enumerates no shared
+    // hardware, so the limit does not apply.
+    assert_eq!(sdnav_code(&["fmea", "--nodes", "11"]), 0);
+}
+
 #[test]
 fn spec_round_trips_through_file() {
     let dir = std::env::temp_dir().join("sdnav-cli-test");

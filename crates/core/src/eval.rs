@@ -21,7 +21,50 @@
 //!    one evaluation, and [`quorum_table`] computes the role's k-of-n product
 //!    once per up count instead of once per node subset.
 
-use crate::{ControllerSpec, Topology};
+use std::error::Error;
+use std::fmt;
+
+use crate::{ControllerSpec, ParamError, Topology, TopologyError};
+
+/// Why an exact analytic model ([`crate::HwModel`], [`crate::SwModel`])
+/// could not be built.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum ModelError {
+    /// A parameter is out of range.
+    Param(ParamError),
+    /// The topology does not fit the spec.
+    Topology(TopologyError),
+    /// More hardware elements are shared between `(role, node)` blocks
+    /// than exact enumeration supports.
+    TooManyShared {
+        /// Shared elements in the topology.
+        shared: usize,
+        /// The most shared elements exact enumeration supports.
+        limit: usize,
+    },
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::Param(e) => write!(f, "{e}"),
+            ModelError::Topology(e) => write!(f, "{e}"),
+            ModelError::TooManyShared { shared, limit } => write!(
+                f,
+                "topology has {shared} shared elements; exact enumeration supports at most {limit}"
+            ),
+        }
+    }
+}
+
+impl Error for ModelError {}
+
+impl From<ParamError> for ModelError {
+    fn from(e: ParamError) -> Self {
+        ModelError::Param(e)
+    }
+}
 
 /// Per-block hosting chain after shared/unshared split.
 #[derive(Debug, Clone)]
@@ -54,21 +97,19 @@ impl Enumerator {
     /// Builds the enumerator for the controller-scoped roles of `spec` laid
     /// out on `topology`, with platform availabilities `a_v`, `a_h`, `a_r`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the topology fails validation against the spec (callers
-    /// validate first and surface proper errors) or if the topology has more
-    /// than [`MAX_SHARED`] shared elements.
+    /// [`ModelError::Topology`] if the topology does not fit the spec, and
+    /// [`ModelError::TooManyShared`] if it shares more than [`MAX_SHARED`]
+    /// elements.
     pub(crate) fn new(
         spec: &ControllerSpec,
         topology: &Topology,
         a_v: f64,
         a_h: f64,
         a_r: f64,
-    ) -> Self {
-        topology
-            .validate(spec)
-            .expect("topology must be valid for the spec");
+    ) -> Result<Self, ModelError> {
+        topology.validate(spec).map_err(ModelError::Topology)?;
         let nodes = spec.nodes as usize;
 
         // Element universe: rack ids, then host ids, then VM ids.
@@ -115,11 +156,12 @@ impl Enumerator {
                 shared.push(avail_of(e));
             }
         }
-        assert!(
-            shared.len() <= MAX_SHARED,
-            "topology has {} shared elements; exact enumeration supports at most {MAX_SHARED}",
-            shared.len()
-        );
+        if shared.len() > MAX_SHARED {
+            return Err(ModelError::TooManyShared {
+                shared: shared.len(),
+                limit: MAX_SHARED,
+            });
+        }
 
         let blocks = chains
             .into_iter()
@@ -137,12 +179,12 @@ impl Enumerator {
             })
             .collect();
 
-        Enumerator {
+        Ok(Enumerator {
             shared,
             blocks,
             role_indices,
             nodes,
-        }
+        })
     }
 
     /// Spec role indices covered, in block-row order.
@@ -314,7 +356,7 @@ mod tests {
     fn small_topology_shares_seven_elements() {
         // 1 rack + 3 hosts + 3 VMs, all shared across role blocks.
         let s = spec();
-        let e = Enumerator::new(&s, &Topology::small(&s), 0.99995, 0.9999, 0.99999);
+        let e = Enumerator::new(&s, &Topology::small(&s), 0.99995, 0.9999, 0.99999).unwrap();
         assert_eq!(e.shared_count(), 7);
         assert_eq!(e.role_indices().len(), 4);
         assert_eq!(e.nodes(), 3);
@@ -324,7 +366,7 @@ mod tests {
     fn medium_topology_shares_five_elements() {
         // 2 racks + 3 hosts shared; the 12 VMs are per-block (folded).
         let s = spec();
-        let e = Enumerator::new(&s, &Topology::medium(&s), 0.99995, 0.9999, 0.99999);
+        let e = Enumerator::new(&s, &Topology::medium(&s), 0.99995, 0.9999, 0.99999).unwrap();
         assert_eq!(e.shared_count(), 5);
     }
 
@@ -332,7 +374,7 @@ mod tests {
     fn large_topology_shares_three_elements() {
         // 3 racks shared; hosts and VMs are per-block.
         let s = spec();
-        let e = Enumerator::new(&s, &Topology::large(&s), 0.99995, 0.9999, 0.99999);
+        let e = Enumerator::new(&s, &Topology::large(&s), 0.99995, 0.9999, 0.99999).unwrap();
         assert_eq!(e.shared_count(), 3);
     }
 
@@ -344,7 +386,7 @@ mod tests {
             Topology::medium(&s),
             Topology::large(&s),
         ] {
-            let e = Enumerator::new(&s, &topo, 0.9, 0.8, 0.7);
+            let e = Enumerator::new(&s, &topo, 0.9, 0.8, 0.7).unwrap();
             let total = e.evaluate(|_, _| 1.0);
             assert!((total - 1.0).abs() < EPS, "{}: {total}", topo.name());
         }
@@ -360,7 +402,7 @@ mod tests {
             Topology::medium(&s),
             Topology::large(&s),
         ] {
-            let e = Enumerator::new(&s, &topo, a_v, a_h, a_r);
+            let e = Enumerator::new(&s, &topo, a_v, a_h, a_r).unwrap();
             for b in 0..12 {
                 let marginal = e.evaluate(|q, _| q[b]);
                 assert!(
@@ -380,12 +422,12 @@ mod tests {
         let (a_v, a_h, a_r) = (0.95, 0.9, 0.85);
         let chain = a_v * a_h * a_r;
 
-        let small = Enumerator::new(&s, &Topology::small(&s), a_v, a_h, a_r);
+        let small = Enumerator::new(&s, &Topology::small(&s), a_v, a_h, a_r).unwrap();
         // Blocks 0 and 3 are (role 0, node 0) and (role 1, node 0).
         let joint_small = small.evaluate(|q, _| q[0] * q[3]);
         assert!((joint_small - chain).abs() < EPS, "{joint_small}");
 
-        let large = Enumerator::new(&s, &Topology::large(&s), a_v, a_h, a_r);
+        let large = Enumerator::new(&s, &Topology::large(&s), a_v, a_h, a_r).unwrap();
         let joint_large = large.evaluate(|q, _| q[0] * q[3]);
         let expected = a_r * (a_v * a_h) * (a_v * a_h);
         assert!((joint_large - expected).abs() < EPS, "{joint_large}");
@@ -536,7 +578,7 @@ mod tests {
             scenario: Scenario,
             plane: Plane,
         ) -> f64 {
-            let e = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r);
+            let e = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r).unwrap();
             let nodes = e.nodes();
             let reqs = spec.requirements(plane);
             let role_reqs: Vec<Vec<(u32, f64)>> = e
@@ -583,7 +625,7 @@ mod tests {
 
         /// `HwModel::availability`.
         pub(super) fn hw(spec: &ControllerSpec, topology: &Topology, params: HwParams) -> f64 {
-            let e = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r);
+            let e = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r).unwrap();
             let nodes = e.nodes();
             let quorums: Vec<u32> = e
                 .role_indices()
@@ -652,7 +694,7 @@ mod tests {
     fn memo_computes_each_pattern_once_where_it_keeps_a_table() {
         let s = spec();
         let count = |topo: &Topology| {
-            let e = Enumerator::new(&s, topo, 0.9, 0.8, 0.7);
+            let e = Enumerator::new(&s, topo, 0.9, 0.8, 0.7).unwrap();
             let mut memo = e.memo();
             let (mut states, mut computed) = (0, 0);
             let mut patterns = std::collections::BTreeSet::new();

@@ -3,7 +3,7 @@
 use sdnav_blocks::kofn::k_of_n_heterogeneous;
 
 use crate::eval::{Enumerator, PatternMemo};
-use crate::{ControllerSpec, HwParams, Topology};
+use crate::{ControllerSpec, HwParams, ModelError, Topology};
 
 /// The paper's HW-centric controller availability model.
 ///
@@ -36,16 +36,17 @@ impl<'a> HwModel<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::ParamError`] naming the first out-of-range
-    /// availability. (Topology/spec mismatches still panic — run
-    /// [`Topology::validate`] first for a proper error.)
+    /// Returns [`ModelError::Param`] naming the first out-of-range
+    /// availability, [`ModelError::Topology`] if the topology does not fit
+    /// the spec, and [`ModelError::TooManyShared`] if it shares more
+    /// hardware than exact enumeration supports.
     pub fn try_new(
         spec: &'a ControllerSpec,
         topology: &Topology,
         params: HwParams,
-    ) -> Result<Self, crate::ParamError> {
+    ) -> Result<Self, ModelError> {
         params.try_validate()?;
-        let enumerator = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r);
+        let enumerator = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r)?;
         Ok(HwModel {
             spec,
             params,
@@ -121,7 +122,7 @@ mod tests {
             ..defaults()
         };
         let err = HwModel::try_new(&s, &topo, bad).unwrap_err();
-        assert_eq!(err.field, "a_c");
+        assert!(matches!(err, ModelError::Param(e) if e.field == "a_c"));
         let model = HwModel::try_new(&s, &topo, defaults()).unwrap();
         assert!(model.availability() > 0.9999);
     }

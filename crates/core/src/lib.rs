@@ -32,7 +32,8 @@
 //!   availabilities;
 //! * [`Structure`] — the element table and the boolean CP/DP structure
 //!   function that both the FMEA and the discrete-event simulator evaluate,
-//!   as incremental tallies in an [`UpState`];
+//!   as incremental tallies in an [`UpState`], with every element named
+//!   by one [`ElementRef`];
 //! * [`paper`] — direct transcriptions of the paper's closed-form equations
 //!   for cross-validation against the general evaluator;
 //! * [`approx`] — the paper's conclusions-section approximations;
@@ -62,6 +63,7 @@
 pub mod approx;
 pub mod consensus;
 pub mod des;
+mod element;
 pub mod error;
 mod eval;
 pub mod hash;
@@ -79,7 +81,9 @@ mod topology;
 mod units;
 
 pub use consensus::{ConsensusError, ConsensusSpec, ElectionLatency, FaultMix};
+pub use element::ElementRef;
 pub use error::{ErrorKind, SdnavError};
+pub use eval::ModelError;
 pub use hw::HwModel;
 pub use params::{HwParams, ParamError, ProcessParams, SwParams};
 pub use spec::{

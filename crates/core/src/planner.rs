@@ -15,7 +15,7 @@
 //!
 //! let spec = ControllerSpec::opencontrail_3x();
 //! let points = evaluate_candidates(&spec, SwParams::paper_defaults(),
-//!                                  &CostModel::ballpark());
+//!                                  &CostModel::ballpark()).expect("valid SW models");
 //! // Meeting a 2 m/y control-plane target requires three-way rack
 //! // separation — and the cheapest such layout is the consolidated
 //! // Small-3R, not the paper's Large.
@@ -23,7 +23,7 @@
 //! assert_eq!(pick.topology, "Small-3R");
 //! ```
 
-use crate::{ControllerSpec, Scenario, SwModel, SwParams, Topology};
+use crate::{ControllerSpec, ModelError, Scenario, SwModel, SwParams, Topology};
 
 /// Linear hardware cost model (arbitrary currency units).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,12 +127,15 @@ fn cost_of(topology: &Topology, tier: MaintenanceTier, cost: &CostModel) -> f64 
 /// Evaluates every candidate (4 topologies — the paper's three plus the
 /// rack-separated Small — × 2 scenarios × 3 tiers) at the given base
 /// parameters, sorted by cost then downtime.
-#[must_use]
+///
+/// # Errors
+///
+/// The first candidate's [`ModelError`] from [`SwModel::try_new`].
 pub fn evaluate_candidates(
     spec: &ControllerSpec,
     base: SwParams,
     cost: &CostModel,
-) -> Vec<PlanPoint> {
+) -> Result<Vec<PlanPoint>, ModelError> {
     let mut out = Vec::new();
     for topology in [
         Topology::small(spec),
@@ -149,8 +152,7 @@ pub fn evaluate_candidates(
                     a_h: tier.a_h(),
                     ..base
                 };
-                let model =
-                    SwModel::try_new(spec, &topology, params, scenario).expect("valid SW model");
+                let model = SwModel::try_new(spec, &topology, params, scenario)?;
                 let cp = model.cp_availability();
                 out.push(PlanPoint {
                     topology: topology.name().to_owned(),
@@ -173,7 +175,7 @@ pub fn evaluate_candidates(
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
     });
-    out
+    Ok(out)
 }
 
 /// Filters `points` (any order) down to the Pareto frontier of
@@ -226,6 +228,7 @@ mod tests {
             SwParams::paper_defaults(),
             &CostModel::ballpark(),
         )
+        .unwrap()
     }
 
     #[test]

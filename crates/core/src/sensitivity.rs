@@ -22,12 +22,13 @@
 //!
 //! let spec = ControllerSpec::opencontrail_3x();
 //! // In the Small topology, the single rack owns ~90% of the downtime.
-//! let ranking = hw(&spec, &Topology::small(&spec), HwParams::paper_defaults());
+//! let ranking = hw(&spec, &Topology::small(&spec), HwParams::paper_defaults())
+//!     .expect("valid HW model");
 //! assert_eq!(ranking[0].parameter, "A_R");
 //! assert!(ranking[0].downtime_share > 0.8);
 //! ```
 
-use crate::{ControllerSpec, HwModel, HwParams, Scenario, SwModel, SwParams, Topology};
+use crate::{ControllerSpec, HwModel, HwParams, ModelError, Scenario, SwModel, SwParams, Topology};
 
 /// Sensitivity of the system metric to one parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,34 +44,37 @@ pub struct ParamSensitivity {
     pub downtime_share: f64,
 }
 
-fn central_difference(value: f64, eval: impl Fn(f64) -> f64) -> f64 {
+fn central_difference(
+    value: f64,
+    eval: impl Fn(f64) -> Result<f64, ModelError>,
+) -> Result<f64, ModelError> {
     // Step small relative to the parameter's distance from 1 (its
     // unavailability), but never denormal.
     let h = ((1.0 - value) * 0.01).clamp(1e-9, 1e-4);
     let hi = (value + h).min(1.0);
     let lo = value - h;
-    (eval(hi) - eval(lo)) / (hi - lo)
+    Ok((eval(hi)? - eval(lo)?) / (hi - lo))
 }
 
 fn build(
     name: &str,
     value: f64,
     base_availability: f64,
-    eval: impl Fn(f64) -> f64,
-) -> ParamSensitivity {
-    let derivative = central_difference(value, eval);
+    eval: impl Fn(f64) -> Result<f64, ModelError>,
+) -> Result<ParamSensitivity, ModelError> {
+    let derivative = central_difference(value, eval)?;
     let u_sys = 1.0 - base_availability;
     let downtime_share = if u_sys > 0.0 {
         derivative * (1.0 - value) / u_sys
     } else {
         0.0
     };
-    ParamSensitivity {
+    Ok(ParamSensitivity {
         parameter: name.to_owned(),
         value,
         derivative,
         downtime_share,
-    }
+    })
 }
 
 fn ranked(mut out: Vec<ParamSensitivity>) -> Vec<ParamSensitivity> {
@@ -84,28 +88,32 @@ fn ranked(mut out: Vec<ParamSensitivity>) -> Vec<ParamSensitivity> {
 
 /// Sensitivities of the HW-centric controller availability to
 /// `A_C`, `A_V`, `A_H`, `A_R`, ranked by downtime share.
-#[must_use]
-pub fn hw(spec: &ControllerSpec, topology: &Topology, params: HwParams) -> Vec<ParamSensitivity> {
-    let eval = |p: HwParams| {
-        HwModel::try_new(spec, topology, p)
-            .expect("valid HW model")
-            .availability()
-    };
-    let base = eval(params);
-    ranked(vec![
+///
+/// # Errors
+///
+/// The [`ModelError`] of [`HwModel::try_new`] at `params` or at a
+/// perturbed parameter.
+pub fn hw(
+    spec: &ControllerSpec,
+    topology: &Topology,
+    params: HwParams,
+) -> Result<Vec<ParamSensitivity>, ModelError> {
+    let eval = |p: HwParams| Ok(HwModel::try_new(spec, topology, p)?.availability());
+    let base = eval(params)?;
+    Ok(ranked(vec![
         build("A_C", params.a_c, base, |v| {
             eval(HwParams { a_c: v, ..params })
-        }),
+        })?,
         build("A_V", params.a_v, base, |v| {
             eval(HwParams { a_v: v, ..params })
-        }),
+        })?,
         build("A_H", params.a_h, base, |v| {
             eval(HwParams { a_h: v, ..params })
-        }),
+        })?,
         build("A_R", params.a_r, base, |v| {
             eval(HwParams { a_r: v, ..params })
-        }),
-    ])
+        })?,
+    ]))
 }
 
 /// Which SW-centric metric to analyze.
@@ -119,22 +127,26 @@ pub enum SwMetric {
 
 /// Sensitivities of a SW-centric metric to `A`, `A_S`, `A_V`, `A_H`,
 /// `A_R`, ranked by downtime share.
-#[must_use]
+///
+/// # Errors
+///
+/// The [`ModelError`] of [`SwModel::try_new`] at `params` or at a
+/// perturbed parameter.
 pub fn sw(
     spec: &ControllerSpec,
     topology: &Topology,
     params: SwParams,
     scenario: Scenario,
     metric: SwMetric,
-) -> Vec<ParamSensitivity> {
+) -> Result<Vec<ParamSensitivity>, ModelError> {
     let eval = |p: SwParams| {
-        let model = SwModel::try_new(spec, topology, p, scenario).expect("valid SW model");
-        match metric {
+        let model = SwModel::try_new(spec, topology, p, scenario)?;
+        Ok(match metric {
             SwMetric::ControlPlane => model.cp_availability(),
             SwMetric::HostDataPlane => model.host_dp_availability(),
-        }
+        })
     };
-    let base = eval(params);
+    let base = eval(params)?;
     let with_auto = |v: f64| {
         let mut p = params;
         p.process.auto = v;
@@ -145,23 +157,23 @@ pub fn sw(
         p.process.manual = v;
         p
     };
-    ranked(vec![
+    Ok(ranked(vec![
         build("A (auto)", params.process.auto, base, |v| {
             eval(with_auto(v))
-        }),
+        })?,
         build("A_S (manual)", params.process.manual, base, |v| {
             eval(with_manual(v))
-        }),
+        })?,
         build("A_V", params.a_v, base, |v| {
             eval(SwParams { a_v: v, ..params })
-        }),
+        })?,
         build("A_H", params.a_h, base, |v| {
             eval(SwParams { a_h: v, ..params })
-        }),
+        })?,
         build("A_R", params.a_r, base, |v| {
             eval(SwParams { a_r: v, ..params })
-        }),
-    ])
+        })?,
+    ]))
 }
 
 #[cfg(test)]
@@ -176,7 +188,7 @@ mod tests {
     fn hw_small_is_rack_dominated() {
         // In the Small topology virtually all downtime is the single rack.
         let s = spec();
-        let ranking = hw(&s, &Topology::small(&s), HwParams::paper_defaults());
+        let ranking = hw(&s, &Topology::small(&s), HwParams::paper_defaults()).unwrap();
         assert_eq!(ranking[0].parameter, "A_R");
         assert!(ranking[0].downtime_share > 0.8, "{:?}", ranking[0]);
     }
@@ -186,7 +198,7 @@ mod tests {
         // With three racks the quorum protects against rack loss; the role
         // availability becomes the lever.
         let s = spec();
-        let ranking = hw(&s, &Topology::large(&s), HwParams::paper_defaults());
+        let ranking = hw(&s, &Topology::large(&s), HwParams::paper_defaults()).unwrap();
         assert_eq!(ranking[0].parameter, "A_C");
         let rack = ranking.iter().find(|p| p.parameter == "A_R").unwrap();
         assert!(rack.downtime_share < 0.2, "{rack:?}");
@@ -196,7 +208,7 @@ mod tests {
     fn derivatives_are_nonnegative() {
         let s = spec();
         for topo in [Topology::small(&s), Topology::large(&s)] {
-            for p in hw(&s, &topo, HwParams::paper_defaults()) {
+            for p in hw(&s, &topo, HwParams::paper_defaults()).unwrap() {
                 assert!(p.derivative >= 0.0, "{p:?}");
             }
             for metric in [SwMetric::ControlPlane, SwMetric::HostDataPlane] {
@@ -206,7 +218,9 @@ mod tests {
                     SwParams::paper_defaults(),
                     Scenario::SupervisorRequired,
                     metric,
-                ) {
+                )
+                .unwrap()
+                {
                     assert!(p.derivative >= 0.0, "{p:?}");
                 }
             }
@@ -225,7 +239,8 @@ mod tests {
             SwParams::paper_defaults(),
             Scenario::SupervisorRequired,
             SwMetric::HostDataPlane,
-        );
+        )
+        .unwrap();
         assert_eq!(ranking[0].parameter, "A_S (manual)");
         assert!(ranking[0].downtime_share > 0.5);
         let second = &ranking[1];
@@ -245,6 +260,7 @@ mod tests {
                 scenario,
                 SwMetric::ControlPlane,
             )
+            .unwrap()
             .into_iter()
             .find(|p| p.parameter == "A_S (manual)")
             .unwrap()
@@ -268,6 +284,7 @@ mod tests {
             Scenario::SupervisorNotRequired,
             SwMetric::ControlPlane,
         )
+        .unwrap()
         .iter()
         .map(|p| p.downtime_share)
         .sum();
@@ -281,7 +298,7 @@ mod tests {
             a_r: 1.0,
             ..HwParams::paper_defaults()
         };
-        let ranking = hw(&s, &Topology::small(&s), p);
+        let ranking = hw(&s, &Topology::small(&s), p).unwrap();
         let rack = ranking.iter().find(|x| x.parameter == "A_R").unwrap();
         assert_eq!(rack.downtime_share, 0.0);
         // The derivative itself is still meaningful (>0: a rack *can* hurt).

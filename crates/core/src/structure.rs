@@ -15,7 +15,9 @@
 //! controller instances role-major, then node, then process; per-host
 //! processes compute-host-major, then process.
 
-use crate::{ControllerSpec, Plane, RestartMode, Scenario, Topology, TopologyError};
+use crate::{
+    ControllerSpec, ElementRef, Plane, ProcessSpec, RestartMode, Scenario, Topology, TopologyError,
+};
 
 /// What one element of a [`Structure`] is.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -387,64 +389,73 @@ impl<'a> Structure<'a> {
         self.nodes
     }
 
-    /// Element index of rack `i`, if the topology has it.
+    /// The index of element `name`, if the table has it.
     #[must_use]
-    pub fn rack(&self, i: usize) -> Option<usize> {
-        (i < self.racks).then_some(i)
-    }
-
-    /// Element index of host `i`, if the topology has it.
-    #[must_use]
-    pub fn host(&self, i: usize) -> Option<usize> {
-        (i < self.hosts).then_some(self.racks + i)
-    }
-
-    /// Element index of VM `i`, if the topology has it.
-    #[must_use]
-    pub fn vm(&self, i: usize) -> Option<usize> {
-        (i < self.vms).then_some(self.racks + self.hosts + i)
-    }
-
-    /// Element index of controller process instance `pid` (role-major,
-    /// then node, then process), if there is one.
-    #[must_use]
-    pub fn process(&self, pid: usize) -> Option<usize> {
-        (pid < self.processes).then_some(self.racks + self.hosts + self.vms + pid)
-    }
-
-    /// Element index of per-host process `idx` on compute host `host`, if
-    /// there is one.
-    #[must_use]
-    pub fn host_process(&self, host: usize, idx: usize) -> Option<usize> {
-        let first = self.racks + self.hosts + self.vms + self.processes;
-        (idx < self.host_processes)
-            .then_some(first + host * self.host_processes + idx)
-            .filter(|&e| e < self.len())
-    }
-
-    /// Resolves a controller process by `(role, node, process)` names to
-    /// its instance index (the `pid` of [`Structure::process`]).
-    #[must_use]
-    pub fn process_index(&self, role: &str, node: usize, process: &str) -> Option<usize> {
-        let mut first = 0;
-        for (_, r) in self.spec.controller_roles() {
-            if r.name == role {
-                let i = r.processes.iter().position(|p| p.name == process)?;
-                return (node < self.nodes).then_some(first + node * r.processes.len() + i);
+    pub fn element(&self, name: &ElementRef) -> Option<usize> {
+        let hardware = self.racks + self.hosts + self.vms;
+        match name {
+            ElementRef::Rack(i) => (*i < self.racks).then_some(*i),
+            ElementRef::Host(i) => (*i < self.hosts).then_some(self.racks + i),
+            ElementRef::Vm(i) => (*i < self.vms).then_some(self.racks + self.hosts + i),
+            ElementRef::Proc {
+                role,
+                node,
+                process,
+            } => {
+                let mut first = hardware;
+                for (_, r) in self.spec.controller_roles() {
+                    if r.name == *role {
+                        let i = r.processes.iter().position(|p| p.name == *process)?;
+                        return (*node < self.nodes)
+                            .then_some(first + node * r.processes.len() + i);
+                    }
+                    first += self.nodes * r.processes.len();
+                }
+                None
             }
-            first += self.nodes * r.processes.len();
+            ElementRef::VProc { host, process } => {
+                let i = self.per_host().position(|p| p.name == *process)?;
+                (*host < self.local.len())
+                    .then_some(hardware + self.processes + host * self.host_processes + i)
+            }
         }
-        None
     }
 
-    /// Resolves a per-host process name to its index on a compute host
-    /// (the second argument of [`Structure::host_process`]).
+    /// The name of element `elem`: the inverse of [`Structure::element`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `elem` is not below [`Structure::len`].
     #[must_use]
-    pub fn host_process_index(&self, process: &str) -> Option<usize> {
-        self.spec
-            .per_host_roles()
-            .flat_map(|r| r.processes.iter())
-            .position(|p| p.name == process)
+    pub fn element_ref(&self, elem: usize) -> ElementRef {
+        match self.components[elem] {
+            Component::Rack => return ElementRef::Rack(elem),
+            Component::Host => return ElementRef::Host(elem - self.racks),
+            Component::Vm => return ElementRef::Vm(elem - self.racks - self.hosts),
+            Component::Process(_) => {}
+        }
+        let mut i = elem - self.racks - self.hosts - self.vms;
+        for (_, role) in self.spec.controller_roles() {
+            let per_node = role.processes.len();
+            if i < self.nodes * per_node {
+                return ElementRef::proc(
+                    &role.name,
+                    i / per_node,
+                    &role.processes[i % per_node].name,
+                );
+            }
+            i -= self.nodes * per_node;
+        }
+        let process = self
+            .per_host()
+            .nth(i % self.host_processes)
+            .expect("per-host process index in range");
+        ElementRef::vproc(i / self.host_processes, &process.name)
+    }
+
+    /// The per-host processes of one compute host, in table order.
+    fn per_host(&self) -> impl Iterator<Item = &ProcessSpec> {
+        self.spec.per_host_roles().flat_map(|r| r.processes.iter())
     }
 
     /// The control-plane requirements.
@@ -623,7 +634,7 @@ impl UpState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProcessSpec, RoleScope, RoleSpec};
+    use crate::{RoleScope, RoleSpec};
 
     /// Two nodes, one role `R` with a 1-of-2 CP process `p` and its
     /// supervisor `s`; one per-host role with a DP process `v` and its
@@ -667,12 +678,11 @@ mod tests {
         let s = Structure::new(&spec, &topo, Scenario::SupervisorNotRequired, 2).unwrap();
         // 2 racks + 2 hosts + 2 VMs + 2×2 instances + 2×2 per-host.
         assert_eq!(s.len(), 14);
-        assert_eq!(s.process_index("R", 1, "s"), Some(3));
-        assert_eq!(s.process(3), Some(9));
-        assert_eq!(s.host_process(1, 1), Some(13));
-        assert_eq!(s.host_process(2, 0), None);
-        assert_eq!(s.host_process_index("w"), Some(1));
-        assert_eq!(s.process_index("R", 2, "p"), None);
+        assert_eq!(s.element(&ElementRef::proc("R", 1, "s")), Some(9));
+        assert_eq!(s.element(&ElementRef::vproc(1, "w")), Some(13));
+        assert_eq!(s.element_ref(13), ElementRef::vproc(1, "w"));
+        assert_eq!(s.element(&ElementRef::vproc(2, "v")), None);
+        assert_eq!(s.element(&ElementRef::proc("R", 2, "p")), None);
         let Component::Process(p) = s.component(9) else {
             panic!("process element");
         };

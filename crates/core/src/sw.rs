@@ -2,7 +2,7 @@
 //! supervisor scenarios, and separate control-plane / data-plane results.
 
 use crate::eval::{quorum_table, role_availability, Enumerator, PatternMemo};
-use crate::{ControllerSpec, Plane, SwParams, Topology};
+use crate::{ControllerSpec, ModelError, Plane, SwParams, Topology};
 
 /// The two supervisor modes of operation analyzed in §VI.A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,17 +77,18 @@ impl<'a> SwModel<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::ParamError`] naming the first out-of-range
-    /// availability. (Topology/spec mismatches still panic — run
-    /// [`Topology::validate`] first for a proper error.)
+    /// Returns [`ModelError::Param`] naming the first out-of-range
+    /// availability, [`ModelError::Topology`] if the topology does not fit
+    /// the spec, and [`ModelError::TooManyShared`] if it shares more
+    /// hardware than exact enumeration supports.
     pub fn try_new(
         spec: &'a ControllerSpec,
         topology: &Topology,
         params: SwParams,
         scenario: Scenario,
-    ) -> Result<Self, crate::ParamError> {
+    ) -> Result<Self, ModelError> {
         params.try_validate()?;
-        let enumerator = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r);
+        let enumerator = Enumerator::new(spec, topology, params.a_v, params.a_h, params.a_r)?;
         Ok(SwModel {
             spec,
             params,
@@ -231,10 +232,32 @@ mod tests {
             ..defaults()
         };
         let err = SwModel::try_new(&s, &topo, bad, Scenario::SupervisorNotRequired).unwrap_err();
-        assert_eq!(err.field, "a_v");
+        assert!(matches!(err, ModelError::Param(e) if e.field == "a_v"));
         let model =
             SwModel::try_new(&s, &topo, defaults(), Scenario::SupervisorNotRequired).unwrap();
         assert!(model.cp_availability() > 0.999987);
+        // A layout that does not fit the spec is an error, not a panic.
+        let five = s.scaled_cluster(5);
+        assert!(matches!(
+            SwModel::try_new(&five, &topo, defaults(), Scenario::SupervisorNotRequired),
+            Err(ModelError::Topology(_))
+        ));
+        // Small shares 2N + 1 elements: 23 at 11 nodes, above the limit.
+        let big = s.scaled_cluster(11);
+        let err = SwModel::try_new(
+            &big,
+            &Topology::small(&big),
+            defaults(),
+            Scenario::SupervisorNotRequired,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::TooManyShared {
+                shared: 23,
+                limit: 20
+            }
+        );
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! sequences plus a little brace-depth bookkeeping — so this lexer does the
 //! minimum a *sound* token stream requires: comments are stripped (but
 //! `detlint::allow` comments are captured for the suppression pass), string
-//! and char literals become opaque [`Token::Str`]/[`Token::Char`] tokens
-//! whose contents are never mistaken for code, lifetimes are told apart
-//! from char literals, and raw strings honor their `#` fences. Everything
-//! else becomes an identifier, a numeric literal (float and integer kept
-//! distinct — DL003/DL009 care), or a one-character punctuation token.
+//! and char literals become opaque [`TokenKind::Str`]/[`TokenKind::Char`]
+//! tokens whose contents are never mistaken for code, lifetimes are told
+//! apart from char literals, and raw strings honor their `#` fences.
+//! Everything else becomes an identifier, a numeric literal (float and
+//! integer kept distinct — DL003/DL009 care), or a one-character
+//! punctuation token.
 
 /// One lexed token with the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use crate::{Deployment, Element};
+use sdnav_core::ElementRef;
+
+use crate::Deployment;
 
 /// Which plane(s) a failure mode takes down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,7 +45,7 @@ impl fmt::Display for PlaneImpact {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureMode {
     /// The failed elements.
-    pub elements: Vec<Element>,
+    pub elements: Vec<ElementRef>,
     /// Which plane(s) go down.
     pub impact: PlaneImpact,
     /// Rare-event probability: the product of the elements' steady-state
@@ -62,7 +64,7 @@ impl FailureMode {
 
 impl fmt::Display for FailureMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<String> = self.elements.iter().map(Element::to_string).collect();
+        let names: Vec<String> = self.elements.iter().map(ElementRef::label).collect();
         write!(
             f,
             "{{{}}} → {} (p≈{:.3e})",
@@ -91,7 +93,7 @@ pub fn enumerate(deployment: &Deployment<'_>, max_order: usize) -> Vec<FailureMo
 pub fn enumerate_filtered(
     deployment: &Deployment<'_>,
     max_order: usize,
-    filter: impl Fn(&Element) -> bool,
+    filter: impl Fn(&ElementRef) -> bool,
 ) -> Vec<FailureMode> {
     // `elements()` lists the element table in index order.
     let elements = deployment.elements();
@@ -220,7 +222,6 @@ pub fn estimate_unavailability(modes: &[FailureMode], cp: bool) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ElementKind;
     use sdnav_core::{ControllerSpec, Scenario, SwParams, Topology};
 
     fn fixtures() -> (ControllerSpec, SwParams) {
@@ -240,7 +241,7 @@ mod tests {
         ] {
             let d = Deployment::new(&spec, &topo, params, scenario);
             let modes = enumerate_filtered(&d, 1, |e| {
-                matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+                matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
             });
             assert!(
                 modes.iter().all(|m| !m.impact.hits_cp()),
@@ -259,12 +260,12 @@ mod tests {
         let topo = Topology::large(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorNotRequired);
         let modes = enumerate_filtered(&d, 1, |e| {
-            matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+            matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
         });
         let dp_spofs: Vec<String> = modes
             .iter()
             .filter(|m| m.impact.hits_dp())
-            .map(|m| m.elements[0].to_string())
+            .map(|m| m.elements[0].label())
             .collect();
         assert_eq!(
             dp_spofs,
@@ -277,11 +278,11 @@ mod tests {
         let (spec, params) = fixtures();
         let topo = Topology::large(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorRequired);
-        let modes = enumerate_filtered(&d, 1, |e| matches!(e, Element::HostProcess { .. }));
+        let modes = enumerate_filtered(&d, 1, |e| matches!(e, ElementRef::VProc { .. }));
         let dp_spofs: Vec<String> = modes
             .iter()
             .filter(|m| m.impact.hits_dp())
-            .map(|m| m.elements[0].to_string())
+            .map(|m| m.elements[0].label())
             .collect();
         assert!(dp_spofs.contains(&"compute-host/supervisor".to_owned()));
         assert_eq!(dp_spofs.len(), 3);
@@ -292,13 +293,13 @@ mod tests {
         let (spec, params) = fixtures();
         let small = Topology::small(&spec);
         let d = Deployment::new(&spec, &small, params, Scenario::SupervisorNotRequired);
-        let modes = enumerate_filtered(&d, 1, |e| e.kind() == ElementKind::Rack);
+        let modes = enumerate_filtered(&d, 1, |e| matches!(e, ElementRef::Rack(_)));
         assert_eq!(modes.len(), 1);
         assert_eq!(modes[0].impact, PlaneImpact::Both);
 
         let large = Topology::large(&spec);
         let d = Deployment::new(&spec, &large, params, Scenario::SupervisorNotRequired);
-        let modes = enumerate_filtered(&d, 1, |e| e.kind() == ElementKind::Rack);
+        let modes = enumerate_filtered(&d, 1, |e| matches!(e, ElementRef::Rack(_)));
         assert!(modes.is_empty());
     }
 
@@ -311,7 +312,7 @@ mod tests {
         let topo = Topology::large(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorNotRequired);
         let modes = enumerate_filtered(&d, 2, |e| {
-            matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+            matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
         });
         let top = dominant_modes(&modes, true, 1);
         assert_eq!(top.len(), 1);
@@ -319,7 +320,7 @@ mod tests {
         assert_eq!(elements.len(), 2);
         for e in elements {
             match e {
-                Element::Process { role, process, .. } => {
+                ElementRef::Proc { role, process, .. } => {
                     assert_eq!(role, "Database");
                     assert_ne!(process, "supervisor");
                 }
@@ -337,7 +338,7 @@ mod tests {
         let topo = Topology::large(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorRequired);
         let modes = enumerate_filtered(&d, 2, |e| {
-            matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+            matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
         });
         // Aggregate probability by "mode class": supervisor-involved pairs
         // must outweigh pure process pairs.
@@ -347,20 +348,12 @@ mod tests {
             .collect();
         let with_supervisor: f64 = cp_pairs
             .iter()
-            .filter(|m| {
-                m.elements
-                    .iter()
-                    .any(|e| e.kind() == ElementKind::Supervisor)
-            })
+            .filter(|m| m.elements.iter().any(|e| d.is_supervisor(e)))
             .map(|m| m.probability)
             .sum();
         let without_supervisor: f64 = cp_pairs
             .iter()
-            .filter(|m| {
-                m.elements
-                    .iter()
-                    .all(|e| e.kind() != ElementKind::Supervisor)
-            })
+            .filter(|m| m.elements.iter().all(|e| !d.is_supervisor(e)))
             .map(|m| m.probability)
             .sum();
         assert!(
@@ -370,14 +363,10 @@ mod tests {
         // And the supervisor pairs are Database supervisor + Database process.
         let top_sup = cp_pairs
             .iter()
-            .find(|m| {
-                m.elements
-                    .iter()
-                    .any(|e| e.kind() == ElementKind::Supervisor)
-            })
+            .find(|m| m.elements.iter().any(|e| d.is_supervisor(e)))
             .unwrap();
         for e in &top_sup.elements {
-            if let Element::Process { role, .. } = e {
+            if let ElementRef::Proc { role, .. } = e {
                 assert_eq!(role, "Database");
             }
         }
@@ -413,7 +402,7 @@ mod tests {
         let (spec, params) = fixtures();
         let topo = Topology::small(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorNotRequired);
-        let modes = enumerate_filtered(&d, 1, |e| e.kind() == ElementKind::Rack);
+        let modes = enumerate_filtered(&d, 1, |e| matches!(e, ElementRef::Rack(_)));
         assert!((modes[0].probability - (1.0 - params.a_r)).abs() < 1e-15);
     }
 
@@ -497,11 +486,11 @@ mod tests {
         // enumeration) yields element-identical dominant modes.
         let again = enumerate(&d, 2);
         for cp in [true, false] {
-            let first: Vec<Vec<Element>> = dominant_modes(&modes, cp, 5)
+            let first: Vec<Vec<ElementRef>> = dominant_modes(&modes, cp, 5)
                 .into_iter()
                 .map(|m| m.elements)
                 .collect();
-            let second: Vec<Vec<Element>> = dominant_modes(&again, cp, 5)
+            let second: Vec<Vec<ElementRef>> = dominant_modes(&again, cp, 5)
                 .into_iter()
                 .map(|m| m.elements)
                 .collect();
@@ -514,7 +503,7 @@ mod tests {
         let (spec, params) = fixtures();
         let topo = Topology::small(&spec);
         let d = Deployment::new(&spec, &topo, params, Scenario::SupervisorNotRequired);
-        let modes = enumerate_filtered(&d, 1, |e| e.kind() == ElementKind::Rack);
+        let modes = enumerate_filtered(&d, 1, |e| matches!(e, ElementRef::Rack(_)));
         let s = modes[0].to_string();
         assert!(s.contains("rack-1"));
         assert!(s.contains("CP+DP down"));

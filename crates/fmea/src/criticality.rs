@@ -10,13 +10,15 @@
 
 use std::collections::BTreeMap;
 
-use crate::{Element, FailureMode};
+use sdnav_core::ElementRef;
+
+use crate::FailureMode;
 
 /// An element's share of plane-impacting failure-mode probability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElementCriticality {
     /// The element.
-    pub element: Element,
+    pub element: ElementRef,
     /// Sum of probabilities of CP-impacting modes containing the element.
     pub cp_contribution: f64,
     /// That contribution as a fraction of all CP-impacting mode
@@ -38,7 +40,7 @@ pub struct ElementCriticality {
 pub fn rank_elements(modes: &[FailureMode]) -> Vec<ElementCriticality> {
     let mut cp_total = 0.0;
     let mut dp_total = 0.0;
-    let mut acc: BTreeMap<Element, (f64, f64)> = BTreeMap::new();
+    let mut acc: BTreeMap<ElementRef, (f64, f64)> = BTreeMap::new();
     for mode in modes {
         if mode.impact.hits_cp() {
             cp_total += mode.probability;
@@ -77,7 +79,7 @@ pub fn rank_elements(modes: &[FailureMode]) -> Vec<ElementCriticality> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{enumerate_filtered, Deployment, ElementKind};
+    use crate::{enumerate_filtered, Deployment};
     use sdnav_core::{ControllerSpec, Scenario, SwParams, Topology};
 
     fn ranking(scenario: Scenario) -> Vec<ElementCriticality> {
@@ -85,7 +87,7 @@ mod tests {
         let topo = Topology::large(&spec);
         let dep = Deployment::new(&spec, &topo, SwParams::paper_defaults(), scenario);
         let modes = enumerate_filtered(&dep, 2, |e| {
-            matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+            matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
         });
         rank_elements(&modes)
     }
@@ -97,7 +99,7 @@ mod tests {
             .iter()
             .max_by(|a, b| a.dp_share.partial_cmp(&b.dp_share).unwrap())
             .unwrap();
-        assert_eq!(top_dp.element, Element::host_process("supervisor"));
+        assert_eq!(top_dp.element, ElementRef::vproc(0, "supervisor"));
         // A_S is 10x worse than A, so the supervisor owns most DP risk.
         assert!(top_dp.dp_share > 0.5, "{top_dp:?}");
     }
@@ -114,7 +116,7 @@ mod tests {
                 .max_by(|a, b| a.cp_share.partial_cmp(&b.cp_share).unwrap())
                 .unwrap();
             match &top_cp.element {
-                Element::Process { role, .. } => assert_eq!(role, "Database", "{scenario:?}"),
+                ElementRef::Proc { role, .. } => assert_eq!(role, "Database", "{scenario:?}"),
                 other => panic!("unexpected top element {other}"),
             }
         }
@@ -122,9 +124,12 @@ mod tests {
 
     #[test]
     fn supervisors_irrelevant_to_cp_in_scenario_1() {
-        let ranking = ranking(Scenario::SupervisorNotRequired);
-        for c in &ranking {
-            if c.element.kind() == ElementKind::Supervisor {
+        let spec = ControllerSpec::opencontrail_3x();
+        let topo = Topology::large(&spec);
+        let scenario = Scenario::SupervisorNotRequired;
+        let dep = Deployment::new(&spec, &topo, SwParams::paper_defaults(), scenario);
+        for c in &ranking(scenario) {
+            if dep.is_supervisor(&c.element) {
                 assert_eq!(c.cp_contribution, 0.0, "{c:?}");
             }
         }

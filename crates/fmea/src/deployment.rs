@@ -1,203 +1,11 @@
 //! Deployment state model: named elements over the core element table.
 
-use std::fmt;
-
-use sdnav_json::{FromJson, Json, JsonError, ToJson};
-
-use sdnav_core::{ControllerSpec, Scenario, Structure, SwParams, Topology, UpState};
-
-/// A failable element of a deployment.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Element {
-    /// A whole rack (takes down all hosts in it).
-    Rack {
-        /// Rack index.
-        index: usize,
-    },
-    /// A host (takes down all VMs on it).
-    Host {
-        /// Host index.
-        index: usize,
-    },
-    /// A VM (takes down every role instance on it).
-    Vm {
-        /// VM index.
-        index: usize,
-    },
-    /// One process instance of a controller role on one node.
-    Process {
-        /// Role name.
-        role: String,
-        /// Node index (0-based).
-        node: u32,
-        /// Process name.
-        process: String,
-    },
-    /// A vRouter-role process on the reference compute host.
-    HostProcess {
-        /// Process name.
-        process: String,
-    },
-}
-
-impl Element {
-    /// Convenience constructor for [`Element::Process`].
-    #[must_use]
-    pub fn process(role: &str, node: u32, process: &str) -> Self {
-        Element::Process {
-            role: role.to_owned(),
-            node,
-            process: process.to_owned(),
-        }
-    }
-
-    /// Convenience constructor for [`Element::HostProcess`].
-    #[must_use]
-    pub fn host_process(process: &str) -> Self {
-        Element::HostProcess {
-            process: process.to_owned(),
-        }
-    }
-
-    /// The `sdnav-chaos` target-grammar spelling of this element
-    /// (`rack:IDX`, `host:IDX`, `vm:IDX`, `proc:ROLE/NODE/PROCESS`,
-    /// `vproc:HOST/PROCESS`) — how generated campaigns name their
-    /// injection targets. The FMEA's reference compute host maps to
-    /// vRouter-process host 0.
-    #[must_use]
-    pub fn target_str(&self) -> String {
-        match self {
-            Element::Rack { index } => format!("rack:{index}"),
-            Element::Host { index } => format!("host:{index}"),
-            Element::Vm { index } => format!("vm:{index}"),
-            Element::Process {
-                role,
-                node,
-                process,
-            } => format!("proc:{role}/{node}/{process}"),
-            Element::HostProcess { process } => format!("vproc:0/{process}"),
-        }
-    }
-
-    /// The element's coarse kind, for filtering.
-    #[must_use]
-    pub fn kind(&self) -> ElementKind {
-        match self {
-            Element::Rack { .. } => ElementKind::Rack,
-            Element::Host { .. } => ElementKind::Host,
-            Element::Vm { .. } => ElementKind::Vm,
-            Element::Process { process, .. } => {
-                if process == "supervisor" {
-                    ElementKind::Supervisor
-                } else {
-                    ElementKind::Process
-                }
-            }
-            Element::HostProcess { process } => {
-                if process == "supervisor" {
-                    ElementKind::Supervisor
-                } else {
-                    ElementKind::Process
-                }
-            }
-        }
-    }
-}
-
-impl ToJson for Element {
-    fn to_json(&self) -> Json {
-        match self {
-            Element::Rack { index } => Json::obj(vec![
-                ("kind", Json::str("rack")),
-                ("index", index.to_json()),
-            ]),
-            Element::Host { index } => Json::obj(vec![
-                ("kind", Json::str("host")),
-                ("index", index.to_json()),
-            ]),
-            Element::Vm { index } => {
-                Json::obj(vec![("kind", Json::str("vm")), ("index", index.to_json())])
-            }
-            Element::Process {
-                role,
-                node,
-                process,
-            } => Json::obj(vec![
-                ("kind", Json::str("process")),
-                ("role", Json::str(role.clone())),
-                ("node", node.to_json()),
-                ("process", Json::str(process.clone())),
-            ]),
-            Element::HostProcess { process } => Json::obj(vec![
-                ("kind", Json::str("host_process")),
-                ("process", Json::str(process.clone())),
-            ]),
-        }
-    }
-}
-
-impl FromJson for Element {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kind = value.field("kind")?.as_str().map_err(|e| e.ctx("kind"))?;
-        let index = || -> Result<usize, JsonError> {
-            value.field("index")?.as_usize().map_err(|e| e.ctx("index"))
-        };
-        let process = || -> Result<String, JsonError> {
-            String::from_json(value.field("process")?).map_err(|e| e.ctx("process"))
-        };
-        match kind {
-            "rack" => Ok(Element::Rack { index: index()? }),
-            "host" => Ok(Element::Host { index: index()? }),
-            "vm" => Ok(Element::Vm { index: index()? }),
-            "process" => Ok(Element::Process {
-                role: String::from_json(value.field("role")?).map_err(|e| e.ctx("role"))?,
-                node: value.field("node")?.as_u32().map_err(|e| e.ctx("node"))?,
-                process: process()?,
-            }),
-            "host_process" => Ok(Element::HostProcess {
-                process: process()?,
-            }),
-            other => Err(JsonError::decode(format!("unknown element kind `{other}`"))),
-        }
-    }
-}
-
-impl fmt::Display for Element {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Element::Rack { index } => write!(f, "rack-{}", index + 1),
-            Element::Host { index } => write!(f, "host-{}", index + 1),
-            Element::Vm { index } => write!(f, "vm-{}", index + 1),
-            Element::Process {
-                role,
-                node,
-                process,
-            } => write!(f, "{role}-{}/{process}", node + 1),
-            Element::HostProcess { process } => write!(f, "compute-host/{process}"),
-        }
-    }
-}
-
-/// Coarse element classification, used to scope an FMEA (e.g. "software
-/// failure modes only").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ElementKind {
-    /// Rack hardware.
-    Rack,
-    /// Host hardware (incl. host OS/hypervisor).
-    Host,
-    /// Virtual machine (incl. guest OS).
-    Vm,
-    /// An ordinary software process.
-    Process,
-    /// A supervisor process.
-    Supervisor,
-}
+use sdnav_core::{ControllerSpec, ElementRef, Scenario, Structure, SwParams, Topology, UpState};
 
 /// A concrete deployment whose state can be queried under failures: a
 /// controller spec laid out on a topology, with parameters and supervisor
 /// scenario fixed. Its element table has one compute host, the reference
-/// host of [`Element::HostProcess`].
+/// host every [`ElementRef::VProc`] of the FMEA names (host 0).
 #[derive(Debug)]
 pub struct Deployment<'a> {
     spec: &'a ControllerSpec,
@@ -258,44 +66,24 @@ impl<'a> Deployment<'a> {
     /// controller process instances, and the reference compute host's
     /// vRouter processes — in element-table index order.
     #[must_use]
-    pub fn elements(&self) -> Vec<Element> {
-        let mut out = Vec::new();
-        for index in 0..self.topology.rack_count() {
-            out.push(Element::Rack { index });
-        }
-        for index in 0..self.topology.host_count() {
-            out.push(Element::Host { index });
-        }
-        for index in 0..self.topology.vm_count() {
-            out.push(Element::Vm { index });
-        }
-        for (_, role) in self.spec.controller_roles() {
-            for node in 0..self.spec.nodes {
-                for p in &role.processes {
-                    out.push(Element::process(&role.name, node, &p.name));
-                }
-            }
-        }
-        for role in self.spec.per_host_roles() {
-            for p in &role.processes {
-                out.push(Element::host_process(&p.name));
-            }
-        }
-        out
+    pub fn elements(&self) -> Vec<ElementRef> {
+        (0..self.structure.len())
+            .map(|i| self.structure.element_ref(i))
+            .collect()
     }
 
     /// Rare-event probability weight of an element being down: its
     /// steady-state unavailability under the deployment parameters.
     #[must_use]
-    pub fn unavailability(&self, element: &Element) -> f64 {
+    pub fn unavailability(&self, element: &ElementRef) -> f64 {
         match element {
-            Element::Rack { .. } => 1.0 - self.params.a_r,
-            Element::Host { .. } => 1.0 - self.params.a_h,
-            Element::Vm { .. } => 1.0 - self.params.a_v,
-            Element::Process { role, process, .. } => {
+            ElementRef::Rack(_) => 1.0 - self.params.a_r,
+            ElementRef::Host(_) => 1.0 - self.params.a_h,
+            ElementRef::Vm(_) => 1.0 - self.params.a_v,
+            ElementRef::Proc { role, process, .. } => {
                 1.0 - self.process_availability(role, process)
             }
-            Element::HostProcess { process } => {
+            ElementRef::VProc { process, .. } => {
                 let role = self
                     .spec
                     .per_host_roles()
@@ -315,32 +103,11 @@ impl<'a> Deployment<'a> {
             })
     }
 
-    /// `element`'s index in the element table, or `None` if the
-    /// deployment has no such element.
-    fn index(&self, element: &Element) -> Option<usize> {
-        let s = &self.structure;
-        match element {
-            Element::Rack { index } => s.rack(*index),
-            Element::Host { index } => s.host(*index),
-            Element::Vm { index } => s.vm(*index),
-            Element::Process {
-                role,
-                node,
-                process,
-            } => s
-                .process_index(role, *node as usize, process)
-                .and_then(|pid| s.process(pid)),
-            Element::HostProcess { process } => s
-                .host_process_index(process)
-                .and_then(|idx| s.host_process(0, idx)),
-        }
-    }
-
     /// The up-state with every known element of `failed` down; unknown
     /// elements are ignored.
-    fn up_state(&self, failed: &[Element]) -> UpState<'_> {
+    fn up_state(&self, failed: &[ElementRef]) -> UpState<'_> {
         let mut up = self.structure.up_state();
-        for i in failed.iter().filter_map(|e| self.index(e)) {
+        for i in failed.iter().filter_map(|e| self.structure.element(e)) {
             up.set(i, false);
         }
         up
@@ -348,7 +115,7 @@ impl<'a> Deployment<'a> {
 
     /// Is the SDN control plane up under `failed`?
     #[must_use]
-    pub fn cp_up(&self, failed: &[Element]) -> bool {
+    pub fn cp_up(&self, failed: &[ElementRef]) -> bool {
         self.up_state(failed).cp_up()
     }
 
@@ -358,8 +125,19 @@ impl<'a> Deployment<'a> {
     /// local vRouter processes (plus the vRouter supervisor in the
     /// supervisor-required scenario).
     #[must_use]
-    pub fn host_dp_up(&self, failed: &[Element]) -> bool {
+    pub fn host_dp_up(&self, failed: &[ElementRef]) -> bool {
         self.up_state(failed).host_dp_up(0)
+    }
+}
+
+#[cfg(test)]
+impl Deployment<'_> {
+    /// Whether `element` is a supervisor, by the spec's `is_supervisor`.
+    pub(crate) fn is_supervisor(&self, element: &ElementRef) -> bool {
+        let s = &self.structure;
+        s.element(element).is_some_and(
+            |i| matches!(s.component(i), sdnav_core::Component::Process(p) if p.is_supervisor),
+        )
     }
 }
 
@@ -403,25 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn elements_are_listed_in_structure_index_order() {
-        // `enumerate_filtered` flips element `i` for the i-th element.
-        let s = spec();
-        for topo in Topology::paper(&s) {
-            let d = deployment(&s, &topo, Scenario::SupervisorRequired);
-            let elements = d.elements();
-            assert_eq!(elements.len(), d.structure().len());
-            for (i, e) in elements.iter().enumerate() {
-                assert_eq!(d.index(e), Some(i), "{e} on {}", topo.name());
-            }
-        }
-    }
-
-    #[test]
     fn single_db_process_failure_is_tolerated() {
         let s = spec();
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
-        assert!(d.cp_up(&[Element::process("Database", 0, "kafka")]));
+        assert!(d.cp_up(&[ElementRef::proc("Database", 0, "kafka")]));
     }
 
     #[test]
@@ -430,8 +194,8 @@ mod tests {
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
         let failed = vec![
-            Element::process("Database", 0, "kafka"),
-            Element::process("Database", 2, "kafka"),
+            ElementRef::proc("Database", 0, "kafka"),
+            ElementRef::proc("Database", 2, "kafka"),
         ];
         assert!(!d.cp_up(&failed));
         assert!(d.host_dp_up(&failed)); // §III: DB quorum loss "only impacts the SDN CP"
@@ -444,8 +208,8 @@ mod tests {
         let s = spec();
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
-        let failed: Vec<Element> = (0..3)
-            .map(|n| Element::process("Control", n, "control"))
+        let failed: Vec<ElementRef> = (0..3)
+            .map(|n| ElementRef::proc("Control", n, "control"))
             .collect();
         assert!(!d.host_dp_up(&failed));
         assert!(!d.cp_up(&failed)); // control is also 1-of-3 for the CP
@@ -461,9 +225,9 @@ mod tests {
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
         // Node 1 keeps control only; node 2 keeps dns only; node 3 keeps named only.
         let failed = vec![
-            Element::process("Control", 0, "dns"),
-            Element::process("Control", 1, "control"),
-            Element::process("Control", 2, "control"),
+            ElementRef::proc("Control", 0, "dns"),
+            ElementRef::proc("Control", 1, "control"),
+            ElementRef::proc("Control", 2, "control"),
         ];
         assert!(!d.host_dp_up(&failed), "no node has the full block");
         // The CP only needs `control` somewhere: node 1 still has it.
@@ -475,11 +239,11 @@ mod tests {
         let s = spec();
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
-        let failed: Vec<Element> = (0..3)
+        let failed: Vec<ElementRef> = (0..3)
             .flat_map(|n| {
                 ["Config", "Control", "Analytics", "Database"]
                     .into_iter()
-                    .map(move |r| Element::process(r, n, "supervisor"))
+                    .map(move |r| ElementRef::proc(r, n, "supervisor"))
             })
             .collect();
         assert!(d.cp_up(&failed), "supervisors are 0-of-3 in scenario 1");
@@ -494,8 +258,8 @@ mod tests {
         // One DB supervisor + a DB process on ANOTHER node = quorum loss
         // (the paper's dominant 2S failure mode).
         let failed = vec![
-            Element::process("Database", 0, "supervisor"),
-            Element::process("Database", 1, "zookeeper"),
+            ElementRef::proc("Database", 0, "supervisor"),
+            ElementRef::proc("Database", 1, "zookeeper"),
         ];
         assert!(!d.cp_up(&failed));
         // Same pair in scenario 1 is tolerated.
@@ -522,12 +286,12 @@ mod tests {
         let topo = Topology::small(&fixed);
         let d = deployment(&fixed, &topo, Scenario::SupervisorRequired);
         assert!(!d.cp_up(&[
-            Element::process("Database", 0, "supervisor-2"),
-            Element::process("Database", 1, "zookeeper"),
+            ElementRef::proc("Database", 0, "supervisor-2"),
+            ElementRef::proc("Database", 1, "zookeeper"),
         ]));
         assert!(d.cp_up(&[
-            Element::process("Database", 0, "supervisor"),
-            Element::process("Database", 1, "supervisor"),
+            ElementRef::proc("Database", 0, "supervisor"),
+            ElementRef::proc("Database", 1, "supervisor"),
         ]));
     }
 
@@ -536,7 +300,7 @@ mod tests {
         let s = spec();
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
-        let failed = vec![Element::Rack { index: 0 }];
+        let failed = vec![ElementRef::Rack(0)];
         assert!(!d.cp_up(&failed));
         assert!(!d.host_dp_up(&failed));
     }
@@ -547,12 +311,12 @@ mod tests {
         let topo = Topology::large(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
         for index in 0..3 {
-            let failed = vec![Element::Rack { index }];
+            let failed = vec![ElementRef::Rack(index)];
             assert!(d.cp_up(&failed), "rack {index}");
             assert!(d.host_dp_up(&failed), "rack {index}");
         }
         // ... but any two racks break the Database quorum.
-        let failed = vec![Element::Rack { index: 0 }, Element::Rack { index: 1 }];
+        let failed = vec![ElementRef::Rack(0), ElementRef::Rack(1)];
         assert!(!d.cp_up(&failed));
     }
 
@@ -562,9 +326,9 @@ mod tests {
         // Small: losing one host loses one full node → still up.
         let small = Topology::small(&s);
         let d = deployment(&s, &small, Scenario::SupervisorNotRequired);
-        assert!(d.cp_up(&[Element::Host { index: 0 }]));
+        assert!(d.cp_up(&[ElementRef::Host(0)]));
         // Small: two hosts → DB quorum lost.
-        assert!(!d.cp_up(&[Element::Host { index: 0 }, Element::Host { index: 1 }]));
+        assert!(!d.cp_up(&[ElementRef::Host(0), ElementRef::Host(1)]));
     }
 
     #[test]
@@ -575,12 +339,12 @@ mod tests {
         // Find the Database node-0 VM and fail it plus a DB process on node 1.
         let db_vm = topo.vm_of("Database", 0).unwrap();
         let failed = vec![
-            Element::Vm { index: db_vm.0 },
-            Element::process("Database", 1, "kafka"),
+            ElementRef::Vm(db_vm.0),
+            ElementRef::proc("Database", 1, "kafka"),
         ];
         assert!(!d.cp_up(&failed));
         // The VM alone is tolerated.
-        assert!(d.cp_up(&[Element::Vm { index: db_vm.0 }]));
+        assert!(d.cp_up(&[ElementRef::Vm(db_vm.0)]));
     }
 
     #[test]
@@ -588,14 +352,14 @@ mod tests {
         let s = spec();
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
-        assert!(!d.host_dp_up(&[Element::host_process("vrouter-agent")]));
-        assert!(!d.host_dp_up(&[Element::host_process("vrouter-dpdk")]));
+        assert!(!d.host_dp_up(&[ElementRef::vproc(0, "vrouter-agent")]));
+        assert!(!d.host_dp_up(&[ElementRef::vproc(0, "vrouter-dpdk")]));
         // The vRouter supervisor only matters in scenario 2.
-        assert!(d.host_dp_up(&[Element::host_process("supervisor")]));
+        assert!(d.host_dp_up(&[ElementRef::vproc(0, "supervisor")]));
         let d2 = deployment(&s, &topo, Scenario::SupervisorRequired);
-        assert!(!d2.host_dp_up(&[Element::host_process("supervisor")]));
+        assert!(!d2.host_dp_up(&[ElementRef::vproc(0, "supervisor")]));
         // CP is indifferent to the compute host.
-        assert!(d2.cp_up(&[Element::host_process("vrouter-agent")]));
+        assert!(d2.cp_up(&[ElementRef::vproc(0, "vrouter-agent")]));
     }
 
     #[test]
@@ -604,35 +368,14 @@ mod tests {
         let topo = Topology::small(&s);
         let d = deployment(&s, &topo, Scenario::SupervisorNotRequired);
         let p = SwParams::paper_defaults();
-        assert!((d.unavailability(&Element::Rack { index: 0 }) - (1.0 - p.a_r)).abs() < 1e-15);
+        assert!((d.unavailability(&ElementRef::Rack(0)) - (1.0 - p.a_r)).abs() < 1e-15);
         // kafka is manual-restart → A_S.
-        let u = d.unavailability(&Element::process("Database", 0, "kafka"));
+        let u = d.unavailability(&ElementRef::proc("Database", 0, "kafka"));
         assert!((u - (1.0 - p.process.manual)).abs() < 1e-15);
         // config-api is auto → A.
-        let u = d.unavailability(&Element::process("Config", 0, "config-api"));
+        let u = d.unavailability(&ElementRef::proc("Config", 0, "config-api"));
         assert!((u - (1.0 - p.process.auto)).abs() < 1e-15);
-        let u = d.unavailability(&Element::host_process("vrouter-agent"));
+        let u = d.unavailability(&ElementRef::vproc(0, "vrouter-agent"));
         assert!((u - (1.0 - p.process.auto)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn element_kinds_and_display() {
-        assert_eq!(
-            Element::process("Config", 1, "supervisor").kind(),
-            ElementKind::Supervisor
-        );
-        assert_eq!(
-            Element::process("Config", 1, "schema").kind(),
-            ElementKind::Process
-        );
-        assert_eq!(Element::Rack { index: 0 }.kind(), ElementKind::Rack);
-        assert_eq!(
-            Element::process("Config", 1, "schema").to_string(),
-            "Config-2/schema"
-        );
-        assert_eq!(
-            Element::host_process("vrouter-agent").to_string(),
-            "compute-host/vrouter-agent"
-        );
     }
 }

@@ -4,11 +4,12 @@
 //! The paper's §III derives, by inspection of OpenContrail 3.x, which
 //! process failures impact the SDN control plane and which impact the
 //! per-host vRouter data plane (its Table I). This crate computes those
-//! effects *behaviorally*: a [`Deployment`] names the elements of the
-//! core element table ([`sdnav_core::Structure`], the structure function
-//! the simulator runs too) and asks "is the CP up?" / "is a host's DP
-//! up?" over arbitrary sets of failed elements (racks, hosts, VMs,
-//! processes, supervisors), and the analysis layer enumerates failure
+//! effects *behaviorally*: a [`Deployment`] lays a spec out on the core
+//! element table ([`sdnav_core::Structure`], the structure function the
+//! simulator runs too) and asks "is the CP up?" / "is a host's DP up?"
+//! over arbitrary sets of failed elements, each named by one
+//! [`sdnav_core::ElementRef`] (racks, hosts, VMs, processes,
+//! supervisors), and the analysis layer enumerates failure
 //! combinations, classifies their effects, and ranks dominant failure
 //! modes by probability.
 //!
@@ -23,8 +24,8 @@
 //!   discussion quantitatively.
 //!
 //! ```
-//! use sdnav_core::{ControllerSpec, Scenario, SwParams, Topology};
-//! use sdnav_fmea::{Deployment, Element};
+//! use sdnav_core::{ControllerSpec, ElementRef, Scenario, SwParams, Topology};
+//! use sdnav_fmea::Deployment;
 //!
 //! let spec = ControllerSpec::opencontrail_3x();
 //! let topo = Topology::small(&spec);
@@ -33,8 +34,8 @@
 //!
 //! // Losing two of three zookeeper instances breaks the CP quorum:
 //! let failed = vec![
-//!     Element::process("Database", 0, "zookeeper"),
-//!     Element::process("Database", 1, "zookeeper"),
+//!     ElementRef::proc("Database", 0, "zookeeper"),
+//!     ElementRef::proc("Database", 1, "zookeeper"),
 //! ];
 //! assert!(!dep.cp_up(&failed));
 //! // ... but the host data plane is unaffected:
@@ -55,5 +56,5 @@ pub use analysis::{
     PlaneImpact,
 };
 pub use criticality::{rank_elements, ElementCriticality};
-pub use deployment::{Deployment, Element, ElementKind};
+pub use deployment::Deployment;
 pub use table1::{derive_table1, Table1Row};

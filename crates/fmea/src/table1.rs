@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use sdnav_core::{ControllerSpec, RoleScope, Scenario, SwParams, Topology};
+use sdnav_core::{ControllerSpec, ElementRef, RoleScope, Scenario, SwParams, Topology};
 
-use crate::{Deployment, Element};
+use crate::Deployment;
 
 /// One row of the regenerated Table I: a process and its derived quorum
 /// class for each plane.
@@ -33,9 +33,6 @@ impl fmt::Display for Table1Row {
         )
     }
 }
-
-/// Builds the failed element for instance `node` of a named process.
-type ElementCtor = Box<dyn Fn(u32, &str) -> Element>;
 
 /// Derives Table I from *behavior*: for each process, instances are failed
 /// one node at a time (everything else healthy) until the plane goes down;
@@ -66,31 +63,22 @@ pub fn derive_table1(spec: &ControllerSpec) -> Vec<Table1Row> {
     );
     let mut rows = Vec::new();
     for role in &spec.roles {
-        let (instances, make_element): (u32, ElementCtor) = match role.scope {
-            RoleScope::Controller => (
-                spec.nodes,
-                Box::new({
-                    let role_name = role.name.clone();
-                    move |node, process| Element::process(&role_name, node, process)
-                }),
-            ),
-            RoleScope::PerHost => (1, Box::new(|_, process| Element::host_process(process))),
+        let instances = match role.scope {
+            RoleScope::Controller => spec.nodes,
+            RoleScope::PerHost => 1,
         };
         for p in &role.processes {
-            let cp_required = derive_requirement(
-                &deployment,
-                instances,
-                |failed| deployment.cp_up(failed),
-                &make_element,
-                &p.name,
-            );
-            let dp_required = derive_requirement(
-                &deployment,
-                instances,
-                |failed| deployment.host_dp_up(failed),
-                &make_element,
-                &p.name,
-            );
+            // The first `failures` instances of the process.
+            let failed = |failures: u32| -> Vec<ElementRef> {
+                (0..failures as usize)
+                    .map(|node| match role.scope {
+                        RoleScope::Controller => ElementRef::proc(&role.name, node, &p.name),
+                        RoleScope::PerHost => ElementRef::vproc(0, &p.name),
+                    })
+                    .collect()
+            };
+            let cp_required = derive_requirement(instances, |n| deployment.cp_up(&failed(n)));
+            let dp_required = derive_requirement(instances, |n| deployment.host_dp_up(&failed(n)));
             rows.push(Table1Row {
                 role: role.name.clone(),
                 process: p.name.clone(),
@@ -105,20 +93,11 @@ pub fn derive_table1(spec: &ControllerSpec) -> Vec<Table1Row> {
 }
 
 /// Fails 1, 2, … instances of one process; the first count that downs the
-/// plane determines `m` (`m = instances − failures + 1`); surviving all
-/// failures means `m = 0`.
-fn derive_requirement(
-    _deployment: &Deployment<'_>,
-    instances: u32,
-    plane_up: impl Fn(&[Element]) -> bool,
-    make_element: &dyn Fn(u32, &str) -> Element,
-    process: &str,
-) -> u32 {
+/// plane (`plane_up(failures)` false) determines `m`
+/// (`m = instances − failures + 1`); surviving all failures means `m = 0`.
+fn derive_requirement(instances: u32, plane_up: impl Fn(u32) -> bool) -> u32 {
     for failures in 1..=instances {
-        let failed: Vec<Element> = (0..failures)
-            .map(|node| make_element(node, process))
-            .collect();
-        if !plane_up(&failed) {
+        if !plane_up(failures) {
             return instances - failures + 1;
         }
     }

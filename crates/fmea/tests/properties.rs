@@ -2,15 +2,15 @@
 
 use proptest::prelude::*;
 
-use sdnav_core::{ControllerSpec, Scenario, SwParams, Topology};
-use sdnav_fmea::{Deployment, Element};
+use sdnav_core::{ControllerSpec, ElementRef, Scenario, SwParams, Topology};
+use sdnav_fmea::Deployment;
 
 fn spec() -> ControllerSpec {
     ControllerSpec::opencontrail_3x()
 }
 
 /// Strategy over arbitrary subsets of a deployment's elements.
-fn arb_failure_set(elements: Vec<Element>) -> impl Strategy<Value = Vec<Element>> {
+fn arb_failure_set(elements: Vec<ElementRef>) -> impl Strategy<Value = Vec<ElementRef>> {
     let n = elements.len();
     prop::collection::vec(0..n, 0..8)
         .prop_map(move |idx| idx.into_iter().map(|i| elements[i].clone()).collect())

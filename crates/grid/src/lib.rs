@@ -49,8 +49,8 @@ use std::fmt;
 use sdnav_consensus::{ConsensusParams, ConsensusSim};
 use sdnav_core::sweep::{Fig3Row, SwSweepRow};
 use sdnav_core::{
-    ConsensusSpec, ControllerSpec, FaultMix, HwModel, HwParams, ModelState, ParamError, Scenario,
-    SdnavError, SwModel, SwParams, Topology,
+    ConsensusSpec, ControllerSpec, FaultMix, HwModel, HwParams, ModelError, ModelState, ParamError,
+    Scenario, SdnavError, SwModel, SwParams, Topology,
 };
 use sdnav_json::{schema, FromJson, Json, JsonError, ToJson};
 use sdnav_sim::{ConfigError, Estimate, SimBuildError, SimConfig, Simulation, Welford};
@@ -495,8 +495,9 @@ impl GridSpecBuilder {
 pub enum GridError {
     /// The grid spec itself is nonsensical.
     Spec(&'static str),
-    /// A model parameter set failed validation.
-    Param(ParamError),
+    /// A model parameter set failed validation, or an analytic model
+    /// could not be built.
+    Model(ModelError),
     /// A simulation configuration failed validation.
     Config(ConfigError),
     /// A simulation could not be constructed.
@@ -518,7 +519,8 @@ impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GridError::Spec(what) => write!(f, "invalid grid spec: {what}"),
-            GridError::Param(e) => write!(f, "invalid model parameters: {e}"),
+            GridError::Model(ModelError::Param(e)) => write!(f, "invalid model parameters: {e}"),
+            GridError::Model(e) => write!(f, "cannot build the analytic model: {e}"),
             GridError::Config(e) => write!(f, "invalid simulation config: {e}"),
             GridError::Sim(e) => write!(f, "cannot build simulation: {e}"),
             GridError::Campaign(e) => write!(f, "cannot compile chaos campaign: {e}"),
@@ -547,7 +549,13 @@ impl From<GridError> for SdnavError {
 
 impl From<ParamError> for GridError {
     fn from(e: ParamError) -> Self {
-        GridError::Param(e)
+        GridError::Model(ModelError::Param(e))
+    }
+}
+
+impl From<ModelError> for GridError {
+    fn from(e: ModelError) -> Self {
+        GridError::Model(e)
     }
 }
 
@@ -1263,6 +1271,7 @@ pub fn evaluate_incremental(
 mod tests {
     use super::*;
     use sdnav_chaos::{InjectionSpec, TargetRef};
+    use sdnav_core::ElementRef;
 
     fn spec() -> ControllerSpec {
         ControllerSpec::opencontrail_3x()
@@ -1277,8 +1286,11 @@ mod tests {
             injections: vec![InjectionSpec {
                 label: "rack-ccf".into(),
                 kind: InjectionKind::CommonCause {
-                    trigger: TargetRef::Rack(0),
-                    members: vec![TargetRef::Host(0), TargetRef::Host(1)],
+                    trigger: TargetRef::Element(ElementRef::Rack(0)),
+                    members: vec![
+                        TargetRef::Element(ElementRef::Host(0)),
+                        TargetRef::Element(ElementRef::Host(1)),
+                    ],
                     probability: 0.5,
                     repair_hours: Some(8.0),
                 },

@@ -5,12 +5,12 @@ use rand::{Rng, SeedableRng};
 
 use sdnav_core::des::{Des, Event};
 use sdnav_core::{
-    Component, ControllerSpec, ProcessElement, RestartMode, Scenario, Structure, Topology, UpState,
+    Component, ControllerSpec, ElementRef, ProcessElement, RestartMode, Scenario, Structure,
+    Topology, UpState,
 };
 
 use crate::injection::{
-    AttributionLedger, Cause, DpWindowRecord, InjectAction, InjectTarget, InjectionPlan,
-    OutageRecord,
+    AttributionLedger, Cause, DpWindowRecord, InjectAction, InjectionPlan, OutageRecord,
 };
 use crate::{ConnectionModel, Estimate, SimConfig};
 
@@ -531,10 +531,7 @@ impl<'p> RunState<'p> {
     /// Applies planned-injection occurrence `i` of the plan.
     fn apply_injected(&mut self, sim: &Simulation<'_>, i: usize, now: f64) {
         let ev = self.plan.events[i];
-        let elem = ev
-            .target
-            .element(&sim.structure)
-            .expect("injection target in the element table");
+        let elem = ev.element;
         match ev.action {
             InjectAction::Fail { repair_hours } => {
                 // A forced failure of an already-down element is a no-op.
@@ -566,7 +563,7 @@ impl<'p> RunState<'p> {
                 self.injected_count += 1;
             }
             InjectAction::Latent => {
-                if let InjectTarget::Proc(_) = ev.target {
+                if let ElementRef::Proc { .. } = sim.structure.element_ref(elem) {
                     self.latent_armed[elem] = Some(ev.injection);
                     self.injected_count += 1;
                 }
@@ -1265,7 +1262,7 @@ mod tests {
             events: vec![crate::PlannedEvent {
                 time: 3_000.0,
                 injection: 0,
-                target: crate::InjectTarget::Rack(0),
+                element: 0,
                 action: crate::InjectAction::Fail {
                     repair_hours: Some(48.0),
                 },
@@ -1313,7 +1310,7 @@ mod tests {
             events: vec![crate::PlannedEvent {
                 time: 8_000.0,
                 injection: 0,
-                target: crate::InjectTarget::Rack(0),
+                element: 0,
                 action: crate::InjectAction::Fail {
                     repair_hours: Some(96.0),
                 },
@@ -1356,7 +1353,10 @@ mod tests {
             events: vec![crate::PlannedEvent {
                 time: 2_000.0,
                 injection: 0,
-                target: crate::InjectTarget::Host(0),
+                element: sim
+                    .structure()
+                    .element(&ElementRef::Host(0))
+                    .expect("host 0"),
                 action: crate::InjectAction::Maintenance {
                     duration_hours: 100.0,
                 },
@@ -1427,14 +1427,13 @@ mod tests {
         // Find a Control-role process on node 2 to arm, then take node 0's
         // VM down: the quorum count drops, the failover reveals the latent.
         let structure = sim.structure();
-        let pid = (0..structure.len())
-            .find(|&p| {
-                structure.process(p).is_some_and(|elem| {
-                    structure
+        let latent = (0..structure.len())
+            .find(|&elem| {
+                matches!(structure.element_ref(elem), ElementRef::Proc { .. })
+                    && structure
                         .cp_blocks_downed_by(elem)
                         .iter()
                         .any(|&(_, node)| node == 2)
-                })
             })
             .expect("a CP process on node 2");
         let plan = crate::InjectionPlan {
@@ -1443,13 +1442,13 @@ mod tests {
                 crate::PlannedEvent {
                     time: 1_000.0,
                     injection: 0,
-                    target: crate::InjectTarget::Proc(pid),
+                    element: latent,
                     action: crate::InjectAction::Latent,
                 },
                 crate::PlannedEvent {
                     time: 2_000.0,
                     injection: 1,
-                    target: crate::InjectTarget::Vm(0),
+                    element: structure.element(&ElementRef::Vm(0)).expect("VM 0"),
                     action: crate::InjectAction::Fail {
                         repair_hours: Some(10.0),
                     },
@@ -1478,7 +1477,10 @@ mod tests {
             events: vec![crate::PlannedEvent {
                 time: 1_000.0,
                 injection: 0,
-                target: crate::InjectTarget::VProc(0, 0),
+                element: sim
+                    .structure()
+                    .element(&ElementRef::vproc(0, "vrouter-agent"))
+                    .expect("vRouter agent on compute host 0"),
                 action: crate::InjectAction::Latent,
             }],
             crews: None,

@@ -13,44 +13,6 @@
 //! RNG draws, no extra heap events, no behavioral branches — the result is
 //! byte-identical to [`crate::Simulation::run`] for the same seed.
 
-use sdnav_core::Structure;
-
-/// A resolved injection target inside a prepared [`crate::Simulation`].
-///
-/// Indices follow the simulation's element table
-/// ([`crate::Simulation::structure`]): racks, hosts and VMs are topology
-/// indices; `Proc` is the role-major controller-process index (resolve
-/// names with [`Structure::process_index`]); `VProc` is a
-/// `(compute host, per-host process)` pair (see
-/// [`Structure::host_process_index`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InjectTarget {
-    /// A rack by topology index.
-    Rack(usize),
-    /// A host by topology index.
-    Host(usize),
-    /// A VM by topology index.
-    Vm(usize),
-    /// A controller process by role-major pid.
-    Proc(usize),
-    /// A vRouter process: `(compute host, per-host process index)`.
-    VProc(usize, usize),
-}
-
-impl InjectTarget {
-    /// The target's element index in `structure`, if it has the target.
-    #[must_use]
-    pub fn element(self, structure: &Structure<'_>) -> Option<usize> {
-        match self {
-            InjectTarget::Rack(i) => structure.rack(i),
-            InjectTarget::Host(i) => structure.host(i),
-            InjectTarget::Vm(i) => structure.vm(i),
-            InjectTarget::Proc(pid) => structure.process(pid),
-            InjectTarget::VProc(host, idx) => structure.host_process(host, idx),
-        }
-    }
-}
-
 /// What a planned injection does when its scheduled time arrives.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectAction {
@@ -85,8 +47,10 @@ pub struct PlannedEvent {
     /// attribution id; several occurrences and several correlated targets
     /// may share one id).
     pub injection: usize,
-    /// The element acted on.
-    pub target: InjectTarget,
+    /// The element acted on: an index of the simulation's element table
+    /// ([`crate::Simulation::structure`]), as
+    /// [`sdnav_core::Structure::element`] resolves it.
+    pub element: usize,
     /// The action taken.
     pub action: InjectAction,
 }

@@ -53,7 +53,7 @@ pub use config::{
 };
 pub use engine::{SimBuildError, SimResult, Simulation};
 pub use injection::{
-    AttributionLedger, Cause, CrewDiscipline, CrewPool, DpWindowRecord, InjectAction, InjectTarget,
+    AttributionLedger, Cause, CrewDiscipline, CrewPool, DpWindowRecord, InjectAction,
     InjectionPlan, OutageRecord, PlannedEvent,
 };
 pub use replicate::{replicate, ReplicatedResult};

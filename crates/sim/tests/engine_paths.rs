@@ -9,10 +9,10 @@
 //! bit, means the engine changed a simulated statistic. Regenerate the file
 //! only for a change that means to, with the command in its header.
 
-use sdnav_core::{ControllerSpec, Scenario, Topology};
+use sdnav_core::{ControllerSpec, ElementRef, Scenario, Topology};
 use sdnav_sim::{
-    ConnectionModel, CrewDiscipline, CrewPool, InjectAction, InjectTarget, InjectionPlan,
-    PlannedEvent, SimConfig, Simulation,
+    ConnectionModel, CrewDiscipline, CrewPool, InjectAction, InjectionPlan, PlannedEvent,
+    SimConfig, Simulation,
 };
 
 const GOLDEN: &str = include_str!("golden/engine_paths.golden.txt");
@@ -77,43 +77,43 @@ impl Case {
         let s = sim.structure();
         // Every seventh controller process carries a latent fault, armed
         // three times over the run so reveals recur.
-        let latent: Vec<usize> = (0..)
+        let latent: Vec<usize> = (0..s.len())
+            .filter(|&elem| matches!(s.element_ref(elem), ElementRef::Proc { .. }))
             .step_by(7)
-            .take_while(|&pid| s.process(pid).is_some())
             .collect();
         let mut events = Vec::new();
-        let mut at = |time: f64, injection: usize, target: InjectTarget, action: InjectAction| {
+        let mut at = |time: f64, injection: usize, target: ElementRef, action: InjectAction| {
             events.push(PlannedEvent {
                 time,
                 injection,
-                target,
+                element: s.element(&target).expect("element of the table"),
                 action,
             });
         };
         for (k, &start) in [150.0, 800.0, 1_400.0].iter().enumerate() {
-            for (i, &pid) in latent.iter().enumerate() {
+            for (i, &elem) in latent.iter().enumerate() {
                 at(
                     start + i as f64 * 0.25,
                     0,
-                    InjectTarget::Proc(pid),
+                    s.element_ref(elem),
                     InjectAction::Latent,
                 );
             }
             at(
                 start + 40.0 + k as f64,
                 1,
-                InjectTarget::Host(0),
+                ElementRef::Host(0),
                 InjectAction::Maintenance {
                     duration_hours: 30.0,
                 },
             );
         }
         let fail = |repair_hours| InjectAction::Fail { repair_hours };
-        at(300.0, 2, InjectTarget::Vm(1), fail(Some(12.0)));
+        at(300.0, 2, ElementRef::Vm(1), fail(Some(12.0)));
         at(
             500.0,
             3,
-            InjectTarget::Rack(0),
+            ElementRef::Rack(0),
             InjectAction::Maintenance {
                 duration_hours: 6.0,
             },
@@ -122,16 +122,21 @@ impl Case {
         at(
             503.0,
             3,
-            InjectTarget::Rack(0),
+            ElementRef::Rack(0),
             InjectAction::Maintenance {
                 duration_hours: 9.0,
             },
         );
-        at(1_000.0, 4, InjectTarget::Host(1), fail(None));
-        at(1_001.0, 4, InjectTarget::Vm(0), fail(None));
-        at(1_002.0, 4, InjectTarget::Rack(0), fail(Some(20.0)));
-        at(1_200.0, 5, InjectTarget::VProc(0, 0), fail(Some(3.0)));
-        at(1_700.0, 2, InjectTarget::Vm(1), fail(None));
+        at(1_000.0, 4, ElementRef::Host(1), fail(None));
+        at(1_001.0, 4, ElementRef::Vm(0), fail(None));
+        at(1_002.0, 4, ElementRef::Rack(0), fail(Some(20.0)));
+        at(
+            1_200.0,
+            5,
+            ElementRef::vproc(0, "vrouter-agent"),
+            fail(Some(3.0)),
+        );
+        at(1_700.0, 2, ElementRef::Vm(1), fail(None));
         events.sort_by(|a, b| a.time.total_cmp(&b.time));
         InjectionPlan {
             labels: [

@@ -6,8 +6,8 @@
 //!
 //! Run with `cargo run --example failure_drill`.
 
-use sdn_availability::fmea::{dominant_modes, enumerate_filtered, ElementKind};
-use sdn_availability::{ControllerSpec, Deployment, Element, Scenario, SwParams, Topology};
+use sdn_availability::fmea::{dominant_modes, enumerate_filtered};
+use sdn_availability::{ControllerSpec, Deployment, ElementRef, Scenario, SwParams, Topology};
 
 fn check(label: &str, cp: bool, dp: bool) {
     println!(
@@ -31,14 +31,14 @@ fn main() {
 
     // "If control-1 fails ... every vrouter-agent will then be connected to
     // control-2 and control-3" — one control down, planes unaffected.
-    let one = vec![Element::process("Control", 0, "control")];
+    let one = vec![ElementRef::proc("Control", 0, "control")];
     check("control-1 fails", dep.cp_up(&one), dep.host_dp_up(&one));
 
     // "If control-2 then fails, every vrouter-agent will then be connected
     // to only control-3" — still up.
     let two = vec![
-        Element::process("Control", 0, "control"),
-        Element::process("Control", 1, "control"),
+        ElementRef::proc("Control", 0, "control"),
+        ElementRef::proc("Control", 1, "control"),
     ];
     check(
         "control-1 and control-2 fail",
@@ -48,9 +48,9 @@ fn main() {
 
     // "If control-3 subsequently fails, then every host DP will go down."
     let three = vec![
-        Element::process("Control", 0, "control"),
-        Element::process("Control", 1, "control"),
-        Element::process("Control", 2, "control"),
+        ElementRef::proc("Control", 0, "control"),
+        ElementRef::proc("Control", 1, "control"),
+        ElementRef::proc("Control", 2, "control"),
     ];
     check(
         "all three control processes fail",
@@ -61,12 +61,12 @@ fn main() {
     // "having only control-1 and dns-2 and named-3 available is not
     // sufficient for host DP availability."
     let scattered = vec![
-        Element::process("Control", 0, "dns"),
-        Element::process("Control", 0, "named"),
-        Element::process("Control", 1, "control"),
-        Element::process("Control", 1, "named"),
-        Element::process("Control", 2, "control"),
-        Element::process("Control", 2, "dns"),
+        ElementRef::proc("Control", 0, "dns"),
+        ElementRef::proc("Control", 0, "named"),
+        ElementRef::proc("Control", 1, "control"),
+        ElementRef::proc("Control", 1, "named"),
+        ElementRef::proc("Control", 2, "control"),
+        ElementRef::proc("Control", 2, "dns"),
     ];
     check(
         "only control-1, dns-2, named-3 left of the control block",
@@ -77,8 +77,8 @@ fn main() {
     // "a lack of quorum of any of these [Database] processes only impacts
     // the SDN CP, not the host DP."
     let db = vec![
-        Element::process("Database", 0, "zookeeper"),
-        Element::process("Database", 2, "zookeeper"),
+        ElementRef::proc("Database", 0, "zookeeper"),
+        ElementRef::proc("Database", 2, "zookeeper"),
     ];
     check(
         "two of three zookeepers fail",
@@ -87,8 +87,8 @@ fn main() {
     );
 
     // "the supervisor is a '0 of 3' process" — scenario 1.
-    let sups: Vec<Element> = (0..3)
-        .map(|n| Element::process("Database", n, "supervisor"))
+    let sups: Vec<ElementRef> = (0..3)
+        .map(|n| ElementRef::proc("Database", n, "supervisor"))
         .collect();
     check(
         "all Database supervisors fail (not required)",
@@ -112,7 +112,7 @@ fn main() {
     // What should operations drill for? Rank software failure modes.
     println!("\nTop software failure modes to drill (supervisor required, order ≤ 2):");
     let modes = enumerate_filtered(&dep2, 2, |e| {
-        matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+        matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
     });
     for m in dominant_modes(&modes, true, 4) {
         println!("  CP: {m}");

@@ -43,8 +43,8 @@ pub use sdnav_sim as sim;
 
 pub use sdnav_blocks::{Availability, Block, Downtime, System};
 pub use sdnav_core::{
-    ControllerSpec, HwModel, HwParams, Plane, ProcessParams, ProcessSpec, RestartMode, RoleScope,
-    RoleSpec, Scenario, SwModel, SwParams, Topology,
+    ControllerSpec, ElementRef, HwModel, HwParams, Plane, ProcessParams, ProcessSpec, RestartMode,
+    RoleScope, RoleSpec, Scenario, SwModel, SwParams, Topology,
 };
-pub use sdnav_fmea::{derive_table1, Deployment, Element};
+pub use sdnav_fmea::{derive_table1, Deployment};
 pub use sdnav_sim::{replicate, SimConfig, Simulation};

@@ -111,15 +111,15 @@ fn conclusion_formula_three_racks() {
 fn fmea_and_models_agree_on_spofs() {
     // The FMEA engine and the SW model must tell the same story: the DP's
     // weak links are exactly the per-host vRouter processes.
-    use sdn_availability::fmea::{enumerate_filtered, ElementKind};
-    use sdn_availability::Deployment;
+    use sdn_availability::fmea::enumerate_filtered;
+    use sdn_availability::{Deployment, ElementRef};
 
     let spec = ControllerSpec::opencontrail_3x();
     let topo = Topology::large(&spec);
     let params = SwParams::paper_defaults();
     let dep = Deployment::new(&spec, &topo, params, Scenario::SupervisorRequired);
     let spofs = enumerate_filtered(&dep, 1, |e| {
-        matches!(e.kind(), ElementKind::Process | ElementKind::Supervisor)
+        matches!(e, ElementRef::Proc { .. } | ElementRef::VProc { .. })
     });
     let dp_spofs: Vec<String> = spofs
         .iter()
