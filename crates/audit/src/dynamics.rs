@@ -5,6 +5,7 @@ use sdnav_core::{HwParams, SwParams};
 use sdnav_markov::Ctmc;
 use sdnav_sim::SimConfig;
 
+use crate::ir::config_element_ctmcs;
 use crate::{AuditReport, Diagnostic};
 
 fn check_prob(r: &mut AuditReport, path: &str, value: f64) {
@@ -225,27 +226,15 @@ pub fn audit_ctmc(ctmc: &Ctmc, origin: &str) -> AuditReport {
 }
 
 /// Audits the two-state failure/repair chains implied by a simulator
-/// configuration's rates (process, rack, host, VM). Chains are only built
-/// for element classes with usable rates; broken rates are already flagged
-/// by [`audit_sim_config`].
+/// configuration's rates (process, rack, host, VM), as
+/// [`config_element_ctmcs`] derives them: only for element classes with
+/// usable rates, since broken rates are already flagged by
+/// [`audit_sim_config`].
 #[must_use]
 pub fn audit_config_ctmcs(config: &SimConfig) -> AuditReport {
     let mut r = AuditReport::new();
-    let pairs = [
-        ("process", config.process_mtbf, config.auto_restart),
-        ("rack", config.rack.mtbf, config.rack.mttr),
-        ("host", config.host.mtbf, config.host.mttr),
-        ("vm", config.vm.mtbf, config.vm.mttr),
-    ];
-    for (name, mtbf, mttr) in pairs {
-        let usable = mtbf.is_finite() && mtbf > 0.0 && mttr.is_finite() && mttr > 0.0;
-        if !usable {
-            continue;
-        }
-        let mut chain = Ctmc::new(2);
-        chain.add_transition(0, 1, 1.0 / mtbf);
-        chain.add_transition(1, 0, 1.0 / mttr);
-        r.merge(audit_ctmc(&chain, &format!("ctmc/{name}")));
+    for element in config_element_ctmcs(config) {
+        r.merge(audit_ctmc(&element.ctmc, &element.origin));
     }
     r
 }

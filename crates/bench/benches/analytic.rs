@@ -8,7 +8,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use sdnav_blocks::kofn::{k_of_n, k_of_n_heterogeneous};
-use sdnav_blocks::{Block, System};
+use sdnav_blocks::Block;
 use sdnav_core::{
     ControllerSpec, HwModel, HwParams, ModelState, Scenario, SwModel, SwParams, Topology,
 };
@@ -48,10 +48,6 @@ fn bench_blocks() {
     ]);
     bench("blocks/availability", 100_000, || {
         black_box(&spec_block).availability()
-    });
-    let system = System::new(spec_block.clone());
-    bench("blocks/minimal_cut_sets_order2", 1_000, || {
-        black_box(&system).minimal_cut_sets(2)
     });
 }
 

@@ -32,7 +32,8 @@ use crate::kofn::k_of_n_heterogeneous;
 pub enum Block {
     /// A leaf component with a fixed availability.
     Unit {
-        /// Human-readable component name (used in cut sets and importance).
+        /// Human-readable component name (what [`Block::is_up`] and
+        /// [`Block::availability_pinned`] look units up by).
         name: String,
         /// Steady-state availability in `[0, 1]`.
         availability: f64,
@@ -93,7 +94,7 @@ impl Block {
     }
 
     /// Clones this block `n` times, appending `-1`, `-2`, … to unit names so
-    /// replicas stay distinguishable in cut sets.
+    /// replicas stay distinguishable.
     ///
     /// ```
     /// use sdnav_blocks::Block;
@@ -131,30 +132,7 @@ impl Block {
     /// `0`-of-`0`) is up; an empty parallel is down.
     #[must_use]
     pub fn availability(&self) -> f64 {
-        match self {
-            Block::Unit { availability, .. } => *availability,
-            Block::Series { children } => children.iter().map(Block::availability).product(),
-            Block::Parallel { children } => {
-                if children.is_empty() {
-                    0.0
-                } else {
-                    1.0 - children
-                        .iter()
-                        .map(|c| 1.0 - c.availability())
-                        .product::<f64>()
-                }
-            }
-            Block::KOfN { k, children } => {
-                let avails: Vec<f64> = children.iter().map(Block::availability).collect();
-                k_of_n_heterogeneous(*k as usize, &avails)
-            }
-        }
-    }
-
-    /// Unavailability of this block (`1 - availability`).
-    #[must_use]
-    pub fn unavailability(&self) -> f64 {
-        1.0 - self.availability()
+        self.availability_pinned(&mut |_| None)
     }
 
     /// Names of every leaf unit, in depth-first order.
@@ -211,8 +189,9 @@ impl Block {
     /// Availability with some units pinned up or down.
     ///
     /// `pin` maps a unit name to `Some(true)` (force up), `Some(false)`
-    /// (force down), or `None` (use the unit's own availability). This is
-    /// the primitive behind Birnbaum importance and what-if analysis.
+    /// (force down), or `None` (use the unit's own availability). Pinning
+    /// nothing is [`Block::availability`]; pinning one unit each way is the
+    /// structural Birnbaum measure `sdnav-audit` checks units with.
     pub fn availability_pinned<F: FnMut(&str) -> Option<bool>>(&self, pin: &mut F) -> f64 {
         match self {
             Block::Unit { name, availability } => match pin(name) {
@@ -240,92 +219,6 @@ impl Block {
                     .map(|c| c.availability_pinned(pin))
                     .collect();
                 k_of_n_heterogeneous(*k as usize, &avails)
-            }
-        }
-    }
-
-    /// Structurally simplifies the diagram without changing its
-    /// availability or its set of leaf units:
-    ///
-    /// * nested series within series (and parallel within parallel) are
-    ///   flattened;
-    /// * single-child groups are unwrapped;
-    /// * `n`-of-`n` groups become series, `1`-of-`n` groups become
-    ///   parallel, and `0`-of-`n` groups (always up) become a parallel
-    ///   including a vacuously-up empty series (children are kept so unit
-    ///   identities survive).
-    ///
-    /// ```
-    /// use sdnav_blocks::Block;
-    ///
-    /// let messy = Block::series(vec![
-    ///     Block::series(vec![Block::unit("a", 0.9), Block::unit("b", 0.9)]),
-    ///     Block::k_of_n(2, vec![Block::unit("c", 0.9), Block::unit("d", 0.9)]),
-    /// ]);
-    /// let clean = messy.simplify();
-    /// assert_eq!(clean.unit_names(), vec!["a", "b", "c", "d"]);
-    /// assert!((clean.availability() - messy.availability()).abs() < 1e-15);
-    /// assert!(matches!(clean, Block::Series { ref children } if children.len() == 4));
-    /// ```
-    #[must_use]
-    pub fn simplify(&self) -> Block {
-        match self {
-            Block::Unit { .. } => self.clone(),
-            Block::Series { children } => {
-                let mut flat = Vec::new();
-                for child in children {
-                    match child.simplify() {
-                        Block::Series { children } => flat.extend(children),
-                        other => flat.push(other),
-                    }
-                }
-                if flat.len() == 1 {
-                    flat.pop().expect("one element")
-                } else {
-                    Block::Series { children: flat }
-                }
-            }
-            Block::Parallel { children } => {
-                let mut flat = Vec::new();
-                for child in children {
-                    match child.simplify() {
-                        Block::Parallel { children } => flat.extend(children),
-                        other => flat.push(other),
-                    }
-                }
-                if flat.len() == 1 {
-                    flat.pop().expect("one element")
-                } else {
-                    Block::Parallel { children: flat }
-                }
-            }
-            Block::KOfN { k, children } => {
-                let simplified: Vec<Block> = children.iter().map(Block::simplify).collect();
-                let n = simplified.len();
-                if *k == 0 {
-                    // A 0-of-n block is always up; keep the children (to
-                    // preserve unit identities) in parallel with an empty
-                    // series, which is vacuously up.
-                    let mut children = simplified;
-                    children.push(Block::series(vec![]));
-                    return Block::Parallel { children }.simplify();
-                }
-                if *k as usize == n {
-                    Block::Series {
-                        children: simplified,
-                    }
-                    .simplify()
-                } else if *k == 1 {
-                    Block::Parallel {
-                        children: simplified,
-                    }
-                    .simplify()
-                } else {
-                    Block::KOfN {
-                        k: *k,
-                        children: simplified,
-                    }
-                }
             }
         }
     }
@@ -514,53 +407,6 @@ mod tests {
         assert_eq!(down, 0.0);
         let neutral = b.availability_pinned(&mut |_| None);
         assert!((neutral - b.availability()).abs() < EPS);
-    }
-
-    #[test]
-    fn simplify_flattens_nested_series() {
-        let messy = Block::series(vec![
-            Block::series(vec![Block::unit("a", 0.9)]),
-            Block::series(vec![Block::unit("b", 0.8), Block::unit("c", 0.7)]),
-        ]);
-        let clean = messy.simplify();
-        assert!(matches!(clean, Block::Series { ref children } if children.len() == 3));
-        assert!((clean.availability() - messy.availability()).abs() < EPS);
-    }
-
-    #[test]
-    fn simplify_unwraps_singletons() {
-        let wrapped = Block::parallel(vec![Block::series(vec![Block::unit("x", 0.5)])]);
-        assert_eq!(wrapped.simplify(), Block::unit("x", 0.5));
-    }
-
-    #[test]
-    fn simplify_converts_degenerate_kofn() {
-        let series_like = Block::k_of_n(2, vec![Block::unit("a", 0.9), Block::unit("b", 0.9)]);
-        assert!(matches!(series_like.simplify(), Block::Series { .. }));
-        let parallel_like = Block::k_of_n(1, vec![Block::unit("a", 0.9), Block::unit("b", 0.9)]);
-        assert!(matches!(parallel_like.simplify(), Block::Parallel { .. }));
-        // A real quorum is untouched.
-        let quorum = Block::k_of_n(2, Block::unit("n", 0.9).replicate(3));
-        assert!(matches!(quorum.simplify(), Block::KOfN { k: 2, .. }));
-    }
-
-    #[test]
-    fn simplify_preserves_availability_and_units() {
-        let block = Block::series(vec![
-            Block::k_of_n(3, Block::unit("s", 0.99).replicate(3)),
-            Block::parallel(vec![
-                Block::parallel(vec![Block::unit("p", 0.9), Block::unit("q", 0.9)]),
-                Block::unit("r", 0.5),
-            ]),
-            Block::k_of_n(0, vec![Block::unit("opt", 0.1)]),
-        ]);
-        let clean = block.simplify();
-        assert!((clean.availability() - block.availability()).abs() < EPS);
-        let mut before = block.unit_names();
-        let mut after = clean.unit_names();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after);
     }
 
     #[test]

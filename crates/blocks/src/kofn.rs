@@ -80,44 +80,6 @@ pub fn k_of_n(m: u32, n: u32, alpha: f64) -> f64 {
     total.clamp(0.0, 1.0)
 }
 
-/// Unavailability of an `m`-of-`n` block: `1 - A_{m/n}(α)`, computed from the
-/// complementary sum for accuracy when the unavailability is tiny.
-///
-/// For high-availability systems `1 - k_of_n(..)` loses precision to
-/// catastrophic cancellation; this sums the failure terms directly:
-///
-/// ```
-/// use sdnav_blocks::kofn::{k_of_n, k_of_n_unavailability};
-///
-/// let u = k_of_n_unavailability(2, 3, 0.999999);
-/// // Direct complement would round to ~3e-12 with only a few good digits.
-/// assert!((u - (3.0 * 1e-12_f64 - 2.0 * 1e-18)).abs() < 1e-20);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `alpha` is not in `[0, 1]`.
-#[must_use]
-pub fn k_of_n_unavailability(m: u32, n: u32, alpha: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&alpha),
-        "alpha must lie in [0, 1], got {alpha}"
-    );
-    if m > n {
-        return 1.0;
-    }
-    if m == 0 {
-        return 0.0;
-    }
-    // 1 - A = Σ_{i=n-m+1}^{n} C(n,i) α^{n-i} (1-α)^i  (too many failures).
-    let q = 1.0 - alpha;
-    let mut total = 0.0_f64;
-    for i in (n - m + 1)..=n {
-        total += binomial(n, i) * alpha.powi((n - i) as i32) * q.powi(i as i32);
-    }
-    total.clamp(0.0, 1.0)
-}
-
 /// Availability of a `k`-of-`n` block of *heterogeneous* independent
 /// elements with availabilities `alphas` (so `n = alphas.len()`).
 ///
@@ -165,45 +127,6 @@ pub fn k_of_n_heterogeneous(k: usize, alphas: &[f64]) -> f64 {
         }
     }
     dist[k..].iter().sum::<f64>().clamp(0.0, 1.0)
-}
-
-/// Distribution of the number of independent elements that are up.
-///
-/// Returns a vector `d` of length `alphas.len() + 1` with
-/// `d[j] = P(exactly j elements up)`. This is the building block for the
-/// paper's conditional decompositions (Eqs. 2, 4, 5, 7), which weight
-/// conditional availabilities by "x hosts up" / "x racks up" probabilities.
-///
-/// ```
-/// use sdnav_blocks::kofn::up_count_distribution;
-///
-/// let d = up_count_distribution(&[0.9, 0.9, 0.9]);
-/// assert!((d[3] - 0.729).abs() < 1e-12);
-/// assert!((d[2] - 3.0 * 0.081).abs() < 1e-12);
-/// assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-/// ```
-///
-/// # Panics
-///
-/// Panics if any availability is outside `[0, 1]`.
-#[must_use]
-pub fn up_count_distribution(alphas: &[f64]) -> Vec<f64> {
-    for &a in alphas {
-        assert!(
-            (0.0..=1.0).contains(&a),
-            "availability must lie in [0, 1], got {a}"
-        );
-    }
-    let mut dist = vec![0.0_f64; alphas.len() + 1];
-    dist[0] = 1.0;
-    for (idx, &a) in alphas.iter().enumerate() {
-        for j in (0..=idx).rev() {
-            let p = dist[j];
-            dist[j + 1] += p * a;
-            dist[j] = p * (1.0 - a);
-        }
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -302,7 +225,6 @@ mod tests {
         for &a in &[0.0, 0.5, 1.0] {
             for n in [0u32, 1, 5] {
                 assert_eq!(k_of_n(0, n, a), 1.0, "n={n} a={a}");
-                assert_eq!(k_of_n_unavailability(0, n, a), 0.0, "n={n} a={a}");
             }
         }
         assert_eq!(k_of_n_heterogeneous(0, &[0.2, 0.9]), 1.0);
@@ -326,7 +248,6 @@ mod tests {
         for &a in &[0.0, 0.5, 1.0] {
             assert_eq!(k_of_n(4, 3, a), 0.0, "a={a}");
             assert_eq!(k_of_n(1, 0, a), 0.0, "a={a}");
-            assert_eq!(k_of_n_unavailability(4, 3, a), 1.0, "a={a}");
         }
         assert_eq!(k_of_n_heterogeneous(3, &[0.9, 0.9]), 0.0);
     }
@@ -336,33 +257,6 @@ mod tests {
         // n = 0: a 0-of-0 block is vacuously up, anything else impossible.
         assert_eq!(k_of_n(0, 0, 0.7), 1.0);
         assert_eq!(k_of_n(1, 0, 0.7), 0.0);
-        assert_eq!(k_of_n_unavailability(0, 0, 0.7), 0.0);
-        assert_eq!(k_of_n_unavailability(1, 0, 0.7), 1.0);
-        assert_eq!(up_count_distribution(&[]), vec![1.0]);
-    }
-
-    #[test]
-    fn unavailability_complements_availability() {
-        for m in 0..=4u32 {
-            for n in 0..=4u32 {
-                for &a in &[0.0, 0.2, 0.5, 0.99, 1.0] {
-                    let sum = k_of_n(m, n, a) + k_of_n_unavailability(m, n, a);
-                    assert!((sum - 1.0).abs() < EPS, "m={m} n={n} a={a} sum={sum}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unavailability_keeps_precision_at_high_availability() {
-        let a = 1.0 - 1e-9;
-        let u = k_of_n_unavailability(2, 3, a);
-        // Leading term 3(1-α)² = 3e-18. The only precision loss is the
-        // representation of 1-α itself (~1e-7 relative), far better than
-        // the total cancellation a direct 1 - k_of_n(..) would suffer.
-        let expected = 3.0 * 1e-18 - 2.0 * 1e-27;
-        assert!((u - expected).abs() / expected < 1e-6);
-        assert!(u > 0.0);
     }
 
     #[test]
@@ -405,22 +299,6 @@ mod tests {
             }
             let got = k_of_n_heterogeneous(k, &alphas);
             assert!((got - expected).abs() < EPS, "k={k}");
-        }
-    }
-
-    #[test]
-    fn up_count_distribution_sums_to_one() {
-        let d = up_count_distribution(&[0.9, 0.5, 0.8, 0.99, 0.1]);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn up_count_distribution_matches_binomial_for_identical() {
-        let a: f64 = 0.97;
-        let d = up_count_distribution(&[a; 4]);
-        for (j, item) in d.iter().enumerate() {
-            let expected = binomial(4, j as u32) * a.powi(j as i32) * (1.0 - a).powi(4 - j as i32);
-            assert!((item - expected).abs() < EPS, "j={j}");
         }
     }
 }

@@ -4,24 +4,19 @@
 //! availability models of Reeser, Tesseyre & Callaway (ISPASS 2019). It
 //! provides:
 //!
-//! * [`Availability`] — a validated steady-state availability value with
-//!   conversions to/from MTBF/MTTR, unavailability, "nines", and
-//!   [`Downtime`] per year.
 //! * [`kofn`] — the paper's Eq. (1): exact `m`-of-`n` block availability for
 //!   identical blocks, generalized to heterogeneous blocks via dynamic
 //!   programming.
 //! * [`Block`] — composable series / parallel / k-of-n reliability block
-//!   diagrams with exact evaluation under the independence assumption.
-//! * [`System`] — a named-component view of a block diagram supporting
-//!   what-if state queries, minimal cut set enumeration, and component
-//!   [`importance`] measures (Birnbaum, criticality, RAW, RRW).
+//!   diagrams with exact evaluation under the independence assumption, and
+//!   the boolean structure function [`Block::is_up`].
 //!
 //! # Quick example
 //!
 //! The paper's "2 of 3" database quorum in series with a rack:
 //!
 //! ```
-//! use sdnav_blocks::{Availability, Block};
+//! use sdnav_blocks::Block;
 //!
 //! let node = Block::unit("db-node", 0.9995);
 //! let quorum = Block::k_of_n(2, vec![node.clone(), node.clone(), node]);
@@ -29,22 +24,13 @@
 //!
 //! let a = system.availability();
 //! assert!(a > 0.99998 && a < 0.99999);
-//! let avail = Availability::new(a).unwrap();
-//! assert_eq!(avail.whole_nines(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod availability;
 mod block;
-mod downtime;
-pub mod importance;
 pub mod kofn;
-mod structure;
 
-pub use availability::{Availability, AvailabilityError};
 pub use block::Block;
-pub use downtime::Downtime;
-pub use structure::{CutSet, System};

@@ -2,10 +2,8 @@
 
 use proptest::prelude::*;
 
-use sdnav_blocks::kofn::{
-    binomial, k_of_n, k_of_n_heterogeneous, k_of_n_unavailability, up_count_distribution,
-};
-use sdnav_blocks::{Availability, Block, System};
+use sdnav_blocks::kofn::{binomial, k_of_n, k_of_n_heterogeneous};
+use sdnav_blocks::Block;
 
 fn availability_value() -> impl Strategy<Value = f64> {
     prop_oneof![
@@ -75,12 +73,6 @@ proptest! {
     }
 
     #[test]
-    fn availability_plus_unavailability_is_one(m in 0u32..6, n in 0u32..6, a in availability_value()) {
-        let sum = k_of_n(m, n, a) + k_of_n_unavailability(m, n, a);
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn adding_a_replica_never_hurts(m in 1u32..5, n in 1u32..6, a in availability_value()) {
         prop_assume!(m <= n);
         prop_assert!(k_of_n(m, n + 1, a) >= k_of_n(m, n, a) - 1e-12);
@@ -91,16 +83,6 @@ proptest! {
         let het = k_of_n_heterogeneous(k, &vec![a; n]);
         let hom = k_of_n(k as u32, n as u32, a);
         prop_assert!((het - hom).abs() < 1e-10);
-    }
-
-    #[test]
-    fn up_count_distribution_is_probability(
-        alphas in prop::collection::vec(availability_value(), 0..8)
-    ) {
-        let d = up_count_distribution(&alphas);
-        prop_assert_eq!(d.len(), alphas.len() + 1);
-        prop_assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(d.iter().all(|&p| (-1e-12..=1.0 + 1e-12).contains(&p)));
     }
 
     #[test]
@@ -149,82 +131,6 @@ proptest! {
             prop_assert!(up >= base - 1e-12);
             prop_assert!(down <= base + 1e-12);
         }
-    }
-
-    #[test]
-    fn cut_sets_are_minimal_and_fatal(block in arb_block()) {
-        let names = block.unit_names();
-        prop_assume!(names.len() <= 8);
-        let sys = System::new(block);
-        for cut in sys.minimal_cut_sets(3) {
-            let comps: Vec<&str> = cut.components().collect();
-            // Fatal: failing the whole cut downs the system.
-            prop_assert!(!sys.is_up_with_failures(&comps));
-            // Minimal: removing any one component restores the system.
-            for skip in &comps {
-                let partial: Vec<&str> =
-                    comps.iter().copied().filter(|c| c != skip).collect();
-                prop_assert!(sys.is_up_with_failures(&partial), "cut {:?} not minimal", comps);
-            }
-        }
-    }
-
-    #[test]
-    fn simplify_preserves_semantics(block in arb_block()) {
-        let clean = block.simplify();
-        prop_assert!((clean.availability() - block.availability()).abs() < 1e-12,
-            "availability changed: {} vs {}", clean.availability(), block.availability());
-        let mut before = block.unit_names();
-        let mut after = clean.unit_names();
-        before.sort();
-        after.sort();
-        prop_assert_eq!(before, after, "unit set changed");
-        // Idempotent.
-        prop_assert_eq!(clean.simplify(), clean);
-    }
-
-    #[test]
-    fn paths_and_cuts_are_dual(block in arb_block()) {
-        let names = block.unit_names();
-        prop_assume!(names.len() <= 7);
-        let sys = System::new(block);
-        let cuts = sys.minimal_cut_sets(7);
-        let paths = sys.minimal_path_sets(7);
-        // Every minimal path must intersect every minimal cut.
-        for p in &paths {
-            let p_set: Vec<&str> = p.components().collect();
-            for c in &cuts {
-                prop_assert!(c.components().any(|x| p_set.contains(&x)),
-                    "path {} misses cut {}", p, c);
-            }
-        }
-        // Paths are themselves minimal and sufficient.
-        for p in &paths {
-            let working: Vec<&str> = p.components().collect();
-            prop_assert!(sys.is_up_with_only(&working));
-            for skip in &working {
-                let fewer: Vec<&str> =
-                    working.iter().copied().filter(|c| c != skip).collect();
-                prop_assert!(!sys.is_up_with_only(&fewer), "path {} not minimal", p);
-            }
-        }
-    }
-
-    #[test]
-    fn availability_series_parallel_bounds(a in availability_value(), b in availability_value()) {
-        let x = Availability::new(a).unwrap();
-        let y = Availability::new(b).unwrap();
-        let s = Availability::series([x, y]);
-        let p = Availability::parallel([x, y]);
-        prop_assert!(s <= x && s <= y);
-        prop_assert!(p >= x && p >= y);
-    }
-
-    #[test]
-    fn downtime_round_trips(a in 0.5f64..1.0) {
-        let av = Availability::new(a).unwrap();
-        let back = Availability::from_downtime_per_year(av.downtime_per_year());
-        prop_assert!((av.value() - back.value()).abs() < 1e-10);
     }
 
     #[test]

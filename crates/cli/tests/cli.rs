@@ -181,42 +181,61 @@ fn nodes_flag_scales_cluster() {
     assert!(stderr.contains("odd"));
 }
 
-/// Runs `command` at 11 nodes, where the Small layout shares 2N + 1 = 23
+/// Runs `args` at 11 nodes, where the Small layout shares 2N + 1 = 23
 /// hardware elements, and checks that it exits 1 naming the shared count
-/// and the exact-enumeration limit instead of panicking.
-fn refuses_past_the_enumeration_limit(command: &str) {
-    let out = sdnav_raw(&[command, "--nodes", "11"]);
+/// and the exact-enumeration limit instead of panicking or quarantining a
+/// cell.
+fn refuses_past_the_enumeration_limit(args: &[&str]) {
+    let out = sdnav_raw(&[args, &["--nodes", "11"]].concat());
     let stderr = String::from_utf8_lossy(&out.stderr);
+    let command = args.join(" ");
     assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
     assert!(
-        stderr.contains("23 shared elements") && stderr.contains("at most 20"),
+        stderr.contains("topology has 23 shared elements; exact enumeration supports at most 20"),
+        "{command}: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("quarantine"),
         "{command}: {stderr}"
     );
 }
 
 #[test]
 fn hw_refuses_past_the_enumeration_limit() {
-    refuses_past_the_enumeration_limit("hw");
+    refuses_past_the_enumeration_limit(&["hw"]);
 }
 
 #[test]
 fn sw_refuses_past_the_enumeration_limit() {
-    refuses_past_the_enumeration_limit("sw");
+    refuses_past_the_enumeration_limit(&["sw"]);
 }
 
 #[test]
 fn simulate_refuses_past_the_enumeration_limit() {
-    refuses_past_the_enumeration_limit("simulate");
+    refuses_past_the_enumeration_limit(&["simulate"]);
 }
 
 #[test]
 fn sensitivity_refuses_past_the_enumeration_limit() {
-    refuses_past_the_enumeration_limit("sensitivity");
+    refuses_past_the_enumeration_limit(&["sensitivity"]);
 }
 
 #[test]
 fn plan_refuses_past_the_enumeration_limit() {
-    refuses_past_the_enumeration_limit("plan");
+    refuses_past_the_enumeration_limit(&["plan"]);
+}
+
+#[test]
+fn sweep_refuses_past_the_enumeration_limit_before_any_cell_runs() {
+    // The grid builds every layout its cells read before running any, so
+    // neither the figure cells nor the simulated cells' replications run.
+    refuses_past_the_enumeration_limit(&["sweep", "--points", "2"]);
+    refuses_past_the_enumeration_limit(&["sweep", "--points", "2", "--replications", "1"]);
+}
+
+#[test]
+fn fig3_refuses_past_the_enumeration_limit() {
+    refuses_past_the_enumeration_limit(&["fig3", "--points", "2"]);
 }
 
 #[test]

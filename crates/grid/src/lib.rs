@@ -846,7 +846,7 @@ impl EvalCtx<'_> {
                 let p = self.hw_base.with_a_c(f64::from_bits(a_c_bits));
                 let avail = |topo: &Topology| {
                     HwModel::try_new(self.spec, topo, p)
-                        .expect("base params validated before planning")
+                        .expect("build_ctx built every layout at valid base params")
                         .availability()
                 };
                 [avail(&self.small), avail(&self.medium), avail(&self.large)]
@@ -859,7 +859,7 @@ impl EvalCtx<'_> {
                 // Figure x = +1 means 10× less downtime → scale by 10^(−x).
                 let params = self.sw_base.scale_process_downtime(-f64::from_bits(x_bits));
                 let model = SwModel::try_new(self.spec, self.topology(topology), params, scenario)
-                    .expect("base params validated before planning; scaling keeps them in range");
+                    .expect("build_ctx built every layout; scaling keeps the params in range");
                 // The per-host DP is the shared DP times the local vRouter
                 // term (`host_dp_availability`), so the DP plane is
                 // enumerated once.
@@ -1136,15 +1136,22 @@ fn resolve_threads(grid: &GridSpec) -> usize {
 
 /// Validates the base parameter sets and assembles the shared evaluation
 /// context, fingerprinting the state's HW and SW domains.
+///
+/// Every analytic model a planned cell builds enumerates the shared
+/// hardware of its layout, whatever its parameters, so each layout `items`
+/// read is built once here at the base HW parameters: a layout that does
+/// not fit the spec or shares more than exact enumeration supports fails
+/// the run with [`GridError::Model`] before any cell runs.
 fn build_ctx<'a>(
     state: &'a ModelState,
     grid: &'a GridSpec,
     graph: &'a EvalGraph,
+    items: &[WorkItem],
 ) -> Result<EvalCtx<'a>, GridError> {
     state.hw.try_validate()?;
     state.sw.try_validate()?;
     let spec = &state.spec;
-    Ok(EvalCtx {
+    let ctx = EvalCtx {
         spec,
         small: Topology::small(spec),
         medium: Topology::medium(spec),
@@ -1155,7 +1162,29 @@ fn build_ctx<'a>(
         sw_fp: state.sw_domain(),
         grid,
         graph,
-    })
+    };
+    // `[small, medium, large]`: whether a planned cell builds a model on it.
+    let mut read = [false; 3];
+    for item in items {
+        match item {
+            WorkItem::Fig3Point { .. } => read = [true; 3],
+            WorkItem::SwPoint { .. } => {
+                read[0] = true;
+                read[2] = true;
+            }
+            WorkItem::SimPoint { topology, .. } => match topology {
+                SimTopology::Small => read[0] = true,
+                SimTopology::Large => read[2] = true,
+            },
+            WorkItem::ChaosPoint { .. } | WorkItem::ConsensusPoint { .. } => {}
+        }
+    }
+    for (topology, read) in [&ctx.small, &ctx.medium, &ctx.large].into_iter().zip(read) {
+        if read {
+            HwModel::try_new(spec, topology, state.hw)?;
+        }
+    }
+    Ok(ctx)
 }
 
 /// Folds one item output into the result tables (outputs must arrive in

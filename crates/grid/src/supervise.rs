@@ -128,7 +128,7 @@ pub(crate) fn evaluate_with(
 
     let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let items = plan_grid(grid);
-    let ctx = crate::build_ctx(state, grid, graph)?;
+    let ctx = crate::build_ctx(state, grid, graph, &items)?;
 
     let mut restored_cells: Vec<Option<ItemOutput>> = Vec::new();
     restored_cells.resize_with(items.len(), || None);

@@ -765,6 +765,16 @@ mod tests {
     }
 
     #[test]
+    fn nesting_depth_is_bounded_exactly() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        match Json::parse(&nested(MAX_DEPTH + 1)) {
+            Err(JsonError::Parse { message, .. }) => assert!(message.contains("nesting depth")),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input_with_position() {
         let err = Json::parse("{\n  \"a\": ]\n}").unwrap_err();
         match err {

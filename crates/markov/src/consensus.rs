@@ -192,13 +192,7 @@ impl ConsensusCtmc {
         Ok(out)
     }
 
-    /// Number of states in the expanded chain.
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.quorum as usize + 2 * (self.n - self.quorum + 1) as usize
-    }
-
-    /// The underlying general CTMC (for transient analysis or export).
+    /// The underlying general CTMC.
     #[must_use]
     pub fn ctmc(&self) -> &Ctmc {
         &self.ctmc

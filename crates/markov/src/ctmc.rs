@@ -5,8 +5,6 @@ use std::fmt;
 
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 
-use crate::linalg;
-
 /// 2^-512 (the literal is 2^512 exactly): what [`Ctmc::steady_state`]
 /// scales its weights by when the next one overflows.
 const SCALE_DOWN: f64 = 1.0 / 1.340_780_792_994_259_7e154;
@@ -20,15 +18,9 @@ const TOTAL_SCALE_DOWN: f64 = 1.0 / 65_536.0;
 ///
 /// States are indexed `0..n`. Diagonal entries of the generator are implied
 /// (`q_ii = -Σ_{j≠i} q_ij`). Build the chain with [`Ctmc::add_transition`],
-/// then query:
-///
-/// * [`Ctmc::steady_state`] — stationary distribution via the
-///   subtraction-free GTH algorithm (stable even when some states have
-///   probability `1e-12`);
-/// * [`Ctmc::transient`] — state distribution at time `t` via
-///   uniformization;
-/// * [`Ctmc::mean_time_to_absorption`] — expected hitting time of a set of
-///   absorbing states.
+/// then solve [`Ctmc::steady_state`] for the stationary distribution with the
+/// subtraction-free GTH algorithm (stable even when some states have
+/// probability `1e-12`).
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     n: usize,
@@ -167,184 +159,6 @@ impl Ctmc {
         }
         Ok(pi)
     }
-
-    /// State distribution at time `t` starting from `initial`, via
-    /// uniformization (Jensen's method).
-    ///
-    /// Long horizons are split into sub-intervals so the Poisson series
-    /// never needs more than a few hundred terms; truncation error is below
-    /// `1e-12` per sub-interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::BadDistribution`] if `initial` has the wrong
-    /// length or does not sum to 1 (±1e-9).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is negative or non-finite.
-    pub fn transient(&self, initial: &[f64], t: f64) -> Result<Vec<f64>, CtmcError> {
-        assert!(t.is_finite() && t >= 0.0, "time must be non-negative");
-        if initial.len() != self.n
-            || (initial.iter().sum::<f64>() - 1.0).abs() > 1e-9
-            || initial.iter().any(|&p| p < 0.0)
-        {
-            return Err(CtmcError::BadDistribution);
-        }
-        let lambda = (0..self.n)
-            .map(|i| self.exit_rate(i))
-            .fold(0.0_f64, f64::max);
-        if lambda == 0.0 || t == 0.0 {
-            return Ok(initial.to_vec());
-        }
-        let lambda = lambda * 1.02 + 1e-12; // strictly dominate all exit rates
-                                            // Uniformized DTMC: P = I + Q/λ.
-        let p_step = |v: &[f64]| -> Vec<f64> {
-            let mut out = vec![0.0; self.n];
-            for (i, &vi) in v.iter().enumerate() {
-                if vi == 0.0 {
-                    continue;
-                }
-                let exit = self.exit_rate(i);
-                out[i] += vi * (1.0 - exit / lambda);
-                for (o, &r) in out.iter_mut().zip(&self.rates[i]) {
-                    if r > 0.0 {
-                        *o += vi * r / lambda;
-                    }
-                }
-            }
-            out
-        };
-        // Split so λ·Δt ≤ 64 per chunk.
-        let chunks = (lambda * t / 64.0).ceil().max(1.0) as usize;
-        let dt = t / chunks as f64;
-        let mut dist = initial.to_vec();
-        for _ in 0..chunks {
-            let lt = lambda * dt;
-            let mut term = (-lt).exp(); // Poisson(k=0)
-            let mut acc: Vec<f64> = dist.iter().map(|&p| p * term).collect();
-            let mut v = dist.clone();
-            let mut cumulative = term;
-            let mut k = 1.0;
-            while cumulative < 1.0 - 1e-13 && k < 10_000.0 {
-                v = p_step(&v);
-                term *= lt / k;
-                for (a, &vi) in acc.iter_mut().zip(&v) {
-                    *a += term * vi;
-                }
-                cumulative += term;
-                k += 1.0;
-            }
-            // Renormalize the truncated series.
-            let total: f64 = acc.iter().sum();
-            for a in &mut acc {
-                *a /= total;
-            }
-            dist = acc;
-        }
-        Ok(dist)
-    }
-
-    /// Point availability at time `t`: total probability of being in any of
-    /// the `up_states` at `t`, starting from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Ctmc::transient`] errors.
-    pub fn point_availability(
-        &self,
-        initial: &[f64],
-        up_states: &[usize],
-        t: f64,
-    ) -> Result<f64, CtmcError> {
-        let dist = self.transient(initial, t)?;
-        Ok(up_states.iter().map(|&s| dist[s]).sum())
-    }
-
-    /// Interval (time-average) availability over `[0, t]`: the expected
-    /// fraction of the interval spent in `up_states`, starting from
-    /// `initial`.
-    ///
-    /// Computed by composite Simpson quadrature over the point
-    /// availability; the panel count scales with the chain's fastest rate
-    /// so transients are resolved.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Ctmc::transient`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not positive and finite.
-    pub fn interval_availability(
-        &self,
-        initial: &[f64],
-        up_states: &[usize],
-        t: f64,
-    ) -> Result<f64, CtmcError> {
-        assert!(t.is_finite() && t > 0.0, "interval must be positive");
-        // Resolve the fastest transient: panels ∝ λ_max·t, bounded.
-        let lambda = (0..self.n)
-            .map(|i| self.exit_rate(i))
-            .fold(0.0_f64, f64::max);
-        let panels = ((lambda * t).ceil() as usize).clamp(128, 1024);
-        let panels = panels + panels % 2; // Simpson needs an even count
-        let h = t / panels as f64;
-        let mut acc = 0.0;
-        for k in 0..=panels {
-            let weight = if k == 0 || k == panels {
-                1.0
-            } else if k % 2 == 1 {
-                4.0
-            } else {
-                2.0
-            };
-            acc += weight * self.point_availability(initial, up_states, h * k as f64)?;
-        }
-        Ok((acc * h / 3.0 / t).clamp(0.0, 1.0))
-    }
-
-    /// Expected time to reach any state in `absorbing`, starting from
-    /// `start`.
-    ///
-    /// Solves the first-step system `(−Q_TT) τ = 1` over the transient
-    /// states. Returns `0` when `start` is itself absorbing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::NotIrreducible`] if some transient state cannot
-    /// reach the absorbing set (infinite expectation).
-    pub fn mean_time_to_absorption(
-        &self,
-        start: usize,
-        absorbing: &[usize],
-    ) -> Result<f64, CtmcError> {
-        assert!(start < self.n, "state index out of range");
-        let is_absorbing = |s: usize| absorbing.contains(&s);
-        if is_absorbing(start) {
-            return Ok(0.0);
-        }
-        let transient: Vec<usize> = (0..self.n).filter(|&s| !is_absorbing(s)).collect();
-        let index_of = |s: usize| transient.iter().position(|&t| t == s);
-        let m = transient.len();
-        let mut a = vec![vec![0.0; m]; m];
-        for (row, &i) in transient.iter().enumerate() {
-            a[row][row] = self.exit_rate(i);
-            for (col, &j) in transient.iter().enumerate() {
-                if row != col {
-                    a[row][col] = -self.rates[i][j];
-                }
-            }
-        }
-        let b = vec![1.0; m];
-        let tau = linalg::solve(a, b).ok_or(CtmcError::NotIrreducible { state: start })?;
-        let idx = index_of(start).expect("start is transient");
-        let v = tau[idx];
-        if !v.is_finite() || v < 0.0 {
-            return Err(CtmcError::NotIrreducible { state: start });
-        }
-        Ok(v)
-    }
 }
 
 impl ToJson for Ctmc {
@@ -421,9 +235,6 @@ pub enum CtmcError {
         /// lower-numbered states during GTH elimination).
         state: usize,
     },
-    /// An initial distribution was malformed (wrong length, negative
-    /// entries, or not summing to 1).
-    BadDistribution,
 }
 
 impl fmt::Display for CtmcError {
@@ -432,7 +243,6 @@ impl fmt::Display for CtmcError {
             CtmcError::NotIrreducible { state } => {
                 write!(f, "chain is not irreducible (detected at state {state})")
             }
-            CtmcError::BadDistribution => write!(f, "initial distribution is malformed"),
         }
     }
 }
@@ -560,133 +370,6 @@ mod tests {
         let pi = c.steady_state().unwrap();
         assert!((pi[1] - 0.5).abs() < 1e-15 && (pi[2] - 0.5).abs() < 1e-15);
         assert!(pi[0] < 1e-307);
-    }
-
-    #[test]
-    fn transient_approaches_steady_state() {
-        let c = two_state(0.5, 1.5);
-        let pi = c.steady_state().unwrap();
-        let dist = c.transient(&[1.0, 0.0], 50.0).unwrap();
-        assert!((dist[0] - pi[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transient_matches_closed_form_two_state() {
-        // A(t) = μ/(λ+μ) + λ/(λ+μ)·e^{-(λ+μ)t} starting up.
-        let (lambda, mu) = (0.3, 0.9);
-        let c = two_state(lambda, mu);
-        for &t in &[0.0, 0.1, 0.5, 1.0, 3.0] {
-            let dist = c.transient(&[1.0, 0.0], t).unwrap();
-            let expected = mu / (lambda + mu) + lambda / (lambda + mu) * (-(lambda + mu) * t).exp();
-            assert!((dist[0] - expected).abs() < 1e-9, "t={t}");
-        }
-    }
-
-    #[test]
-    fn transient_long_horizon_chunks() {
-        // λt ≈ 10⁴ forces chunking; result must still match steady state.
-        let c = two_state(100.0, 100.0);
-        let dist = c.transient(&[1.0, 0.0], 100.0).unwrap();
-        assert!((dist[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transient_validates_distribution() {
-        let c = two_state(1.0, 1.0);
-        assert_eq!(
-            c.transient(&[0.4, 0.4], 1.0).unwrap_err(),
-            CtmcError::BadDistribution
-        );
-        assert_eq!(
-            c.transient(&[1.0], 1.0).unwrap_err(),
-            CtmcError::BadDistribution
-        );
-    }
-
-    #[test]
-    fn point_availability_at_zero_is_initial() {
-        let c = two_state(1.0, 1.0);
-        let a = c.point_availability(&[1.0, 0.0], &[0], 0.0).unwrap();
-        assert_eq!(a, 1.0);
-    }
-
-    #[test]
-    fn interval_availability_matches_two_state_closed_form() {
-        // Ā(t) = A_ss + (1 − A_ss)·(1 − e^{−(λ+μ)t}) / ((λ+μ)t) starting up.
-        let (lambda, mu) = (0.4, 1.6);
-        let c = two_state(lambda, mu);
-        for &t in &[0.1, 1.0, 5.0, 20.0] {
-            let got = c.interval_availability(&[1.0, 0.0], &[0], t).unwrap();
-            let s = lambda + mu;
-            let a_ss = mu / s;
-            let expected = a_ss + (1.0 - a_ss) * (1.0 - (-s * t).exp()) / (s * t);
-            assert!((got - expected).abs() < 1e-6, "t={t}: {got} vs {expected}");
-        }
-    }
-
-    #[test]
-    fn interval_availability_converges_to_steady_state() {
-        let c = two_state(0.5, 1.5);
-        let long = c.interval_availability(&[1.0, 0.0], &[0], 500.0).unwrap();
-        assert!((long - 0.75).abs() < 1e-3, "{long}");
-    }
-
-    #[test]
-    fn interval_availability_short_interval_is_near_initial() {
-        let c = two_state(0.01, 1.0);
-        let short = c.interval_availability(&[1.0, 0.0], &[0], 0.01).unwrap();
-        assert!(short > 0.9999, "{short}");
-    }
-
-    #[test]
-    fn mtta_exponential_single_step() {
-        // Up --λ--> Down(absorbing): MTTA = 1/λ.
-        let mut c = Ctmc::new(2);
-        c.add_transition(0, 1, 0.25);
-        let t = c.mean_time_to_absorption(0, &[1]).unwrap();
-        assert!((t - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mtta_of_absorbing_start_is_zero() {
-        let mut c = Ctmc::new(2);
-        c.add_transition(0, 1, 1.0);
-        assert_eq!(c.mean_time_to_absorption(1, &[1]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mtta_two_of_three_system() {
-        // 3 identical units, failure rate λ each, no repair; system fails
-        // when 2 have failed. MTTF = 1/(3λ) + 1/(2λ).
-        let lambda = 0.01;
-        let mut c = Ctmc::new(3); // state = number failed
-        c.add_transition(0, 1, 3.0 * lambda);
-        c.add_transition(1, 2, 2.0 * lambda);
-        let t = c.mean_time_to_absorption(0, &[2]).unwrap();
-        let expected = 1.0 / (3.0 * lambda) + 1.0 / (2.0 * lambda);
-        assert!((t - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mtta_with_repair_extends_lifetime() {
-        let lambda = 0.01;
-        let mu = 1.0;
-        let mut with_repair = Ctmc::new(3);
-        with_repair.add_transition(0, 1, 3.0 * lambda);
-        with_repair.add_transition(1, 0, mu);
-        with_repair.add_transition(1, 2, 2.0 * lambda);
-        let t_repair = with_repair.mean_time_to_absorption(0, &[2]).unwrap();
-        let t_bare = 1.0 / (3.0 * lambda) + 1.0 / (2.0 * lambda);
-        assert!(t_repair > 10.0 * t_bare);
-    }
-
-    #[test]
-    fn mtta_unreachable_absorbing_errors() {
-        let mut c = Ctmc::new(3);
-        // 0 <-> 1 closed class; 2 unreachable from 0.
-        c.add_transition(0, 1, 1.0);
-        c.add_transition(1, 0, 1.0);
-        assert!(c.mean_time_to_absorption(0, &[2]).is_err());
     }
 
     #[test]

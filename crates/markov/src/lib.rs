@@ -9,8 +9,7 @@
 //! * [`Ctmc`] — a general finite CTMC with a numerically stable
 //!   steady-state solver (the GTH algorithm, which uses no subtractions and
 //!   is therefore immune to the catastrophic cancellation that plagues naive
-//!   Gaussian elimination at availability-grade probabilities), a transient
-//!   solver (uniformization), and mean-time-to-absorption analysis.
+//!   Gaussian elimination at availability-grade probabilities).
 //! * [`repairable`] — birth–death models of repairable `k`-of-`n` groups
 //!   with dedicated or shared repair crews. With dedicated crews the model
 //!   reproduces the paper's independent-component Eq. (1) exactly; with a
@@ -39,7 +38,6 @@
 
 pub mod consensus;
 mod ctmc;
-pub(crate) mod linalg;
 pub mod quorum_coupling;
 pub mod repairable;
 pub mod supervisor;

@@ -98,31 +98,6 @@ impl KOfNRepairable {
         let max_failed = (self.n - self.k) as usize;
         Ok(pi[..=max_failed].iter().sum())
     }
-
-    /// Mean time from "all components up" until fewer than `k` are up
-    /// (system MTTF, counting repairs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CtmcError`].
-    pub fn mean_time_to_failure(&self) -> Result<f64, CtmcError> {
-        if self.k == 0 {
-            // The system never fails.
-            return Err(CtmcError::NotIrreducible { state: 0 });
-        }
-        let fail_state = (self.n - self.k + 1) as usize;
-        // Truncate the chain at the first failure state (make it absorbing).
-        let mut c = Ctmc::new(fail_state + 1);
-        for j in 0..fail_state {
-            let failed = j as f64;
-            c.add_transition(j, j + 1, (self.n as f64 - failed) * self.failure_rate);
-            if j + 1 < fail_state {
-                let crews = ((j + 1).min(self.crews as usize)) as f64;
-                c.add_transition(j + 1, j, crews * self.repair_rate);
-            }
-        }
-        c.mean_time_to_absorption(0, &[fail_state])
-    }
 }
 
 #[cfg(test)]
@@ -210,28 +185,6 @@ mod tests {
     fn k_zero_is_always_available() {
         let model = KOfNRepairable::new(0, 3, 0.5, 1.0, 1);
         assert!((model.availability().unwrap() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mttf_matches_series_of_exponentials_without_repair_effect() {
-        // With a negligible repair rate the MTTF of a 2-of-3 system is
-        // 1/(3λ) + 1/(2λ).
-        let lambda = 0.01;
-        let mu = 1e-9;
-        let model = KOfNRepairable::new(2, 3, lambda, mu, 3);
-        let got = model.mean_time_to_failure().unwrap();
-        let expected = 1.0 / (3.0 * lambda) + 1.0 / (2.0 * lambda);
-        assert!((got - expected).abs() / expected < 1e-4, "got {got}");
-    }
-
-    #[test]
-    fn repair_extends_mttf_dramatically() {
-        let lambda = 1.0 / 5000.0;
-        let mu = 1.0 / 0.1;
-        let model = KOfNRepairable::with_dedicated_crews(2, 3, lambda, mu);
-        let mttf = model.mean_time_to_failure().unwrap();
-        // Without repair: 1/(3λ)+1/(2λ) ≈ 4167 h. With repair ≈ μ/(6λ²) ≈ 4e7 h.
-        assert!(mttf > 1e7, "mttf={mttf}");
     }
 
     #[test]

@@ -56,40 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn transient_is_invariant_at_steady_state(c in arb_irreducible_ctmc()) {
-        let pi = c.steady_state().unwrap();
-        let later = c.transient(&pi, 1.0).unwrap();
-        for (a, b) in pi.iter().zip(&later) {
-            prop_assert!((a - b).abs() < 1e-8, "pi={:?} later={:?}", pi, later);
-        }
-    }
-
-    #[test]
-    fn transient_preserves_probability(c in arb_irreducible_ctmc(), t in 0.0f64..20.0) {
-        let n = c.len();
-        let mut init = vec![0.0; n];
-        init[0] = 1.0;
-        let dist = c.transient(&init, t).unwrap();
-        prop_assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(dist.iter().all(|&p| (-1e-12..=1.0 + 1e-12).contains(&p)));
-    }
-
-    #[test]
-    fn transient_converges_to_steady_state(c in arb_irreducible_ctmc()) {
-        let pi = c.steady_state().unwrap();
-        let n = c.len();
-        let mut init = vec![0.0; n];
-        init[n - 1] = 1.0;
-        // Horizon long relative to the slowest rate in the chain.
-        let slowest: f64 = (0..n).map(|i| c.exit_rate(i)).fold(f64::INFINITY, f64::min);
-        let t = 200.0 / slowest.max(1e-3);
-        let dist = c.transient(&init, t.min(1e5)).unwrap();
-        for (a, b) in pi.iter().zip(&dist) {
-            prop_assert!((a - b).abs() < 1e-4, "pi={:?} dist={:?}", pi, dist);
-        }
-    }
-
-    #[test]
     fn repairable_availability_increases_with_crews(
         k in 1u32..4,
         extra in 0u32..3,

@@ -60,7 +60,8 @@ const POLL: Duration = Duration::from_millis(25);
 /// Per-connection socket read timeout.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Upper bound on request head (request line + headers).
+/// Upper bound on a request head: the request line and headers through
+/// the blank line that ends them.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Upper bound on a request body.
@@ -349,14 +350,16 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<Request, SdnavError> {
+fn read_request(stream: &mut impl Read) -> Result<Request, SdnavError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {
-        if let Some(pos) = find_blank_line(&buf) {
+        // Only a blank line that ends within the bound counts, so a head
+        // is accepted up to `MAX_HEAD_BYTES` exactly, however it arrives.
+        if let Some(pos) = find_blank_line(&buf[..buf.len().min(MAX_HEAD_BYTES)]) {
             break pos;
         }
-        if buf.len() > MAX_HEAD_BYTES {
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(SdnavError::usage("request head exceeds 64 KiB"));
         }
         let n = stream
@@ -701,6 +704,51 @@ mod tests {
         broken.roles.clear();
         let err = ServeConfig::builder(broken).build().unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Model);
+    }
+
+    /// A `GET /v1/healthz` head of exactly `len` bytes through its blank
+    /// line, padded out with one header.
+    fn healthz_head(len: usize) -> Vec<u8> {
+        let (start, end) = ("GET /v1/healthz HTTP/1.1\r\nx-pad: ", "\r\n\r\n");
+        let pad = "a".repeat(len - start.len() - end.len());
+        format!("{start}{pad}{end}").into_bytes()
+    }
+
+    #[test]
+    fn request_head_is_bounded_exactly() {
+        let at_bound = healthz_head(MAX_HEAD_BYTES);
+        let req = read_request(&mut at_bound.as_slice()).expect("a head at the bound is read");
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("GET", "/v1/healthz")
+        );
+
+        // One byte over is refused, although the whole head arrives in the
+        // read that reaches the bound.
+        let over = healthz_head(MAX_HEAD_BYTES + 1);
+        let Err(err) = read_request(&mut over.as_slice()) else {
+            panic!("a head one byte over the bound was read");
+        };
+        assert_eq!(err.http_status(), 400, "{err}");
+    }
+
+    #[test]
+    fn request_body_is_bounded_exactly() {
+        let request = |len: usize| {
+            let mut bytes =
+                format!("POST /v1/eval HTTP/1.1\r\ncontent-length: {len}\r\n\r\n").into_bytes();
+            bytes.resize(bytes.len() + len, b' ');
+            bytes
+        };
+        let at_bound = request(MAX_BODY_BYTES);
+        let req = read_request(&mut at_bound.as_slice()).expect("a body at the bound is read");
+        assert_eq!(req.body.len(), MAX_BODY_BYTES);
+
+        let over = request(MAX_BODY_BYTES + 1);
+        let Err(err) = read_request(&mut over.as_slice()) else {
+            panic!("a body one byte over the bound was read");
+        };
+        assert_eq!(err.http_status(), 400, "{err}");
     }
 
     #[test]

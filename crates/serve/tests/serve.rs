@@ -22,10 +22,14 @@ struct Harness {
 
 impl Harness {
     fn start() -> Harness {
-        let config = sdnav_serve::ServeConfig::builder(ControllerSpec::opencontrail_3x())
+        Harness::start_with(ControllerSpec::opencontrail_3x())
+    }
+
+    fn start_with(spec: ControllerSpec) -> Harness {
+        let config = sdnav_serve::ServeConfig::builder(spec)
             .addr("127.0.0.1:0")
             .build()
-            .expect("paper spec validates");
+            .expect("test spec validates");
         let server = sdnav_serve::Server::bind(config).expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound address");
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -315,6 +319,24 @@ fn errors_map_kinds_onto_http_statuses() {
     let doc = Json::parse(&body).unwrap();
     assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "model");
 
+    server.stop();
+}
+
+#[test]
+fn eval_past_the_enumeration_limit_is_a_model_error() {
+    // At 11 nodes the Small layout shares 2N + 1 = 23 hardware elements,
+    // past exact enumeration: a typed 422 before any cell runs, not a
+    // panicked cell's 500.
+    let server = Harness::start_with(ControllerSpec::opencontrail_3x().scaled_cluster(11));
+    let (status, body) = request(server.addr, "POST", "/v1/eval", r#"{"points": 2}"#);
+    assert_eq!(status, 422, "{body}");
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "model");
+    let message = doc.field("message").unwrap().as_str().unwrap();
+    assert!(
+        message.contains("topology has 23 shared elements; exact enumeration supports at most 20"),
+        "{message}"
+    );
     server.stop();
 }
 

@@ -8,10 +8,10 @@
 //!
 //! This meta-crate re-exports the workspace's public API:
 //!
-//! * [`blocks`] — reliability-block-diagram algebra (Eq. 1, cut sets,
-//!   importance measures);
-//! * [`markov`] — CTMC availability models (GTH steady state,
-//!   uniformization, repairable systems, the §VI.A supervisor arithmetic);
+//! * [`blocks`] — reliability-block-diagram algebra (Eq. 1 and
+//!   series/parallel/k-of-n diagrams);
+//! * [`markov`] — CTMC availability models (GTH steady state, repairable
+//!   systems, the §VI.A supervisor arithmetic, consensus chains);
 //! * [`core`] — the paper's contribution: controller specs (Tables I–III
 //!   as data), deployment topologies (Fig. 2), and the HW-/SW-centric
 //!   availability models (Eqs. 1–15);
@@ -41,7 +41,7 @@ pub use sdnav_markov as markov;
 pub use sdnav_report as report;
 pub use sdnav_sim as sim;
 
-pub use sdnav_blocks::{Availability, Block, Downtime, System};
+pub use sdnav_blocks::Block;
 pub use sdnav_core::{
     ControllerSpec, ElementRef, HwModel, HwParams, Plane, ProcessParams, ProcessSpec, RestartMode,
     RoleScope, RoleSpec, Scenario, SwModel, SwParams, Topology,
