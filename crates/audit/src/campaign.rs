@@ -4,18 +4,18 @@
 //! are only visible with the compiled simulation in hand: a target name
 //! that does not resolve (SA020), an injection scheduled past the horizon
 //! (SA021), windows that take a control-plane quorum below its required
-//! member count (SA022/SA028), a declared crew pool of zero (SA023), and
-//! the schedule-interference family (SA027–SA029). Like every other pass
-//! in this crate, the audit collects *all* findings instead of stopping at
-//! the first, and deliberately runs even on campaigns that
-//! [`ChaosSpec::try_validate`] would reject, so seeded fixtures for each
-//! code lint without tripping an earlier gate.
+//! member count (SA022/SA028), and the schedule-interference family
+//! (SA027–SA029). The campaign's own rules live in
+//! [`ChaosSpec::violations`], and each violation is an SA023 error. The
+//! pass reports every finding instead of stopping at the first, and runs
+//! the deployment checks even on a campaign that fails validation, so
+//! seeded fixtures for each code lint without tripping an earlier gate.
 //!
-//! This pass resolves targets and reports SA020/SA021/SA023 itself; every
+//! This pass resolves targets and reports SA020/SA021 itself; every
 //! window-based check is delegated to [`crate::schedule::audit_schedule`]
 //! over the [`ScheduleIr`] built once per campaign.
 
-use sdnav_chaos::{ChaosSpec, InjectionKind, TargetRef};
+use sdnav_chaos::{ChaosError, ChaosSpec, InjectionKind, TargetRef};
 use sdnav_sim::Simulation;
 
 use crate::ir::ScheduleIr;
@@ -30,7 +30,7 @@ use crate::{AuditReport, Diagnostic};
 /// | SA020 | error    | a target does not exist in the simulated deployment |
 /// | SA021 | warn     | an injection's first occurrence is at or beyond the horizon — it can never fire |
 /// | SA022 | warn     | maintenance windows (alone or overlapping) take a CP quorum below its required member count |
-/// | SA023 | error    | the campaign declares a repair-crew pool of zero crews |
+/// | SA023 | error    | the campaign fails validation ([`ChaosSpec::violations`]): a zero-crew pool, a bad label, time, period, probability or duration, an empty group, a latent fault off a controller process |
 /// | SA027 | warn     | two injections hold overlapping windows on the same target — the later one is a silent no-op |
 /// | SA028 | warn     | overlapping failure + maintenance windows provably take a CP quorum down |
 /// | SA029 | warn     | schedule provably demands more concurrent hardware repairs than declared crews, or saturates total crew capacity |
@@ -39,15 +39,25 @@ pub fn audit_campaign(campaign: &ChaosSpec, sim: &Simulation<'_>) -> AuditReport
     let mut report = AuditReport::new();
     let horizon = sim.config().horizon_hours;
 
-    if let Some(crews) = campaign.crews {
-        if crews.count == 0 {
-            report.push(Diagnostic::error(
-                "SA023",
-                "campaign/crews",
-                "the campaign declares a repair-crew pool of zero crews, so no hardware repair can ever start",
+    for e in campaign.violations() {
+        let (path, hint) = match &e {
+            ChaosError::ZeroCrews => (
+                "campaign/crews".to_owned(),
                 "declare at least one crew, or drop the `crews` block for unlimited crews",
-            ));
-        }
+            ),
+            ChaosError::BadLabel { label }
+            | ChaosError::BadTime { label, .. }
+            | ChaosError::BadEvery { label, .. }
+            | ChaosError::BadProbability { label, .. }
+            | ChaosError::BadDuration { label, .. }
+            | ChaosError::LatentNotProc { label }
+            | ChaosError::EmptyGroup { label } => (
+                format!("campaign/injections/{label}"),
+                "fix the injection: `chaos run` refuses a campaign that fails validation",
+            ),
+            _ => ("campaign".to_owned(), "fix the campaign"),
+        };
+        report.push(Diagnostic::error("SA023", path, e.to_string(), hint));
     }
 
     for inj in &campaign.injections {
@@ -236,6 +246,48 @@ mod tests {
             .filter(|d| d.code == "SA022")
             .count();
         assert_eq!(sa022, 1, "{}", report.render());
+    }
+
+    #[test]
+    fn sa023_reports_every_violation_in_check_order() {
+        let spec = ControllerSpec::opencontrail_3x();
+        let topo = Topology::small(&spec);
+        let sim = small_sim(&spec, &topo);
+        let c = campaign(
+            r#"{"name": "x", "injections": [
+                {"label": "kill", "kind": "fail", "target": "rack:0",
+                 "at": 100.0, "repair_hours": -5.0},
+                {"label": "kill", "kind": "fail", "target": "host:0",
+                 "at": 200.0, "repair_hours": 24.0},
+                {"label": "hidden", "kind": "latent", "target": "host:1", "at": 300.0}
+            ]}"#,
+        );
+        let report = audit_campaign(&c, &sim);
+        let sa023: Vec<(&str, &str)> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "SA023")
+            .map(|d| (d.path.as_str(), d.message.as_str()))
+            .collect();
+        assert_eq!(
+            sa023,
+            [
+                (
+                    "campaign/injections/kill",
+                    "injection \"kill\": duration must be finite and > 0, got -5"
+                ),
+                (
+                    "campaign/injections/kill",
+                    "duplicate injection label \"kill\""
+                ),
+                (
+                    "campaign/injections/hidden",
+                    "injection \"hidden\": latent faults only apply to proc: targets"
+                ),
+            ],
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

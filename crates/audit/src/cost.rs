@@ -13,22 +13,24 @@
 //!   totals equal a 1-thread run's by construction,
 //! * a relative cost per cell: one unit per memoized analytic model
 //!   evaluation, and a predicted event count for every simulated cell
-//!   (`2 × replications × horizon × acceleration × Σ element rates`, an
-//!   order-of-magnitude estimator of discrete-event work),
+//!   (`2 × replications × horizon × acceleration × Σ 1/MTBF` over the
+//!   simulator's own element table, [`Structure`], with its MTBF rule,
+//!   [`SimConfig::mtbf`]: an order-of-magnitude estimator of
+//!   discrete-event work),
 //! * which cells are fully served from cache ("skippable": running them
 //!   costs no model evaluations at all).
 //!
-//! [`audit_grid`] turns the same expansion into diagnostics: byte-identical
-//! duplicate cells (SA030), chaos crew-count axis values provably
-//! equivalent to each other (SA031), and a predicted event budget large
-//! enough to deserve a `--dry-run` look first (SA032).
+//! [`audit_grid`] turns the same expansion into diagnostics: grid
+//! violations and byte-identical duplicate cells (SA030), chaos crew-count
+//! axis values provably equivalent to each other (SA031), and a predicted
+//! event budget large enough to deserve a `--dry-run` look first (SA032).
 
 use std::collections::BTreeSet;
 use std::collections::HashSet;
 
 use sdnav_chaos::MAX_OCCURRENCES;
 use sdnav_consensus::ConsensusParams;
-use sdnav_core::{ControllerSpec, Scenario, Topology};
+use sdnav_core::{ControllerSpec, Scenario, Structure, Topology};
 use sdnav_grid::cache::SubModelKey;
 use sdnav_grid::plan::{item_seed, plan_grid, SimTopology, WorkItem};
 use sdnav_grid::GridSpec;
@@ -106,30 +108,6 @@ pub struct SweepPlan {
 /// closed-form solve; 1e-3 keeps the two cost families comparable.
 const EVENT_COST: f64 = 1e-3;
 
-/// Sum of element failure rates (per hour) a simulation of `topo` carries,
-/// used as the intensity of the predicted event stream.
-fn rate_sum(spec: &ControllerSpec, topo: &Topology, grid: &GridSpec, scenario: Scenario) -> f64 {
-    let config = SimConfig::paper_defaults(scenario);
-    let per = |count: usize, mtbf: f64| {
-        if mtbf.is_finite() && mtbf > 0.0 {
-            count as f64 / mtbf
-        } else {
-            0.0
-        }
-    };
-    let hosts = topo.host_count() + grid.sim_compute_hosts;
-    let vms = topo.vm_count() + grid.sim_compute_hosts;
-    let procs: usize = spec
-        .roles
-        .iter()
-        .map(|r| r.processes.len() * spec.nodes as usize)
-        .sum();
-    per(topo.rack_count(), config.rack.mtbf)
-        + per(hosts, config.host.mtbf)
-        + per(vms, config.vm.mtbf)
-        + per(procs, config.process_mtbf)
-}
-
 /// Number of injection occurrences a campaign schedules inside the horizon:
 /// the compiler's own expansion ([`sdnav_chaos::InjectionSpec::occurrences`]),
 /// capped at [`MAX_OCCURRENCES`]. An injection with a non-finite start,
@@ -194,6 +172,21 @@ impl SweepPlan {
     pub fn predict(spec: &ControllerSpec, grid: &GridSpec) -> SweepPlan {
         let small = Topology::small(spec);
         let large = Topology::large(spec);
+        // Failures per hour of every element the simulator carries on a
+        // layout, at the paper's rates: its own element table and MTBF
+        // rule. A layout the element table rejects runs no events.
+        let failure_rate = |topology: SimTopology, scenario: Scenario| -> f64 {
+            let topo = match topology {
+                SimTopology::Small => &small,
+                SimTopology::Large => &large,
+            };
+            let config = SimConfig::paper_defaults(scenario);
+            Structure::new(spec, topo, scenario, grid.sim_compute_hosts).map_or(0.0, |s| {
+                (0..s.len())
+                    .map(|e| 1.0 / config.mtbf(s.component(e)))
+                    .sum()
+            })
+        };
         let items = plan_grid(grid);
         let occurrences = campaign_occurrences(grid);
 
@@ -218,10 +211,6 @@ impl SweepPlan {
                 skippable += 1;
             }
 
-            let topo_of = |t: SimTopology| match t {
-                SimTopology::Small => &small,
-                SimTopology::Large => &large,
-            };
             let (kind, label, predicted_events) = match item {
                 WorkItem::Fig3Point { a_c } => ("fig3", format!("fig3 a_c={a_c}"), 0.0),
                 WorkItem::SwPoint { figure, x } => {
@@ -236,7 +225,7 @@ impl SweepPlan {
                         * grid.replications as f64
                         * grid.sim_horizon_hours
                         * grid.sim_accelerate
-                        * rate_sum(spec, topo_of(*topology), grid, *scenario);
+                        * failure_rate(*topology, *scenario);
                     (
                         "sim",
                         format!(
@@ -261,12 +250,7 @@ impl SweepPlan {
                         * replications
                         * grid.sim_horizon_hours
                         * grid.sim_accelerate
-                        * rate_sum(
-                            spec,
-                            topo_of(*topology),
-                            grid,
-                            Scenario::SupervisorNotRequired,
-                        );
+                        * failure_rate(*topology, Scenario::SupervisorNotRequired);
                     let injected = 2.0 * replications * occurrences as f64;
                     (
                         "chaos",
@@ -376,12 +360,25 @@ impl ToJson for SweepPlan {
 ///
 /// | Code  | Severity | Check |
 /// |-------|----------|-------|
-/// | SA030 | error    | bit-identical duplicate work cells: an axis repeats a value, so identical work runs (and is double-counted) |
+/// | SA030 | error    | the grid fails validation (every [`GridSpec::violations`] finding; the checks below then do not run), or bit-identical duplicate work cells: an axis repeats a value, so identical work runs (and is double-counted) |
 /// | SA031 | warn     | chaos crew-count values at or above the deployment's hardware element count are pairwise equivalent — the extra cells re-measure the same system |
 /// | SA032 | warn     | predicted event count exceeds 1e9 — inspect the plan with `sweep --dry-run` before running |
 #[must_use]
 pub fn audit_grid(spec: &ControllerSpec, grid: &GridSpec) -> AuditReport {
     let mut report = AuditReport::new();
+    for e in grid.violations() {
+        report.push(Diagnostic::error(
+            "SA030",
+            "grid",
+            e.to_string(),
+            "fix the value: `sdnav sweep` and `POST /v1/eval` refuse a grid that fails validation",
+        ));
+    }
+    // The checks below expand the grid's axes, which needs a grid that
+    // validates: a zero-point axis has no samples to expand.
+    if report.has_errors() {
+        return report;
+    }
     let items = plan_grid(grid);
 
     let mut seen: HashSet<String> = HashSet::new();
@@ -608,6 +605,31 @@ mod tests {
         let r = audit_grid(&spec(), &grid);
         assert!(r.has_code("SA030"), "{}", r.render());
         assert!(r.has_errors());
+    }
+
+    #[test]
+    fn sa030_reports_every_grid_violation_in_check_order() {
+        let mut grid = GridSpec::builder().points(2).build().unwrap();
+        grid.points = 0;
+        grid.sim_horizon_hours = -5.0;
+        grid.sim_compute_hosts = 0;
+        let r = audit_grid(&spec(), &grid);
+        let sa030: Vec<&str> = r
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "SA030")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            sa030,
+            [
+                "invalid grid spec: points must be at least 1",
+                "invalid grid spec: simulation horizon must be positive",
+                "invalid grid spec: need at least one simulated compute host",
+            ],
+            "{}",
+            r.render()
+        );
     }
 
     #[test]

@@ -1,61 +1,50 @@
 //! Checks over parameter sets, simulator configurations, and CTMC
 //! generators.
 
-use sdnav_core::{HwParams, SwParams};
+use sdnav_core::{HwParams, ParamError, SwParams};
 use sdnav_markov::Ctmc;
-use sdnav_sim::SimConfig;
+use sdnav_sim::{ConfigError, SimConfig};
 
 use crate::ir::config_element_ctmcs;
 use crate::{AuditReport, Diagnostic};
 
-fn check_prob(r: &mut AuditReport, path: &str, value: f64) {
-    if value.is_nan() || !(0.0..=1.0).contains(&value) {
+/// One SA008 error per parameter-set violation, under `prefix`.
+fn param_report(prefix: &str, violations: Vec<ParamError>) -> AuditReport {
+    let mut r = AuditReport::new();
+    for e in violations {
+        // `auto` and `manual` are the process availabilities.
+        let nested = if matches!(e.field, "auto" | "manual") {
+            "process/"
+        } else {
+            ""
+        };
         r.push(Diagnostic::error(
             "SA008",
-            path.to_owned(),
-            format!("availability {value} is outside [0, 1] or NaN"),
+            format!("{prefix}/{nested}{}", e.field),
+            e.to_string(),
             "availabilities are probabilities in [0, 1]",
         ));
     }
+    r
 }
 
-/// Lints the HW-centric parameter set: every availability must be a
-/// probability (SA008). Reports all violations, unlike
-/// [`HwParams::try_validate`] which stops at the first.
+/// Lints the HW-centric parameter set: every [`HwParams::violations`]
+/// finding is an SA008 error.
 #[must_use]
 pub fn audit_hw_params(params: &HwParams) -> AuditReport {
-    let mut r = AuditReport::new();
-    for (field, value) in [
-        ("a_c", params.a_c),
-        ("a_v", params.a_v),
-        ("a_h", params.a_h),
-        ("a_r", params.a_r),
-    ] {
-        check_prob(&mut r, &format!("hw_params/{field}"), value);
-    }
-    r
+    param_report("hw_params", params.violations())
 }
 
-/// Lints the SW-centric parameter set (SA008).
+/// Lints the SW-centric parameter set: every [`SwParams::violations`]
+/// finding is an SA008 error.
 #[must_use]
 pub fn audit_sw_params(params: &SwParams) -> AuditReport {
-    let mut r = AuditReport::new();
-    for (field, value) in [
-        ("process/auto", params.process.auto),
-        ("process/manual", params.process.manual),
-        ("a_v", params.a_v),
-        ("a_h", params.a_h),
-        ("a_r", params.a_r),
-    ] {
-        check_prob(&mut r, &format!("sw_params/{field}"), value);
-    }
-    r
+    param_report("sw_params", params.violations())
 }
 
 /// Lints a simulator configuration:
 ///
-/// * SA011 errors — everything [`SimConfig::try_validate`] rejects, plus
-///   negative or non-finite MTTRs;
+/// * SA011 errors — every [`SimConfig::violations`] finding;
 /// * SA009 warnings — MTTR ≥ MTBF on any element class, or a restart time
 ///   at or above the process MTBF (availability below 50%, almost always a
 ///   unit slip: hours where minutes were meant, or vice versa);
@@ -66,13 +55,18 @@ pub fn audit_sw_params(params: &SwParams) -> AuditReport {
 #[must_use]
 pub fn audit_sim_config(config: &SimConfig) -> AuditReport {
     let mut r = AuditReport::new();
-    if let Err(e) = config.try_validate() {
-        r.push(Diagnostic::error(
-            "SA011",
-            "sim",
-            e.to_string(),
-            "fix the configuration value; see SimConfig::try_validate",
-        ));
+    for e in config.violations() {
+        let (path, hint) = match e {
+            ConfigError::BadMttr(element, _) => (
+                format!("sim/{}/mttr", element.to_ascii_lowercase()),
+                "repair times must be finite and non-negative",
+            ),
+            _ => (
+                "sim".to_owned(),
+                "fix the configuration value; see SimConfig::try_validate",
+            ),
+        };
+        r.push(Diagnostic::error("SA011", path, e.to_string(), hint));
     }
     let elements = [
         ("rack", config.rack),
@@ -80,14 +74,7 @@ pub fn audit_sim_config(config: &SimConfig) -> AuditReport {
         ("vm", config.vm),
     ];
     for (name, rates) in elements {
-        if !rates.mttr.is_finite() || rates.mttr < 0.0 {
-            r.push(Diagnostic::error(
-                "SA011",
-                format!("sim/{name}/mttr"),
-                format!("{name} MTTR is {}", rates.mttr),
-                "repair times must be finite and non-negative",
-            ));
-        } else if rates.mtbf.is_finite() && rates.mtbf > 0.0 && rates.mttr >= rates.mtbf {
+        if rates.mtbf > 0.0 && rates.mttr >= rates.mtbf && rates.mttr.is_finite() {
             r.push(Diagnostic::warn(
                 "SA009",
                 format!("sim/{name}"),
@@ -321,6 +308,30 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.code == "SA011" && d.path == "sim/vm/mttr"));
+    }
+
+    #[test]
+    fn sa011_reports_every_config_violation_in_check_order() {
+        let mut c = config();
+        c.warmup_fraction = 1.5;
+        c.batches = 1;
+        c.compute_hosts = 0;
+        let r = audit_sim_config(&c);
+        let errors: Vec<(&str, &str)> = r
+            .diagnostics()
+            .iter()
+            .map(|d| (d.code, d.message.as_str()))
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                ("SA011", "warmup fraction must be in [0, 1), got 1.5"),
+                ("SA011", "need at least two batches"),
+                ("SA011", "need at least one compute host"),
+            ],
+            "{}",
+            r.render()
+        );
     }
 
     #[test]

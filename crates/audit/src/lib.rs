@@ -1,13 +1,16 @@
 //! Static model-analysis pass over controller specs, topologies, derived
 //! RBD/CTMC structures, and simulator configurations.
 //!
-//! The analytic layers of this workspace validate their inputs eagerly and
-//! fail fast on the *first* problem (panicking constructors, `Result`
-//! validators). That is the right behavior inside a computation, but a
-//! terrible user experience when authoring a controller model: you fix one
-//! field, re-run, and hit the next error. This crate is the complementary
-//! *lint* pass — it walks the whole model, collects **every** finding, and
-//! reports each as a structured [`Diagnostic`]:
+//! Each input of this workspace — a controller spec, a topology, a
+//! parameter set, a simulator config, a chaos campaign, a sweep grid —
+//! has one validator holding its rules, whose `violations()` lists every
+//! rule the input breaks and whose `validate`/`try_validate` refuses the
+//! input with the first. A computation needs only that refusal; a model
+//! author wants every problem at once, so as not to fix one field, re-run
+//! and hit the next. This crate is the *lint* pass: it walks the whole
+//! model, reports each validator violation, adds the checks no validator
+//! holds (warnings, cross-input checks, whole-study analyses), and reports
+//! each finding as a structured [`Diagnostic`]:
 //!
 //! * a stable code (`SA001` … `SA035`) that scripts and CI can match on,
 //! * a [`Severity`] (`Error` = the model is wrong, `Warn` = the model is
@@ -20,7 +23,7 @@
 //!
 //! | Code  | Severity   | Check |
 //! |-------|------------|-------|
-//! | SA001 | error      | spec structure: zero-node cluster, empty role list |
+//! | SA001 | error      | spec structure: zero-node cluster, empty role list, invalid consensus block |
 //! | SA002 | error      | duplicate role / process names |
 //! | SA003 | error      | quorum requirement exceeds the available instances (Table III vs cluster size, and vs topology assignments) |
 //! | SA004 | error      | grouped processes disagree about their block's quorum |
@@ -31,7 +34,7 @@
 //! | SA009 | warn       | MTTR ≥ MTBF: availability below 50%, likely a unit slip |
 //! | SA010 | error/warn | CTMC generator sanity: row sums, negative rates, absorbing / unreachable states |
 //! | SA011 | error/warn | simulator config: invalid values, excessive warm-up, batches too short for the slowest repair |
-//! | SA012 | error      | topology ↔ spec consistency: missing assignments, unknown roles, dangling VMs, out-of-range nodes |
+//! | SA012 | error      | topology ↔ spec consistency: missing assignments, dangling VMs, roles that are not controller roles of the spec (unknown or per-host), out-of-range nodes |
 //! | SA013 | error/warn | MTBF/MTTR pair mixes units: FIT on a repair field, a rate where a mean time is expected |
 //! | SA014 | warn       | FIT-for-hours magnitude slip: a bare MTBF implausible as hours but plausible as a FIT count (auto-fixable) |
 //! | SA015 | error      | rate or time used where a probability is expected (`a_v`/`a_h`/`a_r`) |
@@ -42,14 +45,14 @@
 //! | SA020 | error      | chaos campaign names a target that does not exist in the deployment |
 //! | SA021 | warn       | chaos injection scheduled at or beyond the simulation horizon — it can never fire |
 //! | SA022 | warn       | maintenance window(s), alone or overlapping, take a CP quorum below its required member count |
-//! | SA023 | error      | chaos campaign declares a repair-crew pool of zero crews |
+//! | SA023 | error      | chaos campaign fails validation: a zero-crew pool, bad labels, times, periods, probabilities or durations, empty groups, latent faults off a controller process |
 //! | SA024 | warn       | CTMC generator is reducible: multiple closed communicating classes, steady state depends on the initial state |
 //! | SA025 | warn       | CTMC has transient states: probability drains out and never returns |
 //! | SA026 | warn       | CTMC generator is stiff: positive-rate spread above 1e6 |
 //! | SA027 | warn       | two chaos injections hold overlapping windows on the same target — the later one is a silent no-op |
 //! | SA028 | warn       | overlapping failure + maintenance windows provably take a CP quorum down |
 //! | SA029 | warn       | chaos schedule provably starves the repair-crew pool (concurrency or total capacity) |
-//! | SA030 | error      | sweep grid contains bit-identical duplicate work cells |
+//! | SA030 | error      | sweep grid is invalid or contains bit-identical duplicate work cells |
 //! | SA031 | warn       | dominated chaos crew-count cells: values past the hardware element count are pairwise equivalent |
 //! | SA032 | warn       | predicted sweep cost exceeds the event budget — inspect with `sweep --dry-run` |
 //! | SA033 | error      | consensus election-timeout floor does not exceed the heartbeat interval |

@@ -68,7 +68,7 @@ pub const RULES: &[(&str, &str)] = &[
         "SA022",
         "Maintenance window(s) take down a control-plane quorum",
     ),
-    ("SA023", "Campaign declares a repair-crew pool of zero"),
+    ("SA023", "Campaign fails validation"),
     (
         "SA024",
         "CTMC is reducible: multiple closed communicating classes",
@@ -84,7 +84,7 @@ pub const RULES: &[(&str, &str)] = &[
         "Failure + maintenance windows provably break a CP quorum",
     ),
     ("SA029", "Schedule provably starves the repair-crew pool"),
-    ("SA030", "Sweep grid contains duplicate work cells"),
+    ("SA030", "Sweep grid is invalid or repeats work cells"),
     (
         "SA031",
         "Dominated chaos crew-count cells measure the same system",

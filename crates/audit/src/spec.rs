@@ -1,102 +1,99 @@
 //! Checks over [`ControllerSpec`] (Tables I–III) and [`Topology`].
+//!
+//! The rules a spec or topology must meet live in their validators
+//! ([`ControllerSpec::violations`], [`Topology::violations`]); this module
+//! maps each violation to its code, path and hint, and adds the checks no
+//! validator holds: the Table II supervisor warnings (SA005) and the
+//! Table III quorum cross-check against a topology (SA003).
 
-use std::collections::BTreeMap;
-
-use sdnav_core::{ControllerSpec, Plane, RestartMode, RoleScope, Topology};
+use sdnav_core::{ControllerSpec, Plane, RestartMode, SpecError, Topology, TopologyError};
 
 use crate::{AuditReport, Diagnostic};
 
-/// Lints a controller spec: structure (SA001), duplicate names (SA002),
-/// quorum bounds (SA003), group consistency (SA004), supervisor/restart
-/// configuration per Table II (SA005), and downtime-factor ranges (SA008).
-///
-/// Unlike [`ControllerSpec::validate`], which stops at the first problem,
-/// this pass reports every finding.
+/// Lints a controller spec: every [`ControllerSpec::violations`] finding as
+/// an error — structure and the consensus block (SA001), duplicate names
+/// (SA002), quorum bounds (SA003), group consistency (SA004), multiple
+/// supervisors (SA005) and downtime-factor ranges (SA008) — then the
+/// supervisor/restart warnings of Table II (SA005).
 #[must_use]
 pub fn audit_spec(spec: &ControllerSpec) -> AuditReport {
     let mut r = AuditReport::new();
-    if spec.nodes == 0 {
-        r.push(Diagnostic::error(
-            "SA001",
-            "spec/nodes",
-            "cluster has zero nodes",
-            "set nodes to an odd 2N+1 cluster size (the paper uses 3)",
-        ));
-    }
-    if spec.roles.is_empty() {
-        r.push(Diagnostic::error(
-            "SA001",
-            "spec/roles",
-            "controller spec has no roles",
-            "add at least one role (Config, Control, Analytics, Database, vRouter, …)",
-        ));
-    }
-    let mut role_names: BTreeMap<&str, usize> = BTreeMap::new();
-    for role in &spec.roles {
-        *role_names.entry(role.name.as_str()).or_insert(0) += 1;
-    }
-    for (name, count) in role_names {
-        if count > 1 {
-            r.push(Diagnostic::error(
+    for e in spec.violations() {
+        let proc_path = |role, process| format!("spec/roles/{role}/processes/{process}");
+        let (code, path, hint) = match &e {
+            SpecError::EmptyCluster => (
+                "SA001",
+                "spec/nodes".to_owned(),
+                "set nodes to an odd 2N+1 cluster size (the paper uses 3)",
+            ),
+            SpecError::NoRoles => (
+                "SA001",
+                "spec/roles".to_owned(),
+                "add at least one role (Config, Control, Analytics, Database, vRouter, …)",
+            ),
+            SpecError::BadConsensus(_) => (
+                "SA001",
+                "spec/consensus".to_owned(),
+                "use finite positive durations, a well-formed election latency, \
+                 and a cluster of 1 to 255 nodes",
+            ),
+            SpecError::DuplicateRole { role } => (
                 "SA002",
-                format!("spec/roles/{name}"),
-                format!("role {name:?} is declared {count} times"),
+                format!("spec/roles/{role}"),
                 "rename or remove the duplicate role",
-            ));
-        }
+            ),
+            SpecError::DuplicateProcess { role, process } => (
+                "SA002",
+                proc_path(role, process),
+                "rename or remove the duplicate process",
+            ),
+            SpecError::QuorumTooLarge { role, process, .. } => (
+                "SA003",
+                proc_path(role, process),
+                "lower the quorum requirement or grow the cluster",
+            ),
+            SpecError::InconsistentGroup { role, process, .. } => (
+                "SA004",
+                proc_path(role, process),
+                "give every member of a grouped series block the same requirement",
+            ),
+            SpecError::MultipleSupervisors { role } => (
+                "SA005",
+                format!("spec/roles/{role}"),
+                "mark exactly one process per role as the supervisor",
+            ),
+            SpecError::BadDowntimeFactor { role, process, .. } => (
+                "SA008",
+                proc_path(role, process),
+                "use a finite factor ≥ 0 (1.0 = baseline, 10.0 = 10x the downtime)",
+            ),
+            _ => ("SA001", "spec".to_owned(), "fix the spec"),
+        };
+        r.push(Diagnostic::error(code, path, e.to_string(), hint));
     }
     for role in &spec.roles {
         let role_path = format!("spec/roles/{}", role.name);
-        let mut proc_names: BTreeMap<&str, usize> = BTreeMap::new();
-        for p in &role.processes {
-            *proc_names.entry(p.name.as_str()).or_insert(0) += 1;
-        }
-        for (name, count) in proc_names {
-            if count > 1 {
-                r.push(Diagnostic::error(
-                    "SA002",
-                    format!("{role_path}/processes/{name}"),
-                    format!(
-                        "process {name:?} appears {count} times in role {:?}",
-                        role.name
-                    ),
-                    "rename or remove the duplicate process",
-                ));
-            }
-        }
-
-        let supervisors: Vec<_> = role.processes.iter().filter(|p| p.is_supervisor).collect();
-        if supervisors.len() > 1 {
-            r.push(Diagnostic::error(
+        for sup in role
+            .processes
+            .iter()
+            .filter(|p| p.is_supervisor && p.restart == RestartMode::Auto)
+        {
+            r.push(Diagnostic::warn(
                 "SA005",
-                role_path.clone(),
-                format!(
-                    "role {:?} has {} supervisor processes",
-                    role.name,
-                    supervisors.len()
-                ),
-                "mark exactly one process per role as the supervisor",
+                format!("{role_path}/processes/{}", sup.name),
+                "supervisor is marked auto-restart",
+                "the paper's Table II models supervisors as manual-restart \
+                 (nothing supervises the supervisor); use restart = manual",
             ));
-        }
-        for sup in &supervisors {
-            if sup.restart == RestartMode::Auto {
-                r.push(Diagnostic::warn(
-                    "SA005",
-                    format!("{role_path}/processes/{}", sup.name),
-                    "supervisor is marked auto-restart",
-                    "the paper's Table II models supervisors as manual-restart \
-                     (nothing supervises the supervisor); use restart = manual",
-                ));
-            }
         }
         let has_auto = role
             .processes
             .iter()
             .any(|p| p.restart == RestartMode::Auto && !p.is_supervisor);
-        if has_auto && supervisors.is_empty() {
+        if has_auto && role.supervisor().is_none() {
             r.push(Diagnostic::warn(
                 "SA005",
-                role_path.clone(),
+                role_path,
                 format!(
                     "role {:?} has auto-restart processes but no supervisor",
                     role.name
@@ -105,125 +102,41 @@ pub fn audit_spec(spec: &ControllerSpec) -> AuditReport {
                  add a supervisor process or mark the processes manual-restart",
             ));
         }
-
-        let node_bound = match role.scope {
-            RoleScope::Controller => spec.nodes,
-            RoleScope::PerHost => 1,
-        };
-        for p in &role.processes {
-            let proc_path = format!("{role_path}/processes/{}", p.name);
-            for (plane, required) in [
-                ("cp_required", p.cp_required),
-                ("dp_required", p.dp_required),
-            ] {
-                if required > node_bound {
-                    r.push(Diagnostic::error(
-                        "SA003",
-                        proc_path.clone(),
-                        format!(
-                            "{plane} = {required} but at most {node_bound} instance(s) exist \
-                             ({:?} scope)",
-                            role.scope
-                        ),
-                        "lower the quorum requirement or grow the cluster",
-                    ));
-                }
-            }
-            if !p.downtime_factor.is_finite() || p.downtime_factor < 0.0 {
-                r.push(Diagnostic::error(
-                    "SA008",
-                    proc_path.clone(),
-                    format!(
-                        "downtime factor {} is negative or non-finite",
-                        p.downtime_factor
-                    ),
-                    "use a finite factor ≥ 0 (1.0 = baseline, 10.0 = 10x the downtime)",
-                ));
-            }
-        }
-
-        for (plane, label) in [(Plane::ControlPlane, "cp"), (Plane::DataPlane, "dp")] {
-            let mut group_req: BTreeMap<&str, u32> = BTreeMap::new();
-            for p in &role.processes {
-                let (group, required) = match plane {
-                    Plane::ControlPlane => (p.cp_group.as_deref(), p.cp_required),
-                    Plane::DataPlane => (p.dp_group.as_deref(), p.dp_required),
-                };
-                let Some(g) = group else { continue };
-                match group_req.get(g) {
-                    Some(&prev) if prev != required => {
-                        r.push(Diagnostic::error(
-                            "SA004",
-                            format!("{role_path}/processes/{}", p.name),
-                            format!(
-                                "{label} group {g:?} members disagree on the quorum \
-                                 ({prev} vs {required})"
-                            ),
-                            "give every member of a grouped series block the same requirement",
-                        ));
-                    }
-                    Some(_) => {}
-                    None => {
-                        group_req.insert(g, required);
-                    }
-                }
-            }
-        }
     }
     r
 }
 
-/// Lints a topology against a spec: every controller `(role, node)` pair
-/// must map to a live VM, every assignment must reference a known role and
-/// an in-range node/VM (SA012), and the Table III quorum counts must be
-/// satisfiable by the instances the topology actually provides (SA003).
+/// Lints a topology against a spec: every [`Topology::violations`]
+/// finding (SA012: missing assignments, dangling VMs, roles that are not
+/// controller roles of the spec, out-of-range nodes), then whether the
+/// Table III quorum counts are satisfiable by the instances the topology
+/// actually provides (SA003).
 #[must_use]
 pub fn audit_topology(spec: &ControllerSpec, topo: &Topology) -> AuditReport {
     let mut r = AuditReport::new();
     let path = |rest: &str| format!("topology/{}/{rest}", topo.name());
 
-    for (_, role) in spec.controller_roles() {
-        for node in 0..spec.nodes {
-            if topo.vm_of(&role.name, node).is_none() {
-                r.push(Diagnostic::error(
-                    "SA012",
-                    path(&format!("assignments/{}/{node}", role.name)),
-                    format!("role {:?} instance {node} has no VM assigned", role.name),
-                    "assign every (controller role, node) pair to a VM",
-                ));
+    for e in topo.violations(spec) {
+        let entry = |role: &str, node: &u32| path(&format!("assignments/{role}/{node}"));
+        let (at, hint) = match &e {
+            TopologyError::MissingAssignment { role, node } => (
+                entry(role, node),
+                "assign every (controller role, node) pair to a VM",
+            ),
+            TopologyError::DanglingVm { role, node, .. } => {
+                (entry(role, node), "point the assignment at an existing VM")
             }
-        }
-    }
-    for (role_name, node, vm) in topo.assignments() {
-        let entry = path(&format!("assignments/{role_name}/{node}"));
-        if vm.0 >= topo.vm_count() {
-            r.push(Diagnostic::error(
-                "SA012",
-                entry.clone(),
-                format!("assignment references VM {} of {}", vm.0, topo.vm_count()),
-                "point the assignment at an existing VM",
-            ));
-        }
-        match spec.role(role_name) {
-            None => r.push(Diagnostic::error(
-                "SA012",
-                entry,
-                format!("assignment references unknown role {role_name:?}"),
-                "fix the role name or add the role to the spec",
-            )),
-            Some(role) if role.scope == RoleScope::Controller && node >= spec.nodes => {
-                r.push(Diagnostic::error(
-                    "SA012",
-                    entry,
-                    format!(
-                        "node index {node} is outside the {}-node cluster",
-                        spec.nodes
-                    ),
-                    "use node indices 0..nodes",
-                ));
+            TopologyError::UnknownRole { role, node } => (
+                entry(role, node),
+                "fix the role name or add the role to the spec; per-host roles \
+                 (the vRouter) run on every compute host and take no assignment",
+            ),
+            TopologyError::NodeOutOfRange { role, node, .. } => {
+                (entry(role, node), "use node indices 0..nodes")
             }
-            Some(_) => {}
-        }
+            _ => (path("assignments"), "fix the topology"),
+        };
+        r.push(Diagnostic::error("SA012", at, e.to_string(), hint));
     }
 
     // Table III cross-check: each quorum must be satisfiable by the
@@ -254,7 +167,7 @@ pub fn audit_topology(spec: &ControllerSpec, topo: &Topology) -> AuditReport {
 mod tests {
     use super::*;
     use crate::Severity;
-    use sdnav_core::{ProcessSpec, RoleSpec};
+    use sdnav_core::{ProcessSpec, RoleScope, RoleSpec};
 
     fn spec() -> ControllerSpec {
         ControllerSpec::opencontrail_3x()
@@ -272,6 +185,23 @@ mod tests {
         let r = audit_spec(&empty);
         assert_eq!(r.error_count(), 2);
         assert!(r.diagnostics().iter().all(|d| d.code == "SA001"));
+    }
+
+    #[test]
+    fn sa001_bad_consensus_block() {
+        let mut s = spec();
+        let mut consensus = sdnav_core::ConsensusSpec::raft_defaults();
+        consensus.cluster_size = 300;
+        consensus.catch_up_ms = -200.0;
+        s.consensus = Some(consensus);
+        let r = audit_spec(&s);
+        let d = r
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "SA001")
+            .expect("SA001 reported");
+        assert_eq!(d.path, "spec/consensus");
+        assert_eq!(d.message, s.validate().unwrap_err().to_string());
     }
 
     #[test]

@@ -320,7 +320,10 @@ impl fmt::Display for ChaosError {
             ChaosError::EmptyGroup { label } => {
                 write!(f, "injection {label:?}: common-cause group has no members")
             }
-            ChaosError::ZeroCrews => write!(f, "crew pool declares zero crews"),
+            ChaosError::ZeroCrews => write!(
+                f,
+                "crew pool declares zero crews, so no hardware repair can ever start"
+            ),
         }
     }
 }
@@ -347,8 +350,7 @@ impl ChaosSpec {
         }
     }
 
-    /// Checks the campaign for internal consistency (labels, times,
-    /// probabilities, durations, crew counts).
+    /// Checks the campaign for internal consistency.
     ///
     /// Note that target *resolution* needs a simulation and happens in
     /// [`compile`]; `sdnav-audit` reports unresolved targets as SA020
@@ -356,46 +358,46 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ChaosError`] found.
+    /// Returns the first [`ChaosError`] of [`ChaosSpec::violations`].
     pub fn try_validate(&self) -> Result<(), ChaosError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every inconsistency, in check order (empty, with nothing allocated,
+    /// for a valid campaign). A duplicated label is reported once, at its
+    /// first repeat.
+    #[must_use]
+    pub fn violations(&self) -> Vec<ChaosError> {
+        let mut out = Vec::new();
         if self.name.trim().is_empty() {
-            return Err(ChaosError::EmptyName);
+            out.push(ChaosError::EmptyName);
         }
-        if let Some(crews) = self.crews {
-            if crews.count == 0 {
-                return Err(ChaosError::ZeroCrews);
-            }
+        if self.crews.is_some_and(|crews| crews.count == 0) {
+            out.push(ChaosError::ZeroCrews);
         }
-        let mut seen = Vec::new();
-        for inj in &self.injections {
-            let label = inj.label.clone();
-            if label.trim().is_empty() || seen.contains(&label) {
-                return Err(ChaosError::BadLabel { label });
+        for (i, inj) in self.injections.iter().enumerate() {
+            let label = || inj.label.clone();
+            let repeats = self.injections[..i]
+                .iter()
+                .filter(|earlier| earlier.label == inj.label)
+                .count();
+            if inj.label.trim().is_empty() || repeats == 1 {
+                out.push(ChaosError::BadLabel { label: label() });
             }
-            seen.push(label.clone());
             if !inj.at.is_finite() || inj.at < 0.0 {
-                return Err(ChaosError::BadTime {
-                    label,
+                out.push(ChaosError::BadTime {
+                    label: label(),
                     value: inj.at,
                 });
             }
-            if let Some(every) = inj.every {
-                if !every.is_finite() || every <= 0.0 {
-                    return Err(ChaosError::BadEvery {
-                        label,
-                        value: every,
-                    });
-                }
+            if let Some(every) = inj.every.filter(|e| !e.is_finite() || *e <= 0.0) {
+                out.push(ChaosError::BadEvery {
+                    label: label(),
+                    value: every,
+                });
             }
-            let check_dur = |d: Option<f64>| match d {
-                Some(v) if !v.is_finite() || v <= 0.0 => Err(ChaosError::BadDuration {
-                    label: inj.label.clone(),
-                    value: v,
-                }),
-                _ => Ok(()),
-            };
-            match &inj.kind {
-                InjectionKind::Fail { repair_hours, .. } => check_dur(*repair_hours)?,
+            let duration = match &inj.kind {
+                InjectionKind::Fail { repair_hours, .. } => *repair_hours,
                 InjectionKind::CommonCause {
                     members,
                     probability,
@@ -403,27 +405,32 @@ impl ChaosSpec {
                     ..
                 } => {
                     if members.is_empty() {
-                        return Err(ChaosError::EmptyGroup { label });
+                        out.push(ChaosError::EmptyGroup { label: label() });
                     }
                     if !(0.0..=1.0).contains(probability) {
-                        return Err(ChaosError::BadProbability {
-                            label,
+                        out.push(ChaosError::BadProbability {
+                            label: label(),
                             value: *probability,
                         });
                     }
-                    check_dur(*repair_hours)?;
+                    *repair_hours
                 }
-                InjectionKind::Maintenance { duration_hours, .. } => {
-                    check_dur(Some(*duration_hours))?;
-                }
+                InjectionKind::Maintenance { duration_hours, .. } => Some(*duration_hours),
                 InjectionKind::Latent { target } => {
                     if !matches!(target, TargetRef::Element(ElementRef::Proc { .. })) {
-                        return Err(ChaosError::LatentNotProc { label });
+                        out.push(ChaosError::LatentNotProc { label: label() });
                     }
+                    None
                 }
+            };
+            if let Some(value) = duration.filter(|d| !d.is_finite() || *d <= 0.0) {
+                out.push(ChaosError::BadDuration {
+                    label: label(),
+                    value,
+                });
             }
         }
-        Ok(())
+        out
     }
 }
 

@@ -35,6 +35,14 @@ fn try_unit(value: f64, field: &'static str) -> Result<f64, ParamError> {
     }
 }
 
+/// The fields of `fields` outside `[0, 1]`, in order.
+fn unit_violations(fields: &[(&'static str, f64)]) -> Vec<ParamError> {
+    fields
+        .iter()
+        .filter_map(|&(field, value)| try_unit(value, field).err())
+        .collect()
+}
+
 fn check_unit(value: f64, name: &'static str) -> f64 {
     match try_unit(value, name) {
         Ok(v) => v,
@@ -82,17 +90,24 @@ impl HwParams {
         }
     }
 
-    /// Checks all fields lie in `[0, 1]`, reporting the first violation.
+    /// Checks all fields lie in `[0, 1]`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParamError`] naming the offending field.
+    /// Returns the first [`ParamError`] of [`HwParams::violations`].
     pub fn try_validate(&self) -> Result<(), ParamError> {
-        try_unit(self.a_c, "a_c")?;
-        try_unit(self.a_v, "a_v")?;
-        try_unit(self.a_h, "a_h")?;
-        try_unit(self.a_r, "a_r")?;
-        Ok(())
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every field outside `[0, 1]` (or NaN), in field order.
+    #[must_use]
+    pub fn violations(&self) -> Vec<ParamError> {
+        unit_violations(&[
+            ("a_c", self.a_c),
+            ("a_v", self.a_v),
+            ("a_h", self.a_h),
+            ("a_r", self.a_r),
+        ])
     }
 }
 
@@ -176,15 +191,19 @@ impl ProcessParams {
         }
     }
 
-    /// Checks all fields lie in `[0, 1]`, reporting the first violation.
+    /// Checks all fields lie in `[0, 1]`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParamError`] naming the offending field.
+    /// Returns the first [`ParamError`] of [`ProcessParams::violations`].
     pub fn try_validate(&self) -> Result<(), ParamError> {
-        try_unit(self.auto, "auto")?;
-        try_unit(self.manual, "manual")?;
-        Ok(())
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every field outside `[0, 1]` (or NaN), in field order.
+    #[must_use]
+    pub fn violations(&self) -> Vec<ParamError> {
+        unit_violations(&[("auto", self.auto), ("manual", self.manual)])
     }
 }
 
@@ -249,17 +268,26 @@ impl SwParams {
         }
     }
 
-    /// Checks all fields lie in `[0, 1]`, reporting the first violation.
+    /// Checks all fields lie in `[0, 1]`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParamError`] naming the offending field.
+    /// Returns the first [`ParamError`] of [`SwParams::violations`].
     pub fn try_validate(&self) -> Result<(), ParamError> {
-        self.process.try_validate()?;
-        try_unit(self.a_v, "a_v")?;
-        try_unit(self.a_h, "a_h")?;
-        try_unit(self.a_r, "a_r")?;
-        Ok(())
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every field outside `[0, 1]` (or NaN), in field order: the process
+    /// availabilities (fields `auto`, `manual`), then `a_v`, `a_h`, `a_r`.
+    #[must_use]
+    pub fn violations(&self) -> Vec<ParamError> {
+        let mut out = self.process.violations();
+        out.extend(unit_violations(&[
+            ("a_v", self.a_v),
+            ("a_h", self.a_h),
+            ("a_r", self.a_r),
+        ]));
+        out
     }
 }
 

@@ -242,9 +242,14 @@ impl ProcessSpec {
     /// Whether the process is required (has a nonzero quorum) in `plane`.
     #[must_use]
     pub fn required_in(&self, plane: Plane) -> bool {
+        self.quorum_in(plane).1 > 0
+    }
+
+    /// The process's series-block label and quorum requirement in `plane`.
+    fn quorum_in(&self, plane: Plane) -> (Option<&str>, u32) {
         match plane {
-            Plane::ControlPlane => self.cp_required > 0,
-            Plane::DataPlane => self.dp_required > 0,
+            Plane::ControlPlane => (self.cp_group.as_deref(), self.cp_required),
+            Plane::DataPlane => (self.dp_group.as_deref(), self.dp_required),
         }
     }
 }
@@ -275,11 +280,6 @@ impl RoleSpec {
     #[must_use]
     pub fn supervisor(&self) -> Option<&ProcessSpec> {
         self.processes.iter().find(|p| p.is_supervisor)
-    }
-
-    /// Processes required in `plane` (nonzero quorum).
-    pub fn required_processes(&self, plane: Plane) -> impl Iterator<Item = &ProcessSpec> {
-        self.processes.iter().filter(move |p| p.required_in(plane))
     }
 
     /// The role-as-atomic-element quorum used by the HW-centric analysis:
@@ -614,85 +614,101 @@ impl ControllerSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] describing the first problem found: duplicate
-    /// names, quorum exceeding the cluster size, inconsistent groups, or an
-    /// empty role list.
+    /// Returns the first [`SpecError`] of [`ControllerSpec::violations`].
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every rule the spec breaks, in check order (empty, with nothing
+    /// allocated, for a valid spec). A duplicated name is reported once,
+    /// at its first repeat, and an oversized quorum once per plane.
+    #[must_use]
+    pub fn violations(&self) -> Vec<SpecError> {
+        let mut out = Vec::new();
         if self.nodes == 0 {
-            return Err(SpecError::EmptyCluster);
+            out.push(SpecError::EmptyCluster);
         }
         if self.roles.is_empty() {
-            return Err(SpecError::NoRoles);
+            out.push(SpecError::NoRoles);
         }
-        if let Some(c) = &self.consensus {
-            c.validate().map_err(SpecError::BadConsensus)?;
+        if let Some(e) = self.consensus.as_ref().and_then(|c| c.validate().err()) {
+            out.push(SpecError::BadConsensus(e));
         }
-        let mut role_names = BTreeMap::new();
-        for role in &self.roles {
-            if role_names.insert(role.name.clone(), ()).is_some() {
-                return Err(SpecError::DuplicateRole {
-                    role: role.name.clone(),
-                });
+        for (i, role) in self.roles.iter().enumerate() {
+            let name = || role.name.clone();
+            if self.roles[..i]
+                .iter()
+                .filter(|r| r.name == role.name)
+                .count()
+                == 1
+            {
+                out.push(SpecError::DuplicateRole { role: name() });
             }
-            let mut proc_names = BTreeMap::new();
-            let mut supervisors = 0;
-            for p in &role.processes {
-                if proc_names.insert(p.name.clone(), ()).is_some() {
-                    return Err(SpecError::DuplicateProcess {
-                        role: role.name.clone(),
-                        process: p.name.clone(),
+            let bound = match role.scope {
+                RoleScope::Controller => self.nodes,
+                RoleScope::PerHost => 1,
+            };
+            for (j, p) in role.processes.iter().enumerate() {
+                let process = || p.name.clone();
+                if role.processes[..j]
+                    .iter()
+                    .filter(|q| q.name == p.name)
+                    .count()
+                    == 1
+                {
+                    out.push(SpecError::DuplicateProcess {
+                        role: name(),
+                        process: process(),
                     });
                 }
-                if p.is_supervisor {
-                    supervisors += 1;
-                }
-                let node_bound = match role.scope {
-                    RoleScope::Controller => self.nodes,
-                    RoleScope::PerHost => 1,
-                };
                 if !p.downtime_factor.is_finite() || p.downtime_factor < 0.0 {
-                    return Err(SpecError::BadDowntimeFactor {
-                        role: role.name.clone(),
-                        process: p.name.clone(),
+                    out.push(SpecError::BadDowntimeFactor {
+                        role: name(),
+                        process: process(),
+                        factor: p.downtime_factor,
                     });
                 }
-                if p.cp_required > node_bound || p.dp_required > node_bound {
-                    return Err(SpecError::QuorumTooLarge {
-                        role: role.name.clone(),
-                        process: p.name.clone(),
-                        bound: node_bound,
-                    });
+                for (field, required) in [
+                    ("cp_required", p.cp_required),
+                    ("dp_required", p.dp_required),
+                ] {
+                    if required > bound {
+                        out.push(SpecError::QuorumTooLarge {
+                            role: name(),
+                            process: process(),
+                            bound,
+                            field,
+                            required,
+                        });
+                    }
                 }
             }
-            if supervisors > 1 {
-                return Err(SpecError::MultipleSupervisors {
-                    role: role.name.clone(),
-                });
+            if role.processes.iter().filter(|p| p.is_supervisor).count() > 1 {
+                out.push(SpecError::MultipleSupervisors { role: name() });
             }
-            // Group members must agree on the requirement.
+            // Group members must agree with the group's first member.
             for plane in [Plane::ControlPlane, Plane::DataPlane] {
-                let mut group_req: BTreeMap<&str, u32> = BTreeMap::new();
-                for p in &role.processes {
-                    let (group, required) = match plane {
-                        Plane::ControlPlane => (p.cp_group.as_deref(), p.cp_required),
-                        Plane::DataPlane => (p.dp_group.as_deref(), p.dp_required),
+                for (j, p) in role.processes.iter().enumerate() {
+                    let (Some(group), required) = p.quorum_in(plane) else {
+                        continue;
                     };
-                    if let Some(g) = group {
-                        if let Some(&prev) = group_req.get(g) {
-                            if prev != required {
-                                return Err(SpecError::InconsistentGroup {
-                                    role: role.name.clone(),
-                                    group: g.to_owned(),
-                                });
-                            }
-                        } else {
-                            group_req.insert(g, required);
-                        }
+                    let first = role.processes[..j]
+                        .iter()
+                        .map(|q| q.quorum_in(plane))
+                        .find(|&(g, _)| g == Some(group));
+                    if let Some((_, expected)) = first.filter(|&(_, e)| e != required) {
+                        out.push(SpecError::InconsistentGroup {
+                            role: name(),
+                            group: group.to_owned(),
+                            process: p.name.clone(),
+                            expected,
+                            required,
+                        });
                     }
                 }
             }
         }
-        Ok(())
+        out
     }
 
     /// Resolves the quorum requirements of `plane` for controller-scoped
@@ -704,10 +720,7 @@ impl ControllerSpec {
         for (role_index, role) in self.controller_roles() {
             let mut seen_groups: BTreeMap<String, usize> = BTreeMap::new();
             for p in &role.processes {
-                let (group, required) = match plane {
-                    Plane::ControlPlane => (p.cp_group.as_deref(), p.cp_required),
-                    Plane::DataPlane => (p.dp_group.as_deref(), p.dp_required),
-                };
+                let (group, required) = p.quorum_in(plane);
                 match group {
                     Some(g) => {
                         if let Some(&idx) = seen_groups.get(g) {
@@ -829,7 +842,7 @@ impl ControllerSpec {
 }
 
 /// Validation errors for a [`ControllerSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SpecError {
     /// `nodes` was zero.
@@ -856,6 +869,10 @@ pub enum SpecError {
         process: String,
         /// The maximum allowed requirement.
         bound: u32,
+        /// The offending field (`cp_required` or `dp_required`).
+        field: &'static str,
+        /// The requirement it declares.
+        required: u32,
     },
     /// Group members disagree about the group's requirement.
     InconsistentGroup {
@@ -863,6 +880,12 @@ pub enum SpecError {
         role: String,
         /// The group label.
         group: String,
+        /// The member that disagrees with the group's first member.
+        process: String,
+        /// The first member's requirement.
+        expected: u32,
+        /// The disagreeing member's requirement.
+        required: u32,
     },
     /// A role has more than one supervisor process.
     MultipleSupervisors {
@@ -875,6 +898,8 @@ pub enum SpecError {
         role: String,
         /// The offending process.
         process: String,
+        /// The rejected factor.
+        factor: f64,
     },
     /// The optional consensus block is structurally invalid.
     BadConsensus(crate::ConsensusError),
@@ -893,20 +918,34 @@ impl fmt::Display for SpecError {
                 role,
                 process,
                 bound,
+                field,
+                required,
             } => write!(
                 f,
-                "process {process:?} in role {role:?} requires more than {bound} instances"
+                "process {process:?} in role {role:?} requires more than {bound} instances \
+                 ({field} = {required})"
             ),
-            SpecError::InconsistentGroup { role, group } => write!(
+            SpecError::InconsistentGroup {
+                role,
+                group,
+                process,
+                expected,
+                required,
+            } => write!(
                 f,
-                "group {group:?} in role {role:?} has inconsistent quorum requirements"
+                "group {group:?} in role {role:?} has inconsistent quorum requirements \
+                 ({expected} vs {required} for {process:?})"
             ),
             SpecError::MultipleSupervisors { role } => {
                 write!(f, "role {role:?} has more than one supervisor process")
             }
-            SpecError::BadDowntimeFactor { role, process } => write!(
+            SpecError::BadDowntimeFactor {
+                role,
+                process,
+                factor,
+            } => write!(
                 f,
-                "process {process:?} in role {role:?} has an invalid downtime factor"
+                "process {process:?} in role {role:?} has an invalid downtime factor {factor}"
             ),
             SpecError::BadConsensus(e) => write!(f, "consensus block: {e}"),
         }
@@ -1204,6 +1243,8 @@ mod tests {
             role: "X".into(),
             process: "p".into(),
             bound: 3,
+            field: "cp_required",
+            required: 4,
         };
         assert!(e.to_string().contains("more than 3"));
     }

@@ -1,6 +1,6 @@
 //! Parameter sweeps regenerating the paper's Figs. 3–5.
 
-use sdnav_json::{FromJson, Json, JsonError, ToJson};
+use sdnav_json::{Json, ToJson};
 
 use crate::{ControllerSpec, HwModel, HwParams, Scenario, SwModel, SwParams, Topology};
 
@@ -48,20 +48,6 @@ impl ToJson for Fig3Row {
             ("medium", Json::Num(self.medium)),
             ("large", Json::Num(self.large)),
         ])
-    }
-}
-
-impl FromJson for Fig3Row {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Fig3Row {
-            a_c: value.field("a_c")?.as_f64().map_err(|e| e.ctx("a_c"))?,
-            small: value.field("small")?.as_f64().map_err(|e| e.ctx("small"))?,
-            medium: value
-                .field("medium")?
-                .as_f64()
-                .map_err(|e| e.ctx("medium"))?,
-            large: value.field("large")?.as_f64().map_err(|e| e.ctx("large"))?,
-        })
     }
 }
 
@@ -126,22 +112,6 @@ impl ToJson for SwSweepRow {
             ("large_no_sup", Json::Num(self.large_no_sup)),
             ("large_sup", Json::Num(self.large_sup)),
         ])
-    }
-}
-
-impl FromJson for SwSweepRow {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let f = |name: &'static str| -> Result<f64, JsonError> {
-            value.field(name)?.as_f64().map_err(|e| e.ctx(name))
-        };
-        Ok(SwSweepRow {
-            x: f("x")?,
-            a: f("a")?,
-            small_no_sup: f("small_no_sup")?,
-            small_sup: f("small_sup")?,
-            large_no_sup: f("large_no_sup")?,
-            large_sup: f("large_sup")?,
-        })
     }
 }
 

@@ -6,7 +6,7 @@ use std::fmt;
 
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 
-use crate::{ControllerSpec, RoleScope};
+use crate::ControllerSpec;
 
 /// Identifier of a rack within a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -324,39 +324,55 @@ impl Topology {
             .map(|((role, node), vm)| (role.as_str(), *node, *vm))
     }
 
-    /// Checks the topology can host `spec`: every controller `(role, node)`
-    /// pair must be assigned to exactly one existing VM.
+    /// Checks the topology can host `spec`.
     ///
     /// # Errors
     ///
-    /// Returns the first [`TopologyError`] found.
+    /// Returns the first [`TopologyError`] of [`Topology::violations`].
     pub fn validate(&self, spec: &ControllerSpec) -> Result<(), TopologyError> {
+        self.violations(spec).into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every rule the topology breaks against `spec`, in check order
+    /// (empty, with nothing allocated, for a topology that fits). Per-host
+    /// roles run on every compute host, so assigning one is an error.
+    #[must_use]
+    pub fn violations(&self, spec: &ControllerSpec) -> Vec<TopologyError> {
+        let mut out = Vec::new();
         for (_, role) in spec.controller_roles() {
             for node in 0..spec.nodes {
-                if self.vm_of(&role.name, node).is_none() {
-                    return Err(TopologyError::MissingAssignment {
-                        role: role.name.clone(),
-                        node,
-                    });
+                if !self
+                    .assignments
+                    .keys()
+                    .any(|(r, n)| *r == role.name && *n == node)
+                {
+                    let role = role.name.clone();
+                    out.push(TopologyError::MissingAssignment { role, node });
                 }
             }
         }
-        for ((role, node), vm) in &self.assignments {
+        for ((name, node), vm) in &self.assignments {
+            let role = || name.clone();
+            let node = *node;
             if vm.0 >= self.vms.len() {
-                return Err(TopologyError::DanglingVm {
-                    role: role.clone(),
-                    node: *node,
+                out.push(TopologyError::DanglingVm {
+                    role: role(),
+                    node,
+                    vm: vm.0,
                 });
             }
-            let known = spec
-                .roles
-                .iter()
-                .any(|r| r.scope == RoleScope::Controller && r.name == *role);
-            if !known {
-                return Err(TopologyError::UnknownRole { role: role.clone() });
+            if !spec.controller_roles().any(|(_, r)| r.name == *name) {
+                out.push(TopologyError::UnknownRole { role: role(), node });
+            } else if node >= spec.nodes {
+                let nodes = spec.nodes;
+                out.push(TopologyError::NodeOutOfRange {
+                    role: role(),
+                    node,
+                    nodes,
+                });
             }
         }
-        Ok(())
+        out
     }
 
     /// A multi-line ASCII rendering of the layout (regenerates Fig. 2).
@@ -413,11 +429,25 @@ pub enum TopologyError {
         role: String,
         /// The node of the dangling assignment.
         node: u32,
+        /// The VM index it references.
+        vm: usize,
     },
-    /// An assignment references a role the spec does not define.
+    /// An assignment references a role that is not one of the spec's
+    /// controller roles.
     UnknownRole {
         /// The unknown role name.
         role: String,
+        /// The node of the assignment.
+        node: u32,
+    },
+    /// An assignment's node index is outside the spec's cluster.
+    NodeOutOfRange {
+        /// The role of the assignment.
+        role: String,
+        /// The out-of-range node index.
+        node: u32,
+        /// The spec's cluster size.
+        nodes: u32,
     },
 }
 
@@ -427,12 +457,20 @@ impl fmt::Display for TopologyError {
             TopologyError::MissingAssignment { role, node } => {
                 write!(f, "role {role:?} node {node} has no VM assignment")
             }
-            TopologyError::DanglingVm { role, node } => {
-                write!(f, "role {role:?} node {node} is assigned to a missing VM")
+            TopologyError::DanglingVm { role, node, vm } => {
+                write!(
+                    f,
+                    "role {role:?} node {node} is assigned to missing VM {vm}"
+                )
             }
-            TopologyError::UnknownRole { role } => {
-                write!(f, "assignment references unknown role {role:?}")
-            }
+            TopologyError::UnknownRole { role, .. } => write!(
+                f,
+                "assignment references unknown role {role:?} (not a controller role of the spec)"
+            ),
+            TopologyError::NodeOutOfRange { role, node, nodes } => write!(
+                f,
+                "role {role:?} node index {node} is outside the {nodes}-node cluster"
+            ),
         }
     }
 }
@@ -540,6 +578,40 @@ mod tests {
             t.validate(&s),
             Err(TopologyError::UnknownRole { .. })
         ));
+    }
+
+    #[test]
+    fn validate_catches_per_host_role_and_out_of_range_node() {
+        let s = spec();
+        let mut t = Topology::small(&s);
+        let vm = t.vm_of("Config", 0).unwrap();
+        t.assign(vm, "Config", 7);
+        assert_eq!(
+            t.validate(&s),
+            Err(TopologyError::NodeOutOfRange {
+                role: "Config".into(),
+                node: 7,
+                nodes: 3,
+            })
+        );
+        // The vRouter runs on every compute host; assigning it is an error
+        // too, reported after the node-range one in assignment order.
+        t.assign(vm, "vRouter", 0);
+        assert_eq!(
+            t.violations(&s),
+            vec![
+                TopologyError::NodeOutOfRange {
+                    role: "Config".into(),
+                    node: 7,
+                    nodes: 3,
+                },
+                TopologyError::UnknownRole {
+                    role: "vRouter".into(),
+                    node: 0,
+                },
+            ]
+        );
+        assert!(Topology::small(&s).violations(&s).is_empty());
     }
 
     #[test]

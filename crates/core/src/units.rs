@@ -55,13 +55,6 @@ impl Unit {
             _ => return None,
         })
     }
-
-    /// Whether the unit is dimensionally a time or convertible to one
-    /// (hours, a rate, or a FIT count).
-    #[must_use]
-    pub fn is_time_like(self) -> bool {
-        matches!(self, Unit::Hours | Unit::PerHour | Unit::Fit)
-    }
 }
 
 impl fmt::Display for Unit {

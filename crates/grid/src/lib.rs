@@ -123,86 +123,74 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`GridError::Spec`] naming the first nonsensical value.
+    /// Returns the first [`GridError::Spec`] of [`GridSpec::violations`].
     pub fn validate(&self) -> Result<(), GridError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every nonsensical value, in check order, each a [`GridError::Spec`]
+    /// (empty, with nothing allocated, for a valid grid).
+    #[must_use]
+    pub fn violations(&self) -> Vec<GridError> {
+        let mut out = Vec::new();
+        let mut fail = |what| out.push(GridError::Spec(what));
         if self.figures.is_empty() {
-            return Err(GridError::Spec("at least one figure is required"));
+            fail("at least one figure is required");
         }
         if self.points == 0 {
-            return Err(GridError::Spec("points must be at least 1"));
+            fail("points must be at least 1");
         }
         if self.sim_horizon_hours.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(GridError::Spec("simulation horizon must be positive"));
+            fail("simulation horizon must be positive");
         }
         if self.sim_accelerate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(GridError::Spec("simulation acceleration must be positive"));
+            fail("simulation acceleration must be positive");
         }
-        // An infinite horizon would never let a DES cell finish.
-        if !self.sim_horizon_hours.is_finite() {
-            return Err(GridError::Spec("simulation horizon must be finite"));
+        // An infinite horizon would never let a DES cell finish (NaN and
+        // −∞ are already not positive).
+        if self.sim_horizon_hours == f64::INFINITY {
+            fail("simulation horizon must be finite");
         }
-        if !self.sim_accelerate.is_finite() {
-            return Err(GridError::Spec("simulation acceleration must be finite"));
+        if self.sim_accelerate == f64::INFINITY {
+            fail("simulation acceleration must be finite");
         }
         if self.sim_compute_hosts == 0 {
-            return Err(GridError::Spec("need at least one simulated compute host"));
+            fail("need at least one simulated compute host");
         }
         if let Some(campaign) = &self.chaos_campaign {
             if campaign.try_validate().is_err() {
-                return Err(GridError::Spec("chaos campaign fails validation"));
+                fail("chaos campaign fails validation");
             }
             if self.chaos_crew_counts.is_empty() || self.chaos_crew_counts.contains(&0) {
-                return Err(GridError::Spec(
-                    "chaos crew counts must be non-empty and positive",
-                ));
+                fail("chaos crew counts must be non-empty and positive");
             }
-            if self.chaos_ccf_probabilities.is_empty()
-                || self
-                    .chaos_ccf_probabilities
-                    .iter()
-                    .any(|p| !(0.0..=1.0).contains(p))
-            {
-                return Err(GridError::Spec(
-                    "chaos probabilities must be non-empty and in [0, 1]",
-                ));
+            let probabilities = &self.chaos_ccf_probabilities;
+            if probabilities.is_empty() || probabilities.iter().any(|p| !(0.0..=1.0).contains(p)) {
+                fail("chaos probabilities must be non-empty and in [0, 1]");
             }
         }
         if let Some(consensus) = &self.consensus {
             if consensus.validate().is_err() {
-                return Err(GridError::Spec("consensus base spec fails validation"));
+                fail("consensus base spec fails validation");
             }
-            if self.consensus_election_timeouts_ms.is_empty()
-                || self
-                    .consensus_election_timeouts_ms
-                    .iter()
-                    .any(|t| !(t.is_finite() && *t > 0.0))
-            {
-                return Err(GridError::Spec(
-                    "consensus election timeouts must be non-empty, finite, and positive",
-                ));
+            let timeouts = &self.consensus_election_timeouts_ms;
+            if timeouts.is_empty() || timeouts.iter().any(|t| !(t.is_finite() && *t > 0.0)) {
+                fail("consensus election timeouts must be non-empty, finite, and positive");
             }
-            if self.consensus_cluster_sizes.is_empty() || self.consensus_cluster_sizes.contains(&0)
-            {
-                return Err(GridError::Spec(
-                    "consensus cluster sizes must be non-empty and positive",
-                ));
+            let sizes = &self.consensus_cluster_sizes;
+            if sizes.is_empty() || sizes.contains(&0) {
+                fail("consensus cluster sizes must be non-empty and positive");
             }
             // The literal is `ConsensusSpec::MAX_CLUSTER_SIZE`; a unit test
             // keeps the two in step.
-            if self
-                .consensus_cluster_sizes
-                .iter()
-                .any(|&n| n > ConsensusSpec::MAX_CLUSTER_SIZE)
-            {
-                return Err(GridError::Spec(
-                    "consensus cluster sizes must be at most 255 nodes",
-                ));
+            if sizes.iter().any(|&n| n > ConsensusSpec::MAX_CLUSTER_SIZE) {
+                fail("consensus cluster sizes must be at most 255 nodes");
             }
             if self.consensus_fault_mixes.is_empty() {
-                return Err(GridError::Spec("consensus fault mixes must be non-empty"));
+                fail("consensus fault mixes must be non-empty");
             }
         }
-        Ok(())
+        out
     }
 
     /// Starts a builder with the default grid: all three figures, 21

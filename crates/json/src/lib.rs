@@ -147,18 +147,6 @@ impl Json {
         }
     }
 
-    /// This value's object fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if this is not an object.
-    pub fn as_obj(&self) -> Result<&[(String, Json)], JsonError> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            other => Err(type_error("object", other)),
-        }
-    }
-
     /// A short name for the value's type, used in error messages.
     #[must_use]
     pub fn type_name(&self) -> &'static str {

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use sdnav_core::Scenario;
+use sdnav_core::{Component, Scenario};
 
 /// A nonsensical [`SimConfig`] value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +23,9 @@ pub enum ConfigError {
     TooFewBatches(usize),
     /// No compute hosts to carry vRouters.
     NoComputeHosts,
+    /// A rack, host or VM MTTR that is negative or not finite (element
+    /// class in human-readable form, e.g. `VM`, and the rejected value).
+    BadMttr(&'static str, f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -38,6 +41,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooFewBatches(_) => write!(f, "need at least two batches"),
             ConfigError::NoComputeHosts => write!(f, "need at least one compute host"),
+            ConfigError::BadMttr(what, v) => {
+                write!(f, "{what} MTTR must be finite and non-negative, got {v}")
+            }
         }
     }
 }
@@ -269,13 +275,33 @@ impl SimConfig {
         }
     }
 
-    /// Checks the configuration, reporting the first nonsensical value
-    /// (non-positive times, zero batches, warm-up ≥ 1, no compute hosts).
+    /// Mean time to the next failure of a simulated element: the rack,
+    /// host or VM MTBF, or the process MTBF over the process's downtime
+    /// factor.
+    #[must_use]
+    pub fn mtbf(&self, component: Component) -> f64 {
+        match component {
+            Component::Rack => self.rack.mtbf,
+            Component::Host => self.host.mtbf,
+            Component::Vm => self.vm.mtbf,
+            Component::Process(p) => self.process_mtbf / p.downtime_factor.max(1e-12),
+        }
+    }
+
+    /// Checks the configuration.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] found.
+    /// Returns the first [`ConfigError`] of [`SimConfig::violations`].
     pub fn try_validate(&self) -> Result<(), ConfigError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every nonsensical value, in check order (empty, with nothing
+    /// allocated, for a valid config).
+    #[must_use]
+    pub fn violations(&self) -> Vec<ConfigError> {
+        let mut out = Vec::new();
         let positives = [
             (self.process_mtbf, "process MTBF"),
             (self.auto_restart, "auto restart"),
@@ -289,28 +315,35 @@ impl SimConfig {
         for (value, what) in positives {
             // NaN must fail too, so compare via the negation of `> 0`.
             if value.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(ConfigError::NonPositive(what));
+                out.push(ConfigError::NonPositive(what));
             }
         }
-        // The event loop runs until the horizon, so it must be reachable.
-        if !self.horizon_hours.is_finite() {
-            return Err(ConfigError::NonFinite("horizon"));
+        // The event loop runs until the horizon, so it must be reachable
+        // (a NaN or −∞ horizon is already non-positive).
+        if self.horizon_hours == f64::INFINITY {
+            out.push(ConfigError::NonFinite("horizon"));
         }
         if !(0.0..1.0).contains(&self.warmup_fraction) {
-            return Err(ConfigError::BadWarmupFraction(self.warmup_fraction));
+            out.push(ConfigError::BadWarmupFraction(self.warmup_fraction));
         }
         if self.batches < 2 {
-            return Err(ConfigError::TooFewBatches(self.batches));
+            out.push(ConfigError::TooFewBatches(self.batches));
         }
         if self.compute_hosts == 0 {
-            return Err(ConfigError::NoComputeHosts);
+            out.push(ConfigError::NoComputeHosts);
         }
         if let ConnectionModel::Failover { rediscovery_hours } = self.connection {
             if rediscovery_hours.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(ConfigError::NonPositive("rediscovery"));
+                out.push(ConfigError::NonPositive("rediscovery"));
             }
         }
-        Ok(())
+        // A NaN or negative repair time never completes a repair event.
+        for (rates, element) in [(self.rack, "rack"), (self.host, "host"), (self.vm, "VM")] {
+            if !rates.mttr.is_finite() || rates.mttr < 0.0 {
+                out.push(ConfigError::BadMttr(element, rates.mttr));
+            }
+        }
+        out
     }
 
     /// Starts a builder seeded with [`SimConfig::paper_defaults`] for the
@@ -608,6 +641,42 @@ mod tests {
             c.try_validate(),
             Err(ConfigError::NonPositive("rediscovery"))
         );
+    }
+
+    #[test]
+    fn try_validate_rejects_bad_element_mttrs() {
+        for mttr in [f64::NAN, -48.0, f64::INFINITY] {
+            let mut c = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+            c.host.mttr = mttr;
+            match c.try_validate() {
+                Err(ConfigError::BadMttr("host", value)) => {
+                    assert_eq!(value.to_bits(), mttr.to_bits());
+                }
+                other => panic!("host MTTR {mttr}: {other:?}"),
+            }
+        }
+        // An instant repair is a valid MTTR.
+        let mut c = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+        c.rack.mttr = 0.0;
+        assert_eq!(c.try_validate(), Ok(()));
+    }
+
+    #[test]
+    fn violations_lists_every_problem_in_check_order() {
+        let mut c = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+        assert!(c.violations().is_empty());
+        c.vm.mttr = -1.0;
+        c.compute_hosts = 0;
+        c.batches = 1;
+        assert_eq!(
+            c.violations(),
+            vec![
+                ConfigError::TooFewBatches(1),
+                ConfigError::NoComputeHosts,
+                ConfigError::BadMttr("VM", -1.0),
+            ]
+        );
+        assert_eq!(c.try_validate(), Err(ConfigError::TooFewBatches(1)));
     }
 
     #[test]

@@ -175,13 +175,7 @@ impl<'a> Simulation<'a> {
 
     /// Mean time to the next failure of element `elem`.
     fn mtbf(&self, elem: usize) -> f64 {
-        let cfg = &self.config;
-        match self.structure.component(elem) {
-            Component::Rack => cfg.rack.mtbf,
-            Component::Host => cfg.host.mtbf,
-            Component::Vm => cfg.vm.mtbf,
-            Component::Process(p) => cfg.process_mtbf / p.downtime_factor.max(1e-12),
-        }
+        self.config.mtbf(self.structure.component(elem))
     }
 }
 
@@ -894,6 +888,25 @@ impl Batches {
 mod tests {
     use super::*;
     use sdnav_core::SwModel;
+
+    #[test]
+    fn try_new_rejects_a_host_mttr_that_never_completes() {
+        // Only `try_new` is called: a run on such a config never returns.
+        let s = spec();
+        let topo = Topology::small(&s);
+        for mttr in [f64::NAN, -48.0, f64::INFINITY] {
+            let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired);
+            cfg.host.mttr = mttr;
+            let err = Simulation::try_new(&s, &topo, cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimBuildError::Config(crate::ConfigError::BadMttr("host", _))
+                ),
+                "host MTTR {mttr}: {err:?}"
+            );
+        }
+    }
 
     #[test]
     fn batch_boundaries_that_round_down_still_advance() {
