@@ -1,16 +1,14 @@
 //! Static model-analysis pass over controller specs, topologies, derived
 //! RBD/CTMC structures, and simulator configurations.
 //!
-//! Each input of this workspace — a controller spec, a topology, a
-//! parameter set, a simulator config, a chaos campaign, a sweep grid —
-//! has one validator holding its rules, whose `violations()` lists every
-//! rule the input breaks and whose `validate`/`try_validate` refuses the
-//! input with the first. A computation needs only that refusal; a model
-//! author wants every problem at once, so as not to fix one field, re-run
-//! and hit the next. This crate is the *lint* pass: it walks the whole
-//! model, reports each validator violation, adds the checks no validator
-//! holds (warnings, cross-input checks, whole-study analyses), and reports
-//! each finding as a structured [`Diagnostic`]:
+//! Each input (spec, topology, parameter set, simulator config, chaos
+//! campaign, sweep grid) has one validator: its `violations()` lists every
+//! rule the input breaks, and `validate`/`try_validate` refuse it with the
+//! first. A model author wants every problem at once, not one per re-run.
+//! This crate is the *lint* pass: it walks the whole model, reports every
+//! validator violation plus the checks no validator holds (warnings,
+//! cross-input and whole-study analyses), each as a structured
+//! [`Diagnostic`]:
 //!
 //! * a stable code (`SA001` … `SA035`) that scripts and CI can match on,
 //! * a [`Severity`] (`Error` = the model is wrong, `Warn` = the model is

@@ -1,10 +1,4 @@
 //! Checks over [`ControllerSpec`] (Tables I–III) and [`Topology`].
-//!
-//! The rules a spec or topology must meet live in their validators
-//! ([`ControllerSpec::violations`], [`Topology::violations`]); this module
-//! maps each violation to its code, path and hint, and adds the checks no
-//! validator holds: the Table II supervisor warnings (SA005) and the
-//! Table III quorum cross-check against a topology (SA003).
 
 use sdnav_core::{ControllerSpec, Plane, RestartMode, SpecError, Topology, TopologyError};
 
@@ -37,12 +31,12 @@ pub fn audit_spec(spec: &ControllerSpec) -> AuditReport {
                 "use finite positive durations, a well-formed election latency, \
                  and a cluster of 1 to 255 nodes",
             ),
-            SpecError::DuplicateRole { role } => (
+            SpecError::DuplicateRole { role, .. } => (
                 "SA002",
                 format!("spec/roles/{role}"),
                 "rename or remove the duplicate role",
             ),
-            SpecError::DuplicateProcess { role, process } => (
+            SpecError::DuplicateProcess { role, process, .. } => (
                 "SA002",
                 proc_path(role, process),
                 "rename or remove the duplicate process",
@@ -57,7 +51,7 @@ pub fn audit_spec(spec: &ControllerSpec) -> AuditReport {
                 proc_path(role, process),
                 "give every member of a grouped series block the same requirement",
             ),
-            SpecError::MultipleSupervisors { role } => (
+            SpecError::MultipleSupervisors { role, .. } => (
                 "SA005",
                 format!("spec/roles/{role}"),
                 "mark exactly one process per role as the supervisor",

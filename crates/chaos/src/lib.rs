@@ -377,11 +377,9 @@ impl ChaosSpec {
         }
         for (i, inj) in self.injections.iter().enumerate() {
             let label = || inj.label.clone();
-            let repeats = self.injections[..i]
-                .iter()
-                .filter(|earlier| earlier.label == inj.label)
-                .count();
-            if inj.label.trim().is_empty() || repeats == 1 {
+            let same = |earlier: &&InjectionSpec| earlier.label == inj.label;
+            if inj.label.trim().is_empty() || self.injections[..i].iter().filter(same).count() == 1
+            {
                 out.push(ChaosError::BadLabel { label: label() });
             }
             if !inj.at.is_finite() || inj.at < 0.0 {

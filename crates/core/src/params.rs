@@ -277,8 +277,7 @@ impl SwParams {
         self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
-    /// Every field outside `[0, 1]` (or NaN), in field order: the process
-    /// availabilities (fields `auto`, `manual`), then `a_v`, `a_h`, `a_r`.
+    /// Every field outside `[0, 1]` (or NaN): the process ones, then the rest.
     #[must_use]
     pub fn violations(&self) -> Vec<ParamError> {
         let mut out = self.process.violations();

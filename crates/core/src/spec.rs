@@ -636,13 +636,13 @@ impl ControllerSpec {
         }
         for (i, role) in self.roles.iter().enumerate() {
             let name = || role.name.clone();
-            if self.roles[..i]
-                .iter()
-                .filter(|r| r.name == role.name)
-                .count()
-                == 1
-            {
-                out.push(SpecError::DuplicateRole { role: name() });
+            let same_role = |r: &&RoleSpec| r.name == role.name;
+            if self.roles[..i].iter().filter(same_role).count() == 1 {
+                let count = self.roles.iter().filter(same_role).count();
+                out.push(SpecError::DuplicateRole {
+                    role: name(),
+                    count,
+                });
             }
             let bound = match role.scope {
                 RoleScope::Controller => self.nodes,
@@ -650,15 +650,12 @@ impl ControllerSpec {
             };
             for (j, p) in role.processes.iter().enumerate() {
                 let process = || p.name.clone();
-                if role.processes[..j]
-                    .iter()
-                    .filter(|q| q.name == p.name)
-                    .count()
-                    == 1
-                {
+                let same_process = |q: &&ProcessSpec| q.name == p.name;
+                if role.processes[..j].iter().filter(same_process).count() == 1 {
                     out.push(SpecError::DuplicateProcess {
                         role: name(),
                         process: process(),
+                        count: role.processes.iter().filter(same_process).count(),
                     });
                 }
                 if !p.downtime_factor.is_finite() || p.downtime_factor < 0.0 {
@@ -677,17 +674,22 @@ impl ControllerSpec {
                             role: name(),
                             process: process(),
                             bound,
+                            scope: role.scope,
                             field,
                             required,
                         });
                     }
                 }
             }
-            if role.processes.iter().filter(|p| p.is_supervisor).count() > 1 {
-                out.push(SpecError::MultipleSupervisors { role: name() });
+            let count = role.processes.iter().filter(|p| p.is_supervisor).count();
+            if count > 1 {
+                out.push(SpecError::MultipleSupervisors {
+                    role: name(),
+                    count,
+                });
             }
             // Group members must agree with the group's first member.
-            for plane in [Plane::ControlPlane, Plane::DataPlane] {
+            for (plane, field) in [(Plane::ControlPlane, "cp"), (Plane::DataPlane, "dp")] {
                 for (j, p) in role.processes.iter().enumerate() {
                     let (Some(group), required) = p.quorum_in(plane) else {
                         continue;
@@ -699,6 +701,7 @@ impl ControllerSpec {
                     if let Some((_, expected)) = first.filter(|&(_, e)| e != required) {
                         out.push(SpecError::InconsistentGroup {
                             role: name(),
+                            field,
                             group: group.to_owned(),
                             process: p.name.clone(),
                             expected,
@@ -853,6 +856,8 @@ pub enum SpecError {
     DuplicateRole {
         /// The duplicated role name.
         role: String,
+        /// How many roles carry it.
+        count: usize,
     },
     /// Two processes within a role share a name.
     DuplicateProcess {
@@ -860,6 +865,8 @@ pub enum SpecError {
         role: String,
         /// The duplicated process name.
         process: String,
+        /// How many of the role's processes carry it.
+        count: usize,
     },
     /// A quorum requirement exceeds the number of instances.
     QuorumTooLarge {
@@ -869,6 +876,8 @@ pub enum SpecError {
         process: String,
         /// The maximum allowed requirement.
         bound: u32,
+        /// The role's scope, which sets the bound.
+        scope: RoleScope,
         /// The offending field (`cp_required` or `dp_required`).
         field: &'static str,
         /// The requirement it declares.
@@ -878,6 +887,8 @@ pub enum SpecError {
     InconsistentGroup {
         /// The role.
         role: String,
+        /// The plane of the group (`cp` or `dp`).
+        field: &'static str,
         /// The group label.
         group: String,
         /// The member that disagrees with the group's first member.
@@ -891,6 +902,8 @@ pub enum SpecError {
     MultipleSupervisors {
         /// The role.
         role: String,
+        /// How many of its processes are supervisors.
+        count: usize,
     },
     /// A process has a negative or non-finite downtime factor.
     BadDowntimeFactor {
@@ -910,34 +923,43 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::EmptyCluster => write!(f, "cluster must have at least one node"),
             SpecError::NoRoles => write!(f, "controller spec has no roles"),
-            SpecError::DuplicateRole { role } => write!(f, "duplicate role {role:?}"),
-            SpecError::DuplicateProcess { role, process } => {
-                write!(f, "duplicate process {process:?} in role {role:?}")
+            SpecError::DuplicateRole { role, count } => {
+                write!(f, "duplicate role {role:?} (declared {count} times)")
             }
+            SpecError::DuplicateProcess {
+                role,
+                process,
+                count,
+            } => write!(
+                f,
+                "duplicate process {process:?} in role {role:?} (appears {count} times)"
+            ),
             SpecError::QuorumTooLarge {
                 role,
                 process,
                 bound,
+                scope,
                 field,
                 required,
             } => write!(
                 f,
                 "process {process:?} in role {role:?} requires more than {bound} instances \
-                 ({field} = {required})"
+                 ({field} = {required}, {scope:?} scope)"
             ),
             SpecError::InconsistentGroup {
                 role,
+                field,
                 group,
                 process,
                 expected,
                 required,
             } => write!(
                 f,
-                "group {group:?} in role {role:?} has inconsistent quorum requirements \
-                 ({expected} vs {required} for {process:?})"
+                "{field} group {group:?} in role {role:?} has inconsistent quorum \
+                 requirements ({expected} vs {required} for {process:?})"
             ),
-            SpecError::MultipleSupervisors { role } => {
-                write!(f, "role {role:?} has more than one supervisor process")
+            SpecError::MultipleSupervisors { role, count } => {
+                write!(f, "role {role:?} has {count} supervisor processes")
             }
             SpecError::BadDowntimeFactor {
                 role,
@@ -1243,6 +1265,7 @@ mod tests {
             role: "X".into(),
             process: "p".into(),
             bound: 3,
+            scope: RoleScope::Controller,
             field: "cp_required",
             required: 4,
         };

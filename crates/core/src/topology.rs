@@ -359,6 +359,7 @@ impl Topology {
                     role: role(),
                     node,
                     vm: vm.0,
+                    vms: self.vms.len(),
                 });
             }
             if !spec.controller_roles().any(|(_, r)| r.name == *name) {
@@ -431,6 +432,8 @@ pub enum TopologyError {
         node: u32,
         /// The VM index it references.
         vm: usize,
+        /// How many VMs the topology has.
+        vms: usize,
     },
     /// An assignment references a role that is not one of the spec's
     /// controller roles.
@@ -457,12 +460,15 @@ impl fmt::Display for TopologyError {
             TopologyError::MissingAssignment { role, node } => {
                 write!(f, "role {role:?} node {node} has no VM assignment")
             }
-            TopologyError::DanglingVm { role, node, vm } => {
-                write!(
-                    f,
-                    "role {role:?} node {node} is assigned to missing VM {vm}"
-                )
-            }
+            TopologyError::DanglingVm {
+                role,
+                node,
+                vm,
+                vms,
+            } => write!(
+                f,
+                "role {role:?} node {node} is assigned to missing VM {vm} (of {vms})"
+            ),
             TopologyError::UnknownRole { role, .. } => write!(
                 f,
                 "assignment references unknown role {role:?} (not a controller role of the spec)"

@@ -275,9 +275,8 @@ impl SimConfig {
         }
     }
 
-    /// Mean time to the next failure of a simulated element: the rack,
-    /// host or VM MTBF, or the process MTBF over the process's downtime
-    /// factor.
+    /// Mean time to the next failure of a simulated element: its class's
+    /// MTBF, over its downtime factor for a process.
     #[must_use]
     pub fn mtbf(&self, component: Component) -> f64 {
         match component {
@@ -318,8 +317,7 @@ impl SimConfig {
                 out.push(ConfigError::NonPositive(what));
             }
         }
-        // The event loop runs until the horizon, so it must be reachable
-        // (a NaN or −∞ horizon is already non-positive).
+        // The event loop runs until the horizon, so it must be reachable.
         if self.horizon_hours == f64::INFINITY {
             out.push(ConfigError::NonFinite("horizon"));
         }

@@ -172,11 +172,6 @@ impl<'a> Simulation<'a> {
     pub fn structure(&self) -> &Structure<'a> {
         &self.structure
     }
-
-    /// Mean time to the next failure of element `elem`.
-    fn mtbf(&self, elem: usize) -> f64 {
-        self.config.mtbf(self.structure.component(elem))
-    }
 }
 
 /// A hardware repair waiting for a free crew.
@@ -275,7 +270,7 @@ impl<'p> RunState<'p> {
         };
         // Seed initial failure events, one per element in table order.
         for elem in 0..elements {
-            let t = state.exp(sim.mtbf(elem));
+            let t = state.exp(sim.config.mtbf(sim.structure.component(elem)));
             state.des.schedule(t, EventKind::Fail(elem));
         }
         // Merge the planned injection stream (time-sorted by the compiler;
@@ -494,7 +489,7 @@ impl<'p> RunState<'p> {
     /// failure, then frees its repair crew (a no-op for processes).
     fn restore(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
         self.up.set(elem, true);
-        let t = self.exp(sim.mtbf(elem));
+        let t = self.exp(sim.config.mtbf(sim.structure.component(elem)));
         self.des.schedule(now + t, EventKind::Fail(elem));
         self.release_crew(elem, now);
     }
