@@ -317,13 +317,6 @@ impl Topology {
         self.assignments.get(&(role.to_owned(), node)).copied()
     }
 
-    /// All `(role, node) → vm` assignments.
-    pub fn assignments(&self) -> impl Iterator<Item = (&str, u32, VmId)> {
-        self.assignments
-            .iter()
-            .map(|((role, node), vm)| (role.as_str(), *node, *vm))
-    }
-
     /// Checks the topology can host `spec`.
     ///
     /// # Errors
