@@ -146,7 +146,8 @@ impl GridSpec {
         if self.sim_accelerate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             fail("simulation acceleration must be positive");
         }
-        // An infinite horizon would never let a DES cell finish.
+        // An infinite horizon would never let a DES cell finish (NaN and
+        // -inf already failed the positivity checks above).
         if self.sim_horizon_hours == f64::INFINITY {
             fail("simulation horizon must be finite");
         }

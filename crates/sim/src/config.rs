@@ -317,7 +317,8 @@ impl SimConfig {
                 out.push(ConfigError::NonPositive(what));
             }
         }
-        // The event loop runs until the horizon, so it must be reachable.
+        // The event loop runs until the horizon, so it must be reachable
+        // (NaN and -inf already failed the positivity check above).
         if self.horizon_hours == f64::INFINITY {
             out.push(ConfigError::NonFinite("horizon"));
         }
